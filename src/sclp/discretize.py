@@ -7,13 +7,12 @@ a probability-mass row where required, and one inequality row per budget.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisFamily
-from .model import (DISCOUNTED, JUMP, LONG_TERM_AVERAGE, ProblemSpec, eval2,
-                    eval_Af, eval_Bf)
+from .model import DISCOUNTED, JUMP, ProblemSpec, eval2, jump_targets
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +41,13 @@ class Grid:
     @property
     def n1(self) -> int:
         return self.mu1_atoms.shape[0]
+
+
+def nearest_node(nodes: np.ndarray, x) -> np.ndarray:
+    """Index of the sorted node nearest to each x; a tie goes to the left node."""
+    idx = np.clip(np.searchsorted(nodes, x), 0, nodes.size - 1)
+    left = np.clip(idx - 1, 0, nodes.size - 1)
+    return np.where(np.abs(nodes[left] - x) <= np.abs(nodes[idx] - x), left, idx)
 
 
 def build_grid(problem: ProblemSpec, n_state: int, n_control: int) -> Grid:
@@ -125,16 +131,54 @@ class DiscreteLP:
         return paths
 
 
-def _adjoint_coefficients(problem: ProblemSpec, grid: Grid, f):
-    """Row coefficients (Af on mu0 atoms, Bf on mu1 atoms) for one test function."""
+def _at_states(basis: BasisFamily, x: np.ndarray, orders):
+    """Basis rows at the distinct values of x, and each x's index among them.
+
+    Test functions depend on the state only, so each distinct x (a state
+    node, for the atoms) is evaluated once.
+    """
+    ux, inv = np.unique(x, return_inverse=True)
+    return basis.evaluate(ux, orders), inv
+
+
+def _adjoint_rows(problem: ProblemSpec, grid: Grid, basis: BasisFamily) -> np.ndarray:
+    """(len(basis), n0 + n1) adjoint coefficients: Af on mu0 atoms, Bf on mu1 atoms.
+
+    Bit for bit what eval_Af / eval_Bf give for each member, with the same
+    DomainError checks on atoms and jump targets.  Rows are filled one at a
+    time so that no temporary is larger than a row.
+    """
+    if len(basis) < 2:
+        raise ValueError("basis must contain at least 2 elements")
+    st = problem.state
     x0, u0 = grid.mu0_atoms[:, 0], grid.mu0_atoms[:, 1]
-    a = eval_Af(problem.gen_a, f, x0, u0, state=problem.state)
+    x1, u1 = grid.mu1_atoms[:, 0], grid.mu1_atoms[:, 1]
+    st.require(x0)
+    rows = np.empty((len(basis), grid.n0 + grid.n1))
+    a, b = rows[:, :grid.n0], rows[:, grid.n0:]
+    # Af = sigma^2 / 2 * f'' + drift * f'
+    sig = eval2(problem.gen_a.diffusion, x0, u0)
+    half_var = 0.5 * sig * sig
+    drift = eval2(problem.gen_a.drift, x0, u0)
+    (d1, d2), i0 = _at_states(basis, x0, (1, 2))
+    for k in range(len(basis)):
+        a[k] = half_var * d2[k, i0] + drift * d1[k, i0]
     if grid.n1:
-        x1, u1 = grid.mu1_atoms[:, 0], grid.mu1_atoms[:, 1]
-        b = eval_Bf(problem.gen_b, f, x1, u1, state=problem.state)
-    else:
-        b = np.zeros(0)
-    return a, b
+        st.require(x1)
+        if problem.gen_b.kind == JUMP:
+            # Bf = f(x + displacement) - f(x)
+            target = jump_targets(problem.gen_b, x1, u1, state=st)
+            (vt,), it = _at_states(basis, target, (0,))
+            (vx,), ix = _at_states(basis, x1, (0,))
+            for k in range(len(basis)):
+                b[k] = vt[k, it] - vx[k, ix]
+        else:
+            # Bf = direction * f'
+            direction = eval2(problem.gen_b.direction, x1, u1)
+            (d1,), i1 = _at_states(basis, x1, (1,))
+            for k in range(len(basis)):
+                b[k] = direction * d1[k, i1]
+    return rows
 
 
 def _budget_rows(problem: ProblemSpec, grid: Grid, rhs_scale: float):
@@ -152,30 +196,29 @@ def _budget_rows(problem: ProblemSpec, grid: Grid, rhs_scale: float):
     return rows, rhs, labels
 
 
-def _assemble(problem: ProblemSpec, grid: Grid, basis: BasisFamily,
-              row_fn, mass_row: bool, obj_scale: float, budget_scale: float,
+def _assemble(problem: ProblemSpec, grid: Grid, adj: np.ndarray, adj_rhs: np.ndarray,
+              mass_row: bool, obj_scale: float, budget_scale: float,
               name: str) -> DiscreteLP:
-    if len(basis.functions) < 2:
-        raise ValueError("basis must contain at least 2 elements")
     n = grid.n0 + grid.n1
-    eq_rows, eq_rhs, eq_labels = [], [], []
-    dropped = 0
-    for k, f in enumerate(basis.functions):
-        row, rhs = row_fn(f)
-        if not np.any(row) and rhs == 0.0:
-            # The f = 1 row (and any spline not touching an atom) is all-zero.
-            dropped += 1
-            continue
-        eq_rows.append(row)
-        eq_rhs.append(rhs)
-        eq_labels.append(f"ADJ{k:04d}")
-    if dropped:
-        log.info("%s: dropped %d all-zero adjoint rows", name, dropped)
+    # The f = 1 row (and any spline not touching an atom) is all-zero.
+    keep = adj.any(axis=1) | (adj_rhs != 0.0)
+    n_adj = int(keep.sum())
+    if n_adj < keep.size:
+        log.info("%s: dropped %d all-zero adjoint rows", name, keep.size - n_adj)
+    if n_adj + mass_row <= keep.size:
+        # Compact the kept rows in place; the mass row takes a dropped row's slot.
+        for k, i in enumerate(np.flatnonzero(keep)):
+            if k != i:
+                adj[k] = adj[i]
+        a_eq = adj[:n_adj + mass_row]
+    else:
+        a_eq = np.concatenate([adj, np.empty((1, n))])
+    b_eq = adj_rhs[keep]
+    eq_labels = [f"ADJ{k:04d}" for k in np.flatnonzero(keep)]
     if mass_row:
-        row = np.zeros(n)
-        row[:grid.n0] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0)
+        a_eq[-1, :grid.n0] = 1.0
+        a_eq[-1, grid.n0:] = 0.0
+        b_eq = np.append(b_eq, 1.0)
         eq_labels.append("MASS")
 
     ub_rows, ub_rhs, ub_labels = _budget_rows(problem, grid, budget_scale)
@@ -190,8 +233,8 @@ def _assemble(problem: ProblemSpec, grid: Grid, basis: BasisFamily,
 
     return DiscreteLP(
         c=c,
-        a_eq=np.array(eq_rows) if eq_rows else np.zeros((0, n)),
-        b_eq=np.array(eq_rhs),
+        a_eq=a_eq,
+        b_eq=b_eq,
         a_ub=np.array(ub_rows) if ub_rows else np.zeros((0, n)),
         b_ub=np.array(ub_rhs),
         n0=grid.n0, n1=grid.n1,
@@ -202,12 +245,8 @@ def _assemble(problem: ProblemSpec, grid: Grid, basis: BasisFamily,
 
 def assemble_lta_lp(problem: ProblemSpec, grid: Grid, basis: BasisFamily) -> DiscreteLP:
     """Long-term average LP: adjoint rows, mass row, budget rows, running objective."""
-
-    def row_fn(f):
-        a, b = _adjoint_coefficients(problem, grid, f)
-        return np.concatenate([a, b]), 0.0
-
-    return _assemble(problem, grid, basis, row_fn, mass_row=True,
+    return _assemble(problem, grid, _adjoint_rows(problem, grid, basis),
+                     np.zeros(len(basis)), mass_row=True,
                      obj_scale=1.0, budget_scale=1.0,
                      name=f"{problem.name}:lta")
 
@@ -219,10 +258,7 @@ def _nu0_weights(problem: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarr
     if abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError(f"nu0 mass {probs.sum()!r} differs from 1 by more than 1e-12")
     nodes = grid.state_nodes
-    idx = np.searchsorted(nodes, pts)
-    idx = np.clip(idx, 0, nodes.size - 1)
-    left = np.clip(idx - 1, 0, nodes.size - 1)
-    pick = np.where(np.abs(nodes[left] - pts) < np.abs(nodes[idx] - pts), left, idx)
+    pick = nearest_node(nodes, pts)
     if np.any(np.abs(nodes[pick] - pts) > 1e-9):
         raise ValueError("nu0 has support off the state nodes")
     return nodes[pick], probs
@@ -247,20 +283,21 @@ def assemble_discounted_lp(problem: ProblemSpec, grid: Grid, basis: BasisFamily,
         raise ValueError(f"unknown discounted form: {form!r}")
     alpha = problem.criterion.alpha
     nu_x, nu_p = _nu0_weights(problem, grid)
-
-    def row_fn(f):
-        a, b = _adjoint_coefficients(problem, grid, f)
-        fbar = float(np.dot(f.value(nu_x), nu_p))
-        fx = f.value(grid.mu0_atoms[:, 0])
-        if form == NORMALIZED:
-            return np.concatenate([a + alpha * (fbar - fx), b]), 0.0
-        return np.concatenate([a - alpha * fx, b]), -fbar
-
+    adj = _adjoint_rows(problem, grid, basis)
+    fbar = np.array([np.dot(v, nu_p) for v in basis.evaluate(nu_x, (0,))[0]])
+    (f,), i0 = _at_states(basis, grid.mu0_atoms[:, 0], (0,))
+    a = adj[:, :grid.n0]
     if form == NORMALIZED:
-        return _assemble(problem, grid, basis, row_fn, mass_row=True,
+        # Af + alpha * (fbar - f); right-hand side 0.
+        for k in range(len(basis)):
+            a[k] += alpha * (fbar[k] - f[k, i0])
+        return _assemble(problem, grid, adj, np.zeros(len(basis)), mass_row=True,
                          obj_scale=1.0 / alpha, budget_scale=alpha,
                          name=f"{problem.name}:disc-normalized")
-    return _assemble(problem, grid, basis, row_fn, mass_row=False,
+    # Af - alpha * f; right-hand side -fbar.
+    for k in range(len(basis)):
+        a[k] -= alpha * f[k, i0]
+    return _assemble(problem, grid, adj, -fbar, mass_row=False,
                      obj_scale=1.0, budget_scale=1.0,
                      name=f"{problem.name}:disc-rescaled")
 

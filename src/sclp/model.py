@@ -9,8 +9,8 @@ module's boundary-mass diagnostic monitors that choice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +46,13 @@ class StateSpace:
     def contains(self, x, tol: float = 1e-12):
         x = np.asarray(x, dtype=float)
         return (x >= self.x_lo - tol) & (x <= self.x_hi + tol)
+
+    def require(self, x):
+        """Raise DomainError naming the first state of x outside the interval."""
+        inside = self.contains(x)
+        if not np.all(inside):
+            bad = np.asarray(x, dtype=float)[~inside].ravel()
+            raise DomainError(f"state {bad[0]!r} outside [{self.x_lo}, {self.x_hi}]")
 
 
 @dataclass(frozen=True)
@@ -174,6 +181,26 @@ class ProblemSpec:
     name: str = "problem"
 
 
+def jump_targets(gen_b: GeneratorB, x, u, state: StateSpace | None = None):
+    """x + displacement(x, u) for a jump generator.
+
+    When state is given every target must stay inside it; a violation names
+    the offending atom.
+    """
+    xa = np.asarray(x, dtype=float)
+    ua = np.asarray(u, dtype=float)
+    target = xa + eval2(gen_b.displacement, xa, ua)
+    if state is not None and not np.all(state.contains(target)):
+        mask = ~state.contains(target)
+        bx = np.broadcast_to(xa, mask.shape)[mask].ravel()[0]
+        bu = np.broadcast_to(ua, mask.shape)[mask].ravel()[0]
+        bt = np.asarray(target)[mask].ravel()[0]
+        raise DomainError(
+            f"jump target {bt!r} from atom (x={bx!r}, u={bu!r}) leaves "
+            f"[{state.x_lo}, {state.x_hi}]")
+    return target
+
+
 def eval_Af(gen_a: GeneratorA, f, x, u, state: StateSpace | None = None):
     """Evaluate the diffusion generator on test function f at (x, u).
 
@@ -183,10 +210,8 @@ def eval_Af(gen_a: GeneratorA, f, x, u, state: StateSpace | None = None):
     scalar = np.isscalar(x) and np.isscalar(u)
     xa = np.asarray(x, dtype=float)
     ua = np.asarray(u, dtype=float)
-    if state is not None and not np.all(state.contains(xa)):
-        bad = np.asarray(xa)[~state.contains(xa)].ravel()
-        raise DomainError(
-            f"state {bad[0]!r} outside [{state.x_lo}, {state.x_hi}]")
+    if state is not None:
+        state.require(xa)
     sig = eval2(gen_a.diffusion, xa, ua)
     b = eval2(gen_a.drift, xa, ua)
     out = 0.5 * sig * sig * f.d2(xa) + b * f.d1(xa)
@@ -202,21 +227,10 @@ def eval_Bf(gen_b: GeneratorB, f, x, u, state: StateSpace | None = None):
     scalar = np.isscalar(x) and np.isscalar(u)
     xa = np.asarray(x, dtype=float)
     ua = np.asarray(u, dtype=float)
-    if state is not None and not np.all(state.contains(xa)):
-        bad = np.asarray(xa)[~state.contains(xa)].ravel()
-        raise DomainError(
-            f"state {bad[0]!r} outside [{state.x_lo}, {state.x_hi}]")
+    if state is not None:
+        state.require(xa)
     if gen_b.kind == JUMP:
-        disp = eval2(gen_b.displacement, xa, ua)
-        target = xa + disp
-        if state is not None and not np.all(state.contains(target)):
-            mask = ~state.contains(target)
-            bx = np.broadcast_to(xa, mask.shape)[mask].ravel()[0]
-            bu = np.broadcast_to(ua, mask.shape)[mask].ravel()[0]
-            bt = np.asarray(target)[mask].ravel()[0]
-            raise DomainError(
-                f"jump target {bt!r} from atom (x={bx!r}, u={bu!r}) leaves "
-                f"[{state.x_lo}, {state.x_hi}]")
+        target = jump_targets(gen_b, xa, ua, state=state)
         out = f.value(target) - f.value(xa)
         out = np.broadcast_to(out, np.broadcast_shapes(xa.shape, ua.shape)).copy()
     else:

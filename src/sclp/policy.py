@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import Grid
+from .discretize import Grid, nearest_node
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,7 @@ def _disintegrate(atoms: np.ndarray, w: np.ndarray, state_nodes: np.ndarray):
     kernel = Kernel()
     if atoms.shape[0] == 0:
         return marginal, kernel
-    node_of = np.searchsorted(state_nodes, atoms[:, 0])
-    node_of = np.clip(node_of, 0, state_nodes.size - 1)
-    left = np.clip(node_of - 1, 0, state_nodes.size - 1)
-    node_of = np.where(np.abs(state_nodes[left] - atoms[:, 0])
-                       < np.abs(state_nodes[node_of] - atoms[:, 0]), left, node_of)
+    node_of = nearest_node(state_nodes, atoms[:, 0])
     np.add.at(marginal, node_of, w)
     for i in np.flatnonzero(marginal > 0):
         sel = (node_of == i) & (w > 0)

@@ -14,12 +14,12 @@ brute-forces the best band with common random numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DISCOUNTED, GRADIENT, JUMP, LONG_TERM_AVERAGE,
-                    ProblemSpec, eval2)
+from .discretize import nearest_node
+from .model import DISCOUNTED, JUMP, ProblemSpec, eval2
 from .policy import FeedbackPolicy
 
 DISCOUNT_CUTOFF = 1e-8
@@ -110,13 +110,6 @@ def _half_width(samples: np.ndarray) -> float:
     return 1.96 * float(samples.std(ddof=1)) / math.sqrt(n)
 
 
-def _nearest_idx(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(nodes, x)
-    idx = np.clip(idx, 0, nodes.size - 1)
-    left = np.clip(idx - 1, 0, nodes.size - 1)
-    return np.where(np.abs(nodes[left] - x) <= np.abs(nodes[idx] - x), left, idx)
-
-
 class _KernelSampler:
     """Dense cdf tables for vectorized per-node categorical sampling."""
 
@@ -143,12 +136,7 @@ def _bridge_map(covered: np.ndarray) -> np.ndarray:
     idxs = np.flatnonzero(covered)
     if idxs.size == 0:
         raise ValueError("kernel covers no state node")
-    all_idx = np.arange(covered.size)
-    pos = np.searchsorted(idxs, all_idx)
-    pos = np.clip(pos, 0, idxs.size - 1)
-    left = np.clip(pos - 1, 0, idxs.size - 1)
-    return np.where(np.abs(idxs[left] - all_idx) <= np.abs(idxs[pos] - all_idx),
-                    idxs[left], idxs[pos])
+    return idxs[nearest_node(idxs, np.arange(covered.size))]
 
 
 def _support_clusters(policy: FeedbackPolicy, rel_tol: float = 1e-7):
@@ -235,9 +223,12 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     else:
         x = np.full(n_paths, float(nodes[int(np.argmax(policy.mu0_marginal))]))
 
-    basis_fns = list(basis.functions) if basis is not None else []
-    mart = np.zeros((len(basis_fns), n_paths))
-    f0_vals = [f.value(x).copy() for f in basis_fns]
+    # Martingale residuals f(X_T) - f(X_0) - sum of Af dt and Bf over the
+    # singular actions, one row per test function.
+    if basis is not None:
+        mart = np.zeros((len(basis), n_paths))
+        (f0_vals,) = basis.evaluate(x, (0,))
+        step_rows = (np.empty_like(mart), np.empty_like(mart))  # f', f''
 
     run_cost = np.zeros(n_paths)
     sing_cost = np.zeros(n_paths)
@@ -256,7 +247,7 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         w = math.exp(-alpha * t) if disc else 1.0
         in_window = (not disc) and k >= burn_steps
 
-        node_idx = _nearest_idx(nodes, x)
+        node_idx = nearest_node(nodes, x)
         bridged_now = ~covered0[node_idx]
         bridged += int(bridged_now.sum())
         lookup = bridge0[node_idx]
@@ -278,8 +269,13 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
 
         drift = eval2(problem.gen_a.drift, x, u)
         sig = eval2(problem.gen_a.diffusion, x, u)
-        for j, f in enumerate(basis_fns):
-            mart[j] -= (0.5 * sig * sig * f.d2(x) + drift * f.d1(x)) * dt
+        if basis is not None:
+            d1, d2 = basis.evaluate(x, (1, 2), out=step_rows)
+            d2 *= 0.5 * sig * sig
+            d1 *= drift
+            d2 += d1
+            d2 *= dt
+            mart -= d2
 
         z = rng.standard_normal(n_paths)
         x_new = x + drift * dt + sig * sqdt * z
@@ -293,7 +289,7 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
                 if not crossed.any():
                     continue
                 sub = np.flatnonzero(crossed)
-                near = _nearest_idx(nodes[lo:hi + 1], x_new[sub]) + lo
+                near = nearest_node(nodes[lo:hi + 1], x_new[sub]) + lo
                 uj = sampler1.sample(near, rng.random(sub.size))
                 xs = x_new[sub]
                 dj = eval2(problem.gen_b.displacement, xs, uj)
@@ -305,8 +301,10 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
                     hv = eval2(bud.h, xs, uj)
                     bud_acc[i][sub] += wc * hv
                     bud_raw[i][sub] += hv
-                for j, f in enumerate(basis_fns):
-                    mart[j][sub] -= f.value(target) - f.value(xs)
+                if basis is not None:
+                    (jump,) = basis.evaluate(target, (0,))
+                    jump -= basis.evaluate(xs, (0,))[0]
+                    mart[:, sub] -= jump
                 x_new[sub] = target
         elif (not jump_kind) and grad_barriers and sampler1 is not None:
             for edge, enode, side in grad_barriers:
@@ -330,9 +328,11 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
                     hv = eval2(bud.h, xs, ug) * dxi
                     bud_acc[i][sub] += wc * hv
                     bud_raw[i][sub] += hv
-                for j, f in enumerate(basis_fns):
-                    mart[j][sub] -= eval2(problem.gen_b.direction, xm, ug) \
-                        * f.d1(xm) * dxi
+                if basis is not None:
+                    (push,) = basis.evaluate(xm, (1,))
+                    push *= eval2(problem.gen_b.direction, xm, ug)
+                    push *= dxi
+                    mart[:, sub] -= push
                 x_new[sub] = edge
 
         # Pathwise budget exhaustion (discounted hard constraints only).
@@ -351,8 +351,10 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         raise SimulationError(
             f"{truncations} of {total_steps} steps left the state interval")
 
-    for j, f in enumerate(basis_fns):
-        mart[j] += f.value(x) - f0_vals[j]
+    if basis is not None:
+        (f1_vals,) = basis.evaluate(x, (0,))
+        f1_vals -= f0_vals
+        mart += f1_vals
 
     if disc:
         cost_paths = run_cost + sing_cost
@@ -383,9 +385,9 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         else:
             stat_tv = None
 
-    residuals = [Estimate(f"mart[{f.name}]", float(mart[j].mean()),
-                          _half_width(mart[j]), n_paths)
-                 for j, f in enumerate(basis_fns)]
+    residuals = [] if basis is None else [
+        Estimate(f"mart[{name}]", float(row.mean()), _half_width(row), n_paths)
+        for name, row in zip(basis.names, mart)]
 
     return VerificationReport(
         cost=cost, budgets=budgets, martingale_residuals=residuals,

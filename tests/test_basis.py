@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sclp.basis import BasisFamily, CubicBSpline, constant_one
+from sclp.basis import BasisFamily, C2Function, CubicBSpline, constant_one
 
 
 def test_constant_one():
@@ -74,3 +74,57 @@ def test_family_validation():
         BasisFamily.cubic_on_interval(1.0, 0.0, 4)
     with pytest.raises(ValueError):
         CubicBSpline(0.0, -1.0)
+
+
+def _assert_rows_match_members(fam, x):
+    rows = fam.evaluate(x)
+    assert all(r.shape == (len(fam), x.size) for r in rows)
+    for k, f in enumerate(fam.functions):
+        for got, want in zip(rows, (f.value(x), f.d1(x), f.d2(x))):
+            want = np.broadcast_to(want, x.shape)
+            assert np.array_equal(got[k], want), (f.name, k)
+            assert np.array_equal(np.signbit(got[k]), np.signbit(want)), (f.name, k)
+
+
+@pytest.mark.parametrize("n", [1, 12, 50])
+def test_family_evaluate_matches_members(n):
+    fam = BasisFamily.cubic_on_interval(-6.0, 4.0, n)
+    knots = np.unique([f.t0 + i * f.h for f in fam.functions[:-1] for i in range(5)])
+    rng = np.random.default_rng(n)
+    x = np.concatenate([rng.uniform(-7.0, 5.0, 4000), knots,
+                        np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf)])
+    _assert_rows_match_members(fam, x)
+
+
+def test_family_evaluate_constant_only_and_irregular_members():
+    x = np.linspace(-3.0, 3.0, 61)
+    _assert_rows_match_members(BasisFamily((constant_one(),), includes_constant=True), x)
+    # Splines of unequal spacing, out of order, between other members: each
+    # is evaluated on its own.
+    quad = C2Function(lambda x: x ** 2, lambda x: 2.0 * x,
+                      lambda x: np.full_like(x, 2.0), name="x^2")
+    fam = BasisFamily((CubicBSpline(0.5, 0.25), quad, CubicBSpline(-2.0, 1.0),
+                       constant_one()), includes_constant=True)
+    _assert_rows_match_members(fam, x)
+    # A uniform run in reverse order, the constant first: evaluated together.
+    uniform = BasisFamily.cubic_on_interval(-3.0, 3.0, 9)
+    _assert_rows_match_members(BasisFamily(uniform.functions[::-1]), x)
+
+
+def test_family_evaluate_orders_separately():
+    fam = BasisFamily.cubic_on_interval(0.0, 1.0, 6)
+    x = np.linspace(-0.1, 1.1, 37)
+    v, d1, d2 = fam.evaluate(x)
+    (only_d2,) = fam.evaluate(x, (2,))
+    d1_again, v_again = fam.evaluate(x, (1, 0))
+    assert np.array_equal(only_d2, d2)
+    assert np.array_equal(d1_again, d1) and np.array_equal(v_again, v)
+    assert fam.evaluate(np.zeros(0), (0,))[0].shape == (len(fam), 0)
+    # Reused output arrays are overwritten, whatever they held.
+    out = (np.full((len(fam), x.size), np.nan), np.full((len(fam), x.size), 7.0))
+    got = fam.evaluate(x, (2, 0), out=out)
+    assert got[0] is out[0] and np.array_equal(out[0], d2) and np.array_equal(out[1], v)
+    with pytest.raises(ValueError, match="shape"):
+        fam.evaluate(x, (0,), out=(np.zeros((len(fam), 3)),))
+    with pytest.raises(ValueError, match="orders"):
+        fam.evaluate(x, (3,))

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sclp.basis import BasisFamily
-from sclp.discretize import (NORMALIZED, RESCALED, GridError,
+from sclp.discretize import (NORMALIZED, RESCALED, Grid, GridError,
                              assemble_discounted_lp, assemble_lta_lp,
-                             build_grid, constraint_residual)
-from sclp.model import (Criterion, DISCOUNTED, ControlSpace, ProblemSpec,
-                        eval_Af, eval_Bf)
+                             build_grid, constraint_residual, nearest_node)
+from sclp.model import (Criterion, DISCOUNTED, ControlSpace, DomainError,
+                        ProblemSpec, eval_Af, eval_Bf)
 from sclp.policy import MeasurePair
 from sclp.problems import finite_fuel_problem, inventory_problem
 
@@ -63,16 +63,68 @@ def test_lta_rows_and_order():
     assert np.all(mass_row[:lp.n0] == 1.0) and np.all(mass_row[lp.n0:] == 0.0)
 
 
+def _adjoint_row_index(lp):
+    """Basis index of every ADJ row of an LP."""
+    return [(r, int(lab[3:])) for r, lab in enumerate(lp.eq_labels)
+            if lab.startswith("ADJ")]
+
+
 def test_adjoint_rows_match_generator_evaluations():
+    # Jump kind: Af on mu0 atoms, f(x + u) - f(x) on mu1 atoms, every row.
     p = inventory_problem()
     g = build_grid(p, 11, 3)
     b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 4)
     lp = assemble_lta_lp(p, g, b)
-    f = b.functions[2]
-    row = lp.a_eq[2]
-    a = eval_Af(p.gen_a, f, g.mu0_atoms[:, 0], g.mu0_atoms[:, 1])
-    bb = eval_Bf(p.gen_b, f, g.mu1_atoms[:, 0], g.mu1_atoms[:, 1])
-    assert np.array_equal(row, np.concatenate([a, bb]))
+    rows = _adjoint_row_index(lp)
+    assert [k for _, k in rows] == [0, 1, 2, 3]
+    for r, k in rows:
+        f = b.functions[k]
+        a = eval_Af(p.gen_a, f, g.mu0_atoms[:, 0], g.mu0_atoms[:, 1])
+        bb = eval_Bf(p.gen_b, f, g.mu1_atoms[:, 0], g.mu1_atoms[:, 1])
+        assert np.array_equal(lp.a_eq[r], np.concatenate([a, bb]))
+
+
+@pytest.mark.parametrize("form", [NORMALIZED, RESCALED])
+def test_discounted_adjoint_rows_match_generator_evaluations(form):
+    # Gradient kind (finite fuel), both discounted forms, every row.
+    p = finite_fuel_problem(alpha=0.5)
+    g = build_grid(p, 21, 2)
+    b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 8)
+    lp = assemble_discounted_lp(p, g, b, form=form)
+    alpha = p.criterion.alpha
+    nu_x = np.array([x for x, _ in p.criterion.nu0])
+    nu_p = np.array([q for _, q in p.criterion.nu0])
+    x0, u0 = g.mu0_atoms[:, 0], g.mu0_atoms[:, 1]
+    rows = _adjoint_row_index(lp)
+    assert len(rows) == (8 if form == NORMALIZED else 9)
+    for r, k in rows:
+        f = b.functions[k]
+        a = eval_Af(p.gen_a, f, x0, u0)
+        bb = eval_Bf(p.gen_b, f, g.mu1_atoms[:, 0], g.mu1_atoms[:, 1])
+        fbar = float(np.dot(f.value(nu_x), nu_p))
+        if form == NORMALIZED:
+            a, rhs = a + alpha * (fbar - f.value(x0)), 0.0
+        else:
+            a, rhs = a - alpha * f.value(x0), -fbar
+        assert np.array_equal(lp.a_eq[r], np.concatenate([a, bb]))
+        assert lp.b_eq[r] == rhs
+
+
+def test_jump_target_outside_interval_rejected():
+    p = inventory_problem()
+    g = build_grid(p, 11, 3)
+    # Keep every mu1 atom, including those whose jump leaves [x_lo, x_hi].
+    g = Grid(mu0_atoms=g.mu0_atoms, mu1_atoms=g.mu0_atoms.copy(),
+             state_nodes=g.state_nodes, control_nodes=g.control_nodes)
+    b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 4)
+    with pytest.raises(DomainError, match="jump target"):
+        assemble_lta_lp(p, g, b)
+    # So do atoms off the state interval.
+    off = g.mu0_atoms + np.array([100.0, 0.0])
+    g = Grid(mu0_atoms=off, mu1_atoms=g.mu1_atoms[:0],
+             state_nodes=g.state_nodes, control_nodes=g.control_nodes)
+    with pytest.raises(DomainError, match="outside"):
+        assemble_lta_lp(p, g, b)
 
 
 def test_min_basis_size():
@@ -162,3 +214,9 @@ def test_to_csv_roundtrip(tmp_path):
     eq = np.atleast_2d(np.loadtxt(paths[1], delimiter=","))
     assert np.allclose(eq[:, :-1], lp.a_eq)
     assert np.allclose(eq[:, -1], lp.b_eq)
+
+
+def test_nearest_node_ties_go_left():
+    nodes = np.array([0.0, 1.0, 2.0])
+    x = np.array([-5.0, 0.0, 0.4, 0.5, 0.6, 1.5, 2.0, 7.0])
+    assert nearest_node(nodes, x).tolist() == [0, 0, 0, 0, 1, 1, 2, 2]

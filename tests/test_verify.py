@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sclp.basis import BasisFamily, constant_one
-from sclp.discretize import Grid, assemble_lta_lp, build_grid
+from sclp.basis import BasisFamily, C2Function, constant_one
+from sclp.discretize import (Grid, assemble_discounted_lp, assemble_lta_lp,
+                             build_grid)
 from sclp.model import (Criterion, CostSpec, ControlSpace, GeneratorA,
                         GeneratorB, JUMP, LONG_TERM_AVERAGE, ProblemSpec,
                         StateSpace)
@@ -225,3 +226,44 @@ def test_report_serialization():
     assert len(csv.strip().splitlines()) == 1 + 1 + len(b.functions)
     text = rep.to_text()
     assert "lta_cost" in text and "stationarity_tv" in text
+
+
+def _wrapped(fam):
+    """The same test functions as plain C2Functions: evaluated one by one."""
+    return BasisFamily(tuple(C2Function(f.value, f.d1, f.d2, name=f.name)
+                             for f in fam.functions),
+                       includes_constant=fam.includes_constant)
+
+
+def _lp_policy(p, n_state, n_control, n_basis, assemble):
+    grid = build_grid(p, n_state, n_control)
+    b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, n_basis)
+    sol = solve(assemble(p, grid, b))
+    pol = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
+    pol.strict, _ = extract_strict(pol)
+    return pol, b
+
+
+@pytest.mark.parametrize("kind", ["jump", "gradient"])
+def test_family_residuals_match_per_member_evaluation(kind):
+    if kind == "jump":
+        p = inventory_problem()
+        pol, b = _lp_policy(p, 21, 5, 8, assemble_lta_lp)
+        # Only the ordering cost is counted, so a positive cost shows jumps.
+        p = ProblemSpec(state=p.state, control=p.control, gen_a=p.gen_a,
+                        gen_b=p.gen_b, costs=CostSpec(c0=ZERO, c1=p.costs.c1),
+                        criterion=p.criterion)
+        cfg = SimConfig(dt=0.01, horizon=3.0, n_paths=32, seed=5, burn_in=0.5)
+    else:
+        p = finite_fuel_problem(alpha=2.0, x_lo=-8.0, x_hi=8.0)
+        pol, b = _lp_policy(p, 41, 11, 12, assemble_discounted_lp)
+        cfg = SimConfig(dt=0.02, horizon=10.0, n_paths=32, seed=2)
+    fast = simulate(p, pol, cfg, basis=b)
+    slow = simulate(p, pol, cfg, basis=_wrapped(b))
+    assert fast.to_csv() == slow.to_csv()
+    assert len(fast.martingale_residuals) == len(b)
+    # Singular actions happened, so their martingale updates were exercised.
+    if kind == "jump":
+        assert fast.cost.value > 0
+    else:
+        assert fast.budgets[0].value > 0
