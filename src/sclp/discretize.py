@@ -45,8 +45,8 @@ class Grid:
 
 def nearest_node(nodes: np.ndarray, x) -> np.ndarray:
     """Index of the sorted node nearest to each x; a tie goes to the left node."""
-    idx = np.clip(np.searchsorted(nodes, x), 0, nodes.size - 1)
-    left = np.clip(idx - 1, 0, nodes.size - 1)
+    idx = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
+    left = np.maximum(idx - 1, 0)
     return np.where(np.abs(nodes[left] - x) <= np.abs(nodes[idx] - x), left, idx)
 
 

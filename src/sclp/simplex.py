@@ -9,6 +9,7 @@ is applied before solving and undone on output.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,23 +124,31 @@ class _Core:
             step = ratios[leave_row]
             degen_streak = degen_streak + 1 if step <= degen_eps else 0
 
-            self.in_basis[self.basis[leave_row]] = False
-            self.basis[leave_row] = enter
-            self.in_basis[enter] = True
             self.iterations += 1
             since_refactor += 1
-            piv = d[leave_row]
-            if abs(piv) < 1e-11 or since_refactor >= self.refactor_every:
-                self._refactor()
+            refactor = (abs(d[leave_row]) < 1e-11
+                        or since_refactor >= self.refactor_every)
+            if refactor:
                 since_refactor = 0
-            else:
-                # Product-form update of the explicit inverse.
-                self.binv[leave_row] /= piv
-                others = np.arange(self.m) != leave_row
-                self.binv[others] -= np.outer(d[others], self.binv[leave_row])
-                self.xb = self.binv @ self.b
-            self.xb = np.maximum(self.xb, 0.0)
+            self._pivot(leave_row, enter, d, refactor)
         return ITER_LIMIT
+
+    def _pivot(self, row, enter, d, refactor=False):
+        """Replace basis[row] by column enter, where d = B^-1 a[:, enter].
+
+        The inverse is refactorized or given a product-form update.
+        """
+        self.in_basis[self.basis[row]] = False
+        self.basis[row] = enter
+        self.in_basis[enter] = True
+        if refactor:
+            self._refactor()
+        else:
+            self.binv[row] /= d[row]
+            others = np.arange(self.m) != row
+            self.binv[others] -= np.outer(d[others], self.binv[row])
+            self.xb = self.binv @ self.b
+        self.xb = np.maximum(self.xb, 0.0)
 
     def drive_out_artificials(self, n_structural):
         """Pivot basic artificials onto structural columns; drop redundant rows.
@@ -155,15 +164,7 @@ class _Core:
                                   & ~self.in_basis[:n_structural])
             if cand.size:
                 enter = int(cand[0])
-                d = self.binv @ self.a[:, enter]
-                self.in_basis[self.basis[row]] = False
-                self.basis[row] = enter
-                self.in_basis[enter] = True
-                piv = d[row]
-                self.binv[row] /= piv
-                others = np.arange(self.m) != row
-                self.binv[others] -= np.outer(d[others], self.binv[row])
-                self.xb = np.maximum(self.binv @ self.b, 0.0)
+                self._pivot(row, enter, self.binv @ self.a[:, enter])
             else:
                 removed.append(row)
         return removed
@@ -312,6 +313,17 @@ def export_mps(lp: DiscreteLP, name: str = "SCLP") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str):
+    """The lines of text one at a time, without a list of the whole text."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        yield text[start:stop]
+        start = stop + 1
+
+
 def parse_mps(text: str) -> DiscreteLP:
     """Parse MPS text produced by export_mps back into a DiscreteLP."""
     section = None
@@ -320,9 +332,12 @@ def parse_mps(text: str) -> DiscreteLP:
     ub_labels: list[str] = []
     col_order: list[str] = []
     col_index: dict[str, int] = {}
-    entries: list[tuple[str, str, float]] = []
+    # Nonzeros as compact arrays: column, row code (-1 cost, then the
+    # equality rows, then the inequality rows) and value.
+    row_code: dict[str, int] = {}
+    ent_col, ent_row, ent_val = array("q"), array("q"), array("d")
     rhs: dict[str, float] = {}
-    for raw in text.splitlines():
+    for raw in _lines(text):
         if not raw.strip() or raw.startswith("*"):
             continue
         if not raw[0].isspace():
@@ -330,6 +345,11 @@ def parse_mps(text: str) -> DiscreteLP:
             section = parts[0]
             if section == "NAME" and len(parts) > 1:
                 name = parts[1]
+            elif section == "COLUMNS":
+                # ROWS precedes COLUMNS; equality wins a label in both.
+                row_code = {lab: len(eq_labels) + i for i, lab in enumerate(ub_labels)}
+                row_code.update((lab, i) for i, lab in enumerate(eq_labels))
+                row_code["COST"] = -1
             continue
         parts = raw.split()
         if section == "ROWS":
@@ -342,31 +362,35 @@ def parse_mps(text: str) -> DiscreteLP:
                 raise ValueError(f"unsupported row type {kind!r}")
         elif section == "COLUMNS":
             cname = parts[0]
-            if cname not in col_index:
-                col_index[cname] = len(col_order)
+            j = col_index.get(cname)
+            if j is None:
+                j = col_index[cname] = len(col_order)
                 col_order.append(cname)
             for k in range(1, len(parts) - 1, 2):
-                entries.append((cname, parts[k], float(parts[k + 1])))
+                code = row_code.get(parts[k])
+                if code is None:
+                    raise ValueError(f"unknown row label {parts[k]!r}")
+                ent_col.append(j)
+                ent_row.append(code)
+                ent_val.append(float(parts[k + 1]))
         elif section == "RHS":
             for k in range(1, len(parts) - 1, 2):
                 rhs[parts[k]] = float(parts[k + 1])
     n = len(col_order)
     n0 = sum(1 for cn in col_order if cn.startswith("W0_"))
+    me = len(eq_labels)
+    cols = np.frombuffer(ent_col, dtype=np.int64)
+    rows = np.frombuffer(ent_row, dtype=np.int64)
+    vals = np.frombuffer(ent_val, dtype=float)
     c = np.zeros(n)
-    a_eq = np.zeros((len(eq_labels), n))
+    a_eq = np.zeros((me, n))
     a_ub = np.zeros((len(ub_labels), n))
-    eq_idx = {lab: i for i, lab in enumerate(eq_labels)}
-    ub_idx = {lab: i for i, lab in enumerate(ub_labels)}
-    for cname, lab, v in entries:
-        j = col_index[cname]
-        if lab == "COST":
-            c[j] = v
-        elif lab in eq_idx:
-            a_eq[eq_idx[lab], j] = v
-        elif lab in ub_idx:
-            a_ub[ub_idx[lab], j] = v
-        else:
-            raise ValueError(f"unknown row label {lab!r}")
+    sel = rows < 0
+    c[cols[sel]] = vals[sel]
+    sel = (rows >= 0) & (rows < me)
+    a_eq[rows[sel], cols[sel]] = vals[sel]
+    sel = rows >= me
+    a_ub[rows[sel] - me, cols[sel]] = vals[sel]
     b_eq = np.array([rhs.get(lab, 0.0) for lab in eq_labels])
     b_ub = np.array([rhs.get(lab, 0.0) for lab in ub_labels])
     return DiscreteLP(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,

@@ -1,11 +1,18 @@
 """Monte Carlo verification of extracted policies.
 
 simulate() runs the controlled diffusion under a feedback policy with
-committed singular-action semantics: jump problems act when the state
-crosses into the singular support from above (band behavior); gradient
-problems reflect the state at the support edge.  It reports cost and
-budget estimates with confidence intervals, martingale residuals for the
-supplied test functions, and (long-term average) a stationarity distance.
+committed singular-action semantics.  Each step is one shared Euler step
+(_euler_step) under the absolutely continuous control (_Control), then the
+singular action of the problem's kind: jump problems act when the state
+crosses into the singular support from above (_jump_action, band
+behaviour); gradient problems reflect the state at the support edge
+(_gradient_action).  Per-path cost, budget and martingale sums live in
+_Accumulators.  simulate() reports cost and budget estimates with
+confidence intervals, martingale residuals for the supplied test
+functions, and (long-term average) a stationarity distance.  For a fixed
+seed the random draws come in a fixed order: the nu0 draw of the initial
+states (discounted), then per step the kernel control's uniforms, the
+normals, and one uniform per acting path and cluster.
 
 band_policy_oracle() is an independent renewal-reward estimator for
 inventory-shaped problems under an (s, S) ordering band; band_search()
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -126,6 +134,12 @@ class _KernelSampler:
             self.covered[i] = True
 
     def sample(self, node_idx: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Controls at node_idx for the uniforms r (drawn even when unused)."""
+        if self.uval.shape[1] == 1:
+            return self.uval[node_idx, 0]
+        return self._sample_cdf(node_idx, r)
+
+    def _sample_cdf(self, node_idx: np.ndarray, r: np.ndarray) -> np.ndarray:
         choice = (r[:, None] > self.cdf[node_idx]).sum(axis=1)
         choice = np.minimum(choice, self.uval.shape[1] - 1)
         return self.uval[node_idx, choice]
@@ -137,6 +151,15 @@ def _bridge_map(covered: np.ndarray) -> np.ndarray:
     if idxs.size == 0:
         raise ValueError("kernel covers no state node")
     return idxs[nearest_node(idxs, np.arange(covered.size))]
+
+
+def _cluster_node(nodes: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Index of the node of nodes[lo:hi + 1] nearest to each x.
+
+    The global nearest node clamped into the cluster: for sorted nodes this
+    is nearest_node on the slice, ties included.
+    """
+    return np.minimum(np.maximum(nearest_node(nodes, x), lo), hi)
 
 
 def _support_clusters(policy: FeedbackPolicy, rel_tol: float = 1e-7):
@@ -160,6 +183,244 @@ def _support_clusters(policy: FeedbackPolicy, rel_tol: float = 1e-7):
     return clusters
 
 
+class _Control:
+    """The absolutely continuous control at each path's nearest node.
+
+    A node the policy does not cover borrows the control of the nearest
+    covered node (a bridged step).
+    """
+
+    def __init__(self, policy: FeedbackPolicy):
+        n_nodes = policy.state_nodes.size
+        if policy.strict:
+            self.sampler = None
+            self.covered = np.zeros(n_nodes, dtype=bool)
+            uvals = np.zeros(n_nodes)
+            for i, u in policy.strict.items():
+                self.covered[i] = True
+                uvals[i] = u
+            self.bridge = _bridge_map(self.covered)
+            self.strict_u = uvals[self.bridge]  # the bridged control per node
+        else:
+            self.sampler = _KernelSampler(policy.eta0, n_nodes)
+            self.covered = self.sampler.covered
+            self.bridge = _bridge_map(self.covered)
+
+    def __call__(self, node_idx: np.ndarray, rng) -> np.ndarray:
+        if self.sampler is None:
+            return self.strict_u[node_idx]
+        return self.sampler.sample(self.bridge[node_idx], rng.random(node_idx.size))
+
+
+class _Accumulators:
+    """Per-path sums of one run.
+
+    Running and singular cost, budget usage (discount-weighted and raw),
+    which paths may still act, and, when a basis is given, the martingale
+    residuals f(X_T) - f(X_0) - sum of (Af) dt and of Bf over the singular
+    actions, one row per test function.  A weight of exactly 1 is never
+    multiplied in, which leaves every sum unchanged.
+    """
+
+    def __init__(self, problem: ProblemSpec, basis, x0: np.ndarray, dt: float):
+        n_paths = x0.size
+        self.costs = problem.costs
+        self.direction = problem.gen_b.direction
+        self.dt = dt
+        self.run_cost = np.zeros(n_paths)
+        self.sing_cost = np.zeros(n_paths)
+        budgets = self.costs.budgets
+        self.bud_acc = np.zeros((len(budgets), n_paths))
+        self.bud_raw = np.zeros((len(budgets), n_paths))
+        self.caps = np.array([b.cap for b in budgets])[:, None]
+        # Pathwise budget exhaustion (discounted hard constraints only).
+        self.capped = problem.criterion.kind == DISCOUNTED and bool(budgets)
+        self.sing_enabled = np.ones(n_paths, dtype=bool)
+        self.basis = basis
+        if basis is not None:
+            self.mart = np.zeros((len(basis), n_paths))
+            (self.f0,) = basis.evaluate(x0, (0,))
+            self.step_rows = (np.empty_like(self.mart), np.empty_like(self.mart))
+
+    def running(self, x, u, w: float, counted: bool):
+        """Running cost c0 dt (when counted) and budget usage g dt of a step."""
+        dt = self.dt
+        if counted:
+            c0 = eval2(self.costs.c0, x, u)
+            self.run_cost += (c0 if w == 1.0 else w * c0) * dt
+        for i, bud in enumerate(self.costs.budgets):
+            gv = eval2(bud.g, x, u)
+            if counted:
+                self.bud_acc[i] += (gv if w == 1.0 else w * gv) * dt
+            self.bud_raw[i] += gv * dt
+
+    def generator(self, x, drift, sig):
+        """Take (Af) dt = (f' drift + f'' sig^2 / 2) dt off every residual."""
+        if self.basis is None:
+            return
+        d1, d2 = self.basis.evaluate(x, (1, 2), out=self.step_rows)
+        d2 *= 0.5 * sig * sig
+        d1 *= drift
+        d2 += d1
+        d2 *= self.dt
+        self.mart -= d2
+
+    def singular(self, sub, xs, u, wc: float, dxi=None):
+        """Cost c1 and budget usage h of singular actions on the paths sub.
+
+        dxi is the size of a gradient push (None for a jump); wc is the
+        discount weight, 0 before burn-in.
+        """
+        c1 = eval2(self.costs.c1, xs, u)
+        if wc != 1.0:
+            c1 = wc * c1
+        self.sing_cost[sub] += c1 if dxi is None else c1 * dxi
+        for i, bud in enumerate(self.costs.budgets):
+            hv = eval2(bud.h, xs, u)
+            if dxi is not None:
+                hv = hv * dxi
+            self.bud_acc[i][sub] += hv if wc == 1.0 else wc * hv
+            self.bud_raw[i][sub] += hv
+
+    def jump(self, sub, xs, target):
+        """Take Bf = f(target) - f(xs) of a jump off the residuals of sub."""
+        if self.basis is None:
+            return
+        (df,) = self.basis.evaluate(target, (0,))
+        df -= self.basis.evaluate(xs, (0,))[0]
+        self.mart[:, sub] -= df
+
+    def push(self, sub, xm, u, dxi):
+        """Take Bf = f'(xm) gamma(xm, u) dxi of a push off the residuals of sub."""
+        if self.basis is None:
+            return
+        (df,) = self.basis.evaluate(xm, (1,))
+        df *= eval2(self.direction, xm, u)
+        df *= dxi
+        self.mart[:, sub] -= df
+
+    def exhaust(self):
+        """Stop singular action on paths whose raw usage passed a budget cap."""
+        self.sing_enabled &= ~(self.bud_raw > self.caps).any(axis=0)
+
+    def finish(self, x):
+        """Add f(X_T) - f(X_0) to the residuals."""
+        if self.basis is not None:
+            (f1,) = self.basis.evaluate(x, (0,))
+            f1 -= self.f0
+            self.mart += f1
+
+
+def _euler_step(problem: ProblemSpec, acc: _Accumulators, rng, x, u,
+                sqdt: float, w: float, counted: bool) -> np.ndarray:
+    """One Euler-Maruyama step under control u; charges the step's costs."""
+    acc.running(x, u, w, counted)
+    drift = eval2(problem.gen_a.drift, x, u)
+    sig = eval2(problem.gen_a.diffusion, x, u)
+    acc.generator(x, drift, sig)
+    z = rng.standard_normal(x.size)
+    return x + drift * acc.dt + sig * sqdt * z
+
+
+def _jump_action(problem, nodes, triggers, sampler, acc, rng, x, x_new, wc):
+    """Jump the paths that crossed down to a cluster's top node this step.
+
+    A path crosses the trigger level when it steps from above it to at or
+    below it; on the first step (x is None) every path at or below it acts.
+    Its jump is drawn from eta1 at its nearest node of the cluster.
+    """
+    for trig, lo, hi in triggers:
+        crossed = x_new <= trig
+        if x is not None:
+            crossed &= x > trig
+        if acc.capped:
+            crossed &= acc.sing_enabled
+        if not crossed.any():
+            continue
+        sub = np.flatnonzero(crossed)
+        xs = x_new[sub]
+        near = np.full(sub.size, lo) if lo == hi else _cluster_node(nodes, xs, lo, hi)
+        u = sampler.sample(near, rng.random(sub.size))
+        target = xs + eval2(problem.gen_b.displacement, xs, u)
+        acc.singular(sub, xs, u, wc)
+        acc.jump(sub, xs, target)
+        x_new[sub] = target
+
+
+def _gradient_action(problem, barriers, sampler, acc, rng, x, x_new, wc):
+    """Reflect the paths that stepped past a cluster's outer edge.
+
+    Each is pushed back to the edge along gamma(edge, u), with u drawn from
+    eta1 at the edge node; the push size is |x - edge| / |gamma|.  x (the
+    state before the step) plays no part in reflection.
+    """
+    for edge, enode, side in barriers:
+        over = x_new > edge if side < 0 else x_new < edge
+        if acc.capped:
+            over &= acc.sing_enabled
+        if not over.any():
+            continue
+        sub = np.flatnonzero(over)
+        u = sampler.sample(np.full(sub.size, enode), rng.random(sub.size))
+        xs = x_new[sub]
+        gam = eval2(problem.gen_b.direction, np.full(sub.size, edge), u)
+        gam = np.where(np.abs(gam) < 1e-12, np.copysign(1e-12, -side), gam)
+        dxi = np.abs(xs - edge) / np.abs(gam)
+        acc.singular(sub, xs, u, wc, dxi)
+        acc.push(sub, 0.5 * (xs + edge), u, dxi)
+        x_new[sub] = edge
+
+
+def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
+    """(edge value, edge node, side) of each cluster that pushes outward.
+
+    side -1 pushes down at the top edge, +1 pushes up at the bottom edge,
+    as the direction of the edge node's most likely control says.
+    """
+    nodes, eta1 = policy.state_nodes, policy.eta1
+    direction = problem.gen_b.direction
+    barriers = []
+    for lo, hi in clusters:
+        u_outer_hi = eta1.prob_max(hi)[1] if hi in eta1.rows else 0.0
+        if float(eval2(direction, nodes[hi], u_outer_hi)) < 0:
+            barriers.append((float(nodes[hi]), hi, -1))
+            continue
+        u_outer_lo = eta1.prob_max(lo)[1] if lo in eta1.rows else 0.0
+        if float(eval2(direction, nodes[lo], u_outer_lo)) > 0:
+            barriers.append((float(nodes[lo]), lo, +1))
+    return barriers
+
+
+def _singular_action(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
+    """The policy's singular action as action(acc, rng, x, x_new, wc), or None.
+
+    Jump problems act when a path crosses into the support from above (band
+    behaviour); gradient problems reflect at the support edge.
+    """
+    nodes = policy.state_nodes
+    if problem.gen_b.kind == JUMP:
+        triggers = [(float(nodes[hi]), lo, hi) for lo, hi in clusters]
+        if not triggers:
+            return None
+        sampler = _KernelSampler(policy.eta1, nodes.size)
+        return partial(_jump_action, problem, nodes, triggers, sampler)
+    barriers = _gradient_barriers(problem, policy, clusters)
+    if not barriers:
+        return None
+    sampler = _KernelSampler(policy.eta1, nodes.size)
+    return partial(_gradient_action, problem, barriers, sampler)
+
+
+def _initial_states(problem: ProblemSpec, policy: FeedbackPolicy, rng, n_paths):
+    """nu0 draws (discounted), else every path at the mu0 mode."""
+    if problem.criterion.kind == DISCOUNTED:
+        pts = np.array([x for x, _ in problem.criterion.nu0])
+        probs = np.array([p for _, p in problem.criterion.nu0])
+        return rng.choice(pts, size=n_paths, p=probs / probs.sum())
+    nodes = policy.state_nodes
+    return np.full(n_paths, float(nodes[int(np.argmax(policy.mu0_marginal))]))
+
+
 def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
              basis=None) -> VerificationReport:
     """Simulate the controlled process and estimate costs, budgets and residuals.
@@ -169,195 +430,78 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     nodes = policy.state_nodes
-    n_nodes = nodes.size
     x_lo, x_hi = policy.x_lo, policy.x_hi
     disc = problem.criterion.kind == DISCOUNTED
     alpha = problem.criterion.alpha if disc else 0.0
     horizon = math.log(1.0 / DISCOUNT_CUTOFF) / alpha if disc else cfg.horizon
     n_steps = int(round(horizon / cfg.dt))
-    n_paths = cfg.n_paths
     dt = cfg.dt
     sqdt = math.sqrt(dt)
+    burn_steps = int(round(cfg.burn_in / dt)) if not disc else 0  # disc counts all
 
-    # Absolutely continuous control lookup.
-    strict = policy.strict
-    if strict:
-        covered0 = np.zeros(n_nodes, dtype=bool)
-        uvals0 = np.zeros(n_nodes)
-        for i, u in strict.items():
-            covered0[i] = True
-            uvals0[i] = u
-        sampler0 = None
-    else:
-        sampler0 = _KernelSampler(policy.eta0, n_nodes)
-        covered0 = sampler0.covered
-        uvals0 = None
-    bridge0 = _bridge_map(covered0)
-
-    # Singular-action setup.
+    control = _Control(policy)
     clusters = _support_clusters(policy)
-    multi_cluster = len(clusters) > 1
-    sampler1 = _KernelSampler(policy.eta1, n_nodes) if policy.eta1.rows else None
-    jump_kind = problem.gen_b.kind == JUMP
-    grad_barriers = []  # (edge value, edge node, +1 pushes up / -1 pushes down)
-    jump_triggers = []  # (trigger value, cluster lo idx, cluster hi idx)
-    for lo, hi in clusters:
-        if jump_kind:
-            jump_triggers.append((float(nodes[hi]), lo, hi))
-        else:
-            u_outer_hi = policy.eta1.prob_max(hi)[1] if hi in policy.eta1.rows else 0.0
-            gdir = float(eval2(problem.gen_b.direction, nodes[hi], u_outer_hi))
-            if gdir < 0:
-                grad_barriers.append((float(nodes[hi]), hi, -1))
-            else:
-                u_outer_lo = policy.eta1.prob_max(lo)[1] if lo in policy.eta1.rows else 0.0
-                gdir = float(eval2(problem.gen_b.direction, nodes[lo], u_outer_lo))
-                if gdir > 0:
-                    grad_barriers.append((float(nodes[lo]), lo, +1))
-
-    # Initial states.
-    if disc:
-        pts = np.array([x for x, _ in problem.criterion.nu0])
-        probs = np.array([p for _, p in problem.criterion.nu0])
-        x = rng.choice(pts, size=n_paths, p=probs / probs.sum())
-    else:
-        x = np.full(n_paths, float(nodes[int(np.argmax(policy.mu0_marginal))]))
-
-    # Martingale residuals f(X_T) - f(X_0) - sum of Af dt and Bf over the
-    # singular actions, one row per test function.
-    if basis is not None:
-        mart = np.zeros((len(basis), n_paths))
-        (f0_vals,) = basis.evaluate(x, (0,))
-        step_rows = (np.empty_like(mart), np.empty_like(mart))  # f', f''
-
-    run_cost = np.zeros(n_paths)
-    sing_cost = np.zeros(n_paths)
-    n_budgets = len(problem.costs.budgets)
-    bud_acc = np.zeros((n_budgets, n_paths))
-    bud_raw = np.zeros((n_budgets, n_paths))
-    sing_enabled = np.ones(n_paths, dtype=bool)
-    hist = np.zeros(n_nodes)
+    action = _singular_action(problem, policy, clusters)
+    x = _initial_states(problem, policy, rng, cfg.n_paths)
+    acc = _Accumulators(problem, basis, x, dt)
+    # Visits per node before burn-in (row 0) and in the window (row 1).
+    visits = np.zeros((2, nodes.size), dtype=np.int64)
     truncations = 0
-    bridged = 0
-
-    burn_steps = int(round(cfg.burn_in / dt)) if not disc else 0
 
     for k in range(n_steps):
         t = k * dt
+        counted = k >= burn_steps
         w = math.exp(-alpha * t) if disc else 1.0
-        in_window = (not disc) and k >= burn_steps
-
         node_idx = nearest_node(nodes, x)
-        bridged_now = ~covered0[node_idx]
-        bridged += int(bridged_now.sum())
-        lookup = bridge0[node_idx]
-        if strict:
-            u = uvals0[lookup]
-        else:
-            u = sampler0.sample(lookup, rng.random(n_paths))
+        visits[int(counted)] += np.bincount(node_idx, minlength=nodes.size)
+        u = control(node_idx, rng)
+        x_new = _euler_step(problem, acc, rng, x, u, sqdt, w, counted)
+        if action is not None:
+            wc = (math.exp(-alpha * (t + dt)) if disc else 1.0) if counted else 0.0
+            action(acc, rng, x if k else None, x_new, wc)
+        if acc.capped:
+            acc.exhaust()
+        if x_new.min() < x_lo or x_new.max() > x_hi:
+            truncations += int((x_new < x_lo).sum()) + int((x_new > x_hi).sum())
+            x_new = np.clip(x_new, x_lo, x_hi)
+        x = x_new
 
-        if in_window:
-            np.add.at(hist, node_idx, 1.0)
-
-        if disc or in_window:
-            run_cost += w * eval2(problem.costs.c0, x, u) * dt
-        for i, bud in enumerate(problem.costs.budgets):
-            gv = eval2(bud.g, x, u)
-            if disc or in_window:
-                bud_acc[i] += w * gv * dt
-            bud_raw[i] += gv * dt
-
-        drift = eval2(problem.gen_a.drift, x, u)
-        sig = eval2(problem.gen_a.diffusion, x, u)
-        if basis is not None:
-            d1, d2 = basis.evaluate(x, (1, 2), out=step_rows)
-            d2 *= 0.5 * sig * sig
-            d1 *= drift
-            d2 += d1
-            d2 *= dt
-            mart -= d2
-
-        z = rng.standard_normal(n_paths)
-        x_new = x + drift * dt + sig * sqdt * z
-
-        # Singular actions.
-        if jump_kind and jump_triggers and sampler1 is not None:
-            for trig, lo, hi in jump_triggers:
-                crossed = (x > trig) & (x_new <= trig) & sing_enabled
-                if k == 0:
-                    crossed |= (x_new <= trig) & sing_enabled
-                if not crossed.any():
-                    continue
-                sub = np.flatnonzero(crossed)
-                near = nearest_node(nodes[lo:hi + 1], x_new[sub]) + lo
-                uj = sampler1.sample(near, rng.random(sub.size))
-                xs = x_new[sub]
-                dj = eval2(problem.gen_b.displacement, xs, uj)
-                target = xs + dj
-                wj = math.exp(-alpha * (t + dt)) if disc else 1.0
-                wc = wj if (disc or k >= burn_steps) else 0.0
-                sing_cost[sub] += wc * eval2(problem.costs.c1, xs, uj)
-                for i, bud in enumerate(problem.costs.budgets):
-                    hv = eval2(bud.h, xs, uj)
-                    bud_acc[i][sub] += wc * hv
-                    bud_raw[i][sub] += hv
-                if basis is not None:
-                    (jump,) = basis.evaluate(target, (0,))
-                    jump -= basis.evaluate(xs, (0,))[0]
-                    mart[:, sub] -= jump
-                x_new[sub] = target
-        elif (not jump_kind) and grad_barriers and sampler1 is not None:
-            for edge, enode, side in grad_barriers:
-                if side < 0:
-                    over = (x_new > edge) & sing_enabled
-                else:
-                    over = (x_new < edge) & sing_enabled
-                if not over.any():
-                    continue
-                sub = np.flatnonzero(over)
-                ug = sampler1.sample(np.full(sub.size, enode), rng.random(sub.size))
-                xs = x_new[sub]
-                gam = eval2(problem.gen_b.direction, np.full(sub.size, edge), ug)
-                gam = np.where(np.abs(gam) < 1e-12, np.copysign(1e-12, -side), gam)
-                dxi = np.abs(xs - edge) / np.abs(gam)
-                xm = 0.5 * (xs + edge)
-                wj = math.exp(-alpha * (t + dt)) if disc else 1.0
-                wc = wj if (disc or k >= burn_steps) else 0.0
-                sing_cost[sub] += wc * eval2(problem.costs.c1, xs, ug) * dxi
-                for i, bud in enumerate(problem.costs.budgets):
-                    hv = eval2(bud.h, xs, ug) * dxi
-                    bud_acc[i][sub] += wc * hv
-                    bud_raw[i][sub] += hv
-                if basis is not None:
-                    (push,) = basis.evaluate(xm, (1,))
-                    push *= eval2(problem.gen_b.direction, xm, ug)
-                    push *= dxi
-                    mart[:, sub] -= push
-                x_new[sub] = edge
-
-        # Pathwise budget exhaustion (discounted hard constraints only).
-        if disc and n_budgets:
-            exceeded = (bud_raw > np.array([b.cap for b in problem.costs.budgets]
-                                           )[:, None]).any(axis=0)
-            sing_enabled &= ~exceeded
-
-        below = x_new < x_lo
-        above = x_new > x_hi
-        truncations += int(below.sum()) + int(above.sum())
-        x = np.clip(x_new, x_lo, x_hi)
-
-    total_steps = n_steps * n_paths
+    total_steps = n_steps * cfg.n_paths
     if truncations > 0.01 * total_steps:
         raise SimulationError(
             f"{truncations} of {total_steps} steps left the state interval")
+    acc.finish(x)
 
-    if basis is not None:
-        (f1_vals,) = basis.evaluate(x, (0,))
-        f1_vals -= f0_vals
-        mart += f1_vals
+    cost, budgets = _cost_estimates(problem, cfg, acc, nodes, horizon)
+    stat_tv = None
+    hist = visits[1]
+    if not disc and hist.sum() > 0:
+        p_emp = hist / hist.sum()
+        p_ref = policy.mu0_marginal / policy.mu0_marginal.sum()
+        stat_tv = 0.5 * float(np.abs(p_emp - p_ref).sum())
+    residuals = [] if basis is None else [
+        Estimate(f"mart[{name}]", float(row.mean()), _half_width(row), cfg.n_paths)
+        for name, row in zip(basis.names, acc.mart)]
 
-    if disc:
-        cost_paths = run_cost + sing_cost
+    return VerificationReport(
+        cost=cost, budgets=budgets, martingale_residuals=residuals,
+        stationarity_distance=stat_tv,
+        truncation_events=truncations, total_steps=total_steps,
+        bridged_steps=int(visits.sum(axis=0)[~control.covered].sum()),
+        multi_cluster_support=len(clusters) > 1,
+        budget_exhausted_paths=int((~acc.sing_enabled).sum()),
+        n_paths=cfg.n_paths,
+    )
+
+
+def _cost_estimates(problem: ProblemSpec, cfg: SimConfig, acc: _Accumulators,
+                    nodes: np.ndarray, horizon: float):
+    """Cost and budget estimates: discounted totals or long-run averages."""
+    n_paths = cfg.n_paths
+    budgets = problem.costs.budgets
+    if problem.criterion.kind == DISCOUNTED:
+        alpha = problem.criterion.alpha
+        cost_paths = acc.run_cost + acc.sing_cost
         # Discount-truncation tail bound, added to the half-width.
         xx, uu = np.meshgrid(nodes, np.array([problem.control.u_lo,
                                               problem.control.u_hi]), indexing="ij")
@@ -365,39 +509,16 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         tail = c0max * DISCOUNT_CUTOFF / alpha
         cost = Estimate("discounted_cost", float(cost_paths.mean()),
                         _half_width(cost_paths) + tail, n_paths)
-        budgets = [Estimate(f"budget_{b.name}", float(bud_acc[i].mean()),
-                            _half_width(bud_acc[i]), n_paths)
-                   for i, b in enumerate(problem.costs.budgets)]
-        stat_tv = None
-    else:
-        denom = horizon - cfg.burn_in
-        cost_paths = (run_cost + sing_cost) / denom
-        cost = Estimate("lta_cost", float(cost_paths.mean()),
-                        _half_width(cost_paths), n_paths)
-        budgets = [Estimate(f"budget_{b.name}", float(bud_acc[i].mean() / denom),
-                            _half_width(bud_acc[i] / denom), n_paths)
-                   for i, b in enumerate(problem.costs.budgets)]
-        total_hist = hist.sum()
-        if total_hist > 0:
-            p_emp = hist / total_hist
-            p_ref = policy.mu0_marginal / policy.mu0_marginal.sum()
-            stat_tv = 0.5 * float(np.abs(p_emp - p_ref).sum())
-        else:
-            stat_tv = None
-
-    residuals = [] if basis is None else [
-        Estimate(f"mart[{name}]", float(row.mean()), _half_width(row), n_paths)
-        for name, row in zip(basis.names, mart)]
-
-    return VerificationReport(
-        cost=cost, budgets=budgets, martingale_residuals=residuals,
-        stationarity_distance=stat_tv,
-        truncation_events=truncations, total_steps=total_steps,
-        bridged_steps=bridged,
-        multi_cluster_support=multi_cluster,
-        budget_exhausted_paths=int((~sing_enabled).sum()),
-        n_paths=n_paths,
-    )
+        return cost, [Estimate(f"budget_{b.name}", float(acc.bud_acc[i].mean()),
+                               _half_width(acc.bud_acc[i]), n_paths)
+                      for i, b in enumerate(budgets)]
+    denom = horizon - cfg.burn_in
+    cost_paths = (acc.run_cost + acc.sing_cost) / denom
+    cost = Estimate("lta_cost", float(cost_paths.mean()),
+                    _half_width(cost_paths), n_paths)
+    return cost, [Estimate(f"budget_{b.name}", float(acc.bud_acc[i].mean() / denom),
+                           _half_width(acc.bud_acc[i] / denom), n_paths)
+                  for i, b in enumerate(budgets)]
 
 
 @dataclass

@@ -6,7 +6,7 @@ from sclp.discretize import build_grid
 from sclp.model import (DISCOUNTED, GRADIENT, JUMP, LONG_TERM_AVERAGE, Budget,
                         ControlSpace, CostSpec, Criterion, DomainError,
                         GeneratorA, GeneratorB, ProblemSpec, StateSpace,
-                        eval_Af, eval_Bf, validate_conditions)
+                        eval2, eval_Af, eval_Bf, validate_conditions)
 from sclp.problems import finite_fuel_problem, inventory_problem
 
 QUAD = C2Function(lambda x: x ** 2, lambda x: 2.0 * x,
@@ -113,3 +113,44 @@ def test_validate_conditions_flags_unbounded_singular_cost():
     grid = build_grid(bad, 21, 5)
     rep = validate_conditions(bad, grid)
     assert not rep.singular_cost_bounded_away
+
+
+def _eval2_broadcasting(fn, x, u):
+    """eval2 as it was before its equal-shape early return."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    out = np.asarray(fn(x, u), dtype=float)
+    shape = np.broadcast_shapes(x.shape, u.shape)
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
+    return out
+
+
+@pytest.mark.parametrize("case", ["scalar_fn", "zero_d", "column_u", "int_fn",
+                                  "identity", "int_inputs", "list_inputs"])
+def test_eval2_same_value_shape_dtype_and_aliasing(case):
+    x = np.linspace(-1.0, 1.0, 5)
+    u = np.linspace(0.0, 2.0, 5)
+    fn = lambda x, u: x * u + 1.0
+    if case == "scalar_fn":
+        fn = lambda x, u: 2.5
+    elif case == "zero_d":
+        x, u = np.float64(0.5), 1.5
+    elif case == "column_u":
+        u = u[:, None]
+    elif case == "int_fn":
+        fn = lambda x, u: np.ones(np.shape(x), dtype=int)
+    elif case == "identity":
+        fn = lambda x, u: x
+    elif case == "int_inputs":
+        x, u = np.arange(5), np.arange(5)
+    else:
+        x, u = x.tolist(), u.tolist()
+    got = eval2(fn, x, u)
+    want = _eval2_broadcasting(fn, x, u)
+    assert got.shape == want.shape and got.dtype == want.dtype == float
+    assert np.array_equal(got, want)
+    assert got.flags.writeable == want.flags.writeable
+    for arg in (x, u):
+        if isinstance(arg, np.ndarray):
+            assert np.shares_memory(got, arg) == np.shares_memory(want, arg)

@@ -3,15 +3,17 @@ import pytest
 
 from sclp.basis import BasisFamily, C2Function, constant_one
 from sclp.discretize import (Grid, assemble_discounted_lp, assemble_lta_lp,
-                             build_grid)
-from sclp.model import (Criterion, CostSpec, ControlSpace, GeneratorA,
-                        GeneratorB, JUMP, LONG_TERM_AVERAGE, ProblemSpec,
-                        StateSpace)
-from sclp.policy import MeasurePair, extract_strict, marginals_and_kernels
+                             build_grid, nearest_node)
+from sclp.model import (Criterion, CostSpec, ControlSpace, DISCOUNTED,
+                        GeneratorA, GeneratorB, JUMP, LONG_TERM_AVERAGE,
+                        ProblemSpec, StateSpace)
+from sclp.policy import (Kernel, MeasurePair, extract_strict,
+                         marginals_and_kernels)
 from sclp.problems import finite_fuel_problem, inventory_problem
 from sclp.simplex import solve
-from sclp.verify import (BandPolicy, SimConfig, SimulationError,
-                         band_policy_oracle, band_search, simulate)
+from sclp.verify import (BandPolicy, SimConfig, SimulationError, _cluster_node,
+                         _KernelSampler, band_policy_oracle, band_search,
+                         simulate)
 
 
 def make_problem(drift, diffusion, c0, c1, x_lo=-2.0, x_hi=2.0):
@@ -267,3 +269,163 @@ def test_family_residuals_match_per_member_evaluation(kind):
         assert fast.cost.value > 0
     else:
         assert fast.budgets[0].value > 0
+
+
+# ---------------------------------------------------------------------------
+# The random stream of simulate(), pinned: one run per singular action and
+# control kind, recorded before the simulator was split by singular kind.
+# Any change to the order or size of the draws, or to the arithmetic of an
+# update, shows up here and must be deliberate.
+
+def _two_atom_rows(kernel, u_alt, p_alt):
+    """Every other covered row gains a second atom u_alt of probability p_alt."""
+    rows = {}
+    for k, (i, (u, p)) in enumerate(sorted(kernel.rows.items())):
+        if k % 2 == 0:
+            rows[i] = (np.array([u[0], u_alt(u[0])]), np.array([1.0 - p_alt, p_alt]))
+        else:
+            rows[i] = (u, p)
+    return Kernel(rows)
+
+
+def _discounted_inventory(alpha):
+    p = inventory_problem()
+    return ProblemSpec(state=p.state, control=p.control, gen_a=p.gen_a,
+                       gen_b=p.gen_b, costs=p.costs,
+                       criterion=Criterion(kind=DISCOUNTED, alpha=alpha,
+                                           nu0=((0.0, 1.0),)))
+
+
+def _pinned_run(name):
+    if name == "jump_kernel":
+        p = inventory_problem()
+        pol, _ = _lp_policy(p, 21, 5, 8, assemble_lta_lp)
+        pol.strict = None
+        pol.eta0 = _two_atom_rows(pol.eta0, lambda u: 0.5 * u + 1.0, 0.25)
+        pol.eta1 = _two_atom_rows(pol.eta1, lambda u: 0.5 * u, 0.4)
+        cfg = SimConfig(dt=0.01, horizon=4.0, n_paths=16, seed=3, burn_in=1.0)
+        fam = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 6)
+    elif name == "jump_strict":
+        p = inventory_problem()
+        pol, _ = _lp_policy(p, 21, 5, 8, assemble_lta_lp)
+        cfg = SimConfig(dt=0.01, horizon=4.0, n_paths=16, seed=7, burn_in=1.0)
+        fam = None
+    elif name == "gradient_budget":
+        p = finite_fuel_problem(alpha=2.0, x_lo=-8.0, x_hi=8.0)
+        pol, _ = _lp_policy(p, 41, 11, 12, assemble_discounted_lp)
+        # A push cost, so that the push size enters the cost as well.
+        p = ProblemSpec(state=p.state, control=p.control, gen_a=p.gen_a,
+                        gen_b=p.gen_b, criterion=p.criterion,
+                        costs=CostSpec(c0=p.costs.c0, budgets=p.costs.budgets,
+                                       c1=lambda x, u: 0.5 + 0.25 * x))
+        cfg = SimConfig(dt=0.02, horizon=10.0, n_paths=16, seed=2)
+        fam = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 6)
+    else:
+        assert name == "discounted_jump"
+        p = _discounted_inventory(0.5)
+        pol, _ = _lp_policy(p, 21, 5, 8, assemble_discounted_lp)
+        pol.strict = None
+        cfg = SimConfig(dt=0.02, horizon=10.0, n_paths=16, seed=11)
+        fam = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 6)
+    return simulate(p, pol, cfg, basis=fam)
+
+
+# to_csv() text and the diagnostics (stationarity TV, truncations, total,
+# bridged steps, multi-cluster support, exhausted paths) of each run.
+PINNED = {
+    "discounted_jump": (
+        (
+            "name,estimate,half_width,n\n"
+            "discounted_cost,3.6131890362235364,0.47883500429801745,16\n"
+            "mart[bspl000],0.002040541222367307,0.0006952699690543303,16\n"
+            "mart[bspl001],0.1942244738660847,0.24399071592743146,16\n"
+            "mart[bspl002],0.248072271088161,0.9560254702904522,16\n"
+            "mart[bspl003],0.46701880930719797,1.4092886880560216,16\n"
+            "mart[bspl004],-1.001507760168599,1.018235916498851,16\n"
+            "mart[bspl005],0.03915618941044824,0.6690283164541473,16\n"
+            "mart[1],0.0,0.0,16\n"
+        ),
+        (None, 10, 29472, 5960, False, 0),
+    ),
+    "gradient_budget": (
+        (
+            "name,estimate,half_width,n\n"
+            "discounted_cost,-2.1579374271593443,0.2605938297482498,16\n"
+            "budget_fuel,11.519875720104608,0.0707730286910412,16\n"
+            "mart[bspl000],-0.5530391440600434,0.2882932807190367,16\n"
+            "mart[bspl001],-0.1934864472193958,0.37001034330492005,16\n"
+            "mart[bspl002],0.8510645388426855,0.3478591992427258,16\n"
+            "mart[bspl003],-0.2560411702059891,0.3749625433387451,16\n"
+            "mart[bspl004],0.00012844245696279344,0.18325180978959515,16\n"
+            "mart[bspl005],-0.025814806741305363,0.06371478231346095,16\n"
+            "mart[1],0.0,0.0,16\n"
+        ),
+        (None, 0, 7376, 4623, True, 16),
+    ),
+    "jump_kernel": (
+        (
+            "name,estimate,half_width,n\n"
+            "lta_cost,1.7473157210720283,0.3282456468277711,16\n"
+            "mart[bspl000],0.0,0.0,16\n"
+            "mart[bspl001],0.007374631102112674,0.012850522077933942,16\n"
+            "mart[bspl002],-0.16199825037683496,0.24819380250516476,16\n"
+            "mart[bspl003],-0.20866721712648348,0.3853553568503109,16\n"
+            "mart[bspl004],0.37431986322705524,0.5141353917827649,16\n"
+            "mart[bspl005],0.027027357598312943,0.3290049107154353,16\n"
+            "mart[1],0.0,0.0,16\n"
+        ),
+        (0.3882008519673867, 0, 6400, 1601, False, 0),
+    ),
+    "jump_strict": (
+        (
+            "name,estimate,half_width,n\n"
+            "lta_cost,2.0762595500734715,0.2608440444156676,16\n"
+        ),
+        (0.3971591853007201, 0, 6400, 1443, False, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_random_stream_pinned(name):
+    csv, diagnostics = PINNED[name]
+    rep = _pinned_run(name)
+    assert rep.to_csv() == "".join(csv)
+    assert (rep.stationarity_distance, rep.truncation_events, rep.total_steps,
+            rep.bridged_steps, rep.multi_cluster_support,
+            rep.budget_exhausted_paths) == diagnostics
+
+
+def test_single_atom_sample_equals_cdf_path():
+    rows = {i: (np.array([0.25 * i - 1.0]), np.array([1.0])) for i in (1, 2, 5, 6)}
+    sampler = _KernelSampler(Kernel(rows), 8)
+    assert sampler.uval.shape == (8, 1)
+    rng = np.random.default_rng(0)
+    idx = rng.integers(0, 8, 200)
+    r = rng.random(200)
+    r[:3] = [0.0, np.nextafter(1.0, 0.0), 0.5]
+    fast = sampler.sample(idx, r)
+    assert np.array_equal(fast, sampler._sample_cdf(idx, r))
+    assert np.array_equal(fast, sampler.uval[idx, 0])
+
+
+def test_multi_atom_sample_follows_cdf():
+    rows = {0: (np.array([1.0, 2.0]), np.array([0.25, 0.75])),
+            2: (np.array([3.0]), np.array([1.0]))}
+    sampler = _KernelSampler(Kernel(rows), 3)
+    r = np.array([0.0, 0.25, np.nextafter(0.25, 1.0), np.nextafter(1.0, 0.0),
+                  0.5, 0.9])
+    idx = np.array([0, 0, 0, 0, 2, 1])
+    assert sampler.sample(idx, r).tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 0.0]
+
+
+def test_cluster_node_equals_nearest_node_on_the_slice():
+    nodes = np.linspace(-2.0, 2.0, 9)
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    x = np.concatenate([nodes, mids, np.nextafter(mids, -np.inf),
+                        np.nextafter(mids, np.inf), [-5.0, -2.1, 2.1, 5.0],
+                        np.random.default_rng(1).uniform(-3.0, 3.0, 50)])
+    for lo in range(nodes.size):
+        for hi in range(lo, nodes.size):
+            want = nearest_node(nodes[lo:hi + 1], x) + lo
+            assert np.array_equal(_cluster_node(nodes, x, lo, hi), want), (lo, hi)
