@@ -279,10 +279,13 @@ def _fmt(v: float) -> str:
     return "%.17g" % v
 
 
-def export_mps(lp: DiscreteLP, name: str = "SCLP") -> str:
-    """Serialize the LP to MPS text with ROWS/COLUMNS/RHS/BOUNDS sections."""
+def export_mps(lp: DiscreteLP, name: str | None = None) -> str:
+    """Serialize the LP to MPS text with ROWS/COLUMNS/RHS/BOUNDS sections.
+
+    The NAME line carries name, by default the LP's own name.
+    """
     cols = lp.column_names()
-    lines = [f"NAME          {name}"]
+    lines = [f"NAME          {lp.name if name is None else name}"]
     lines.append("ROWS")
     lines.append(" N  COST")
     for lab in lp.eq_labels:
@@ -344,9 +347,9 @@ def parse_mps(text: str) -> DiscreteLP:
             parts = raw.split()
             section = parts[0]
             if section == "NAME" and len(parts) > 1:
-                name = parts[1]
-            elif section == "COLUMNS":
-                # ROWS precedes COLUMNS; equality wins a label in both.
+                name = raw[4:].strip()  # the whole field: names may hold spaces
+            elif section in ("COLUMNS", "RHS") and not row_code:
+                # ROWS precedes COLUMNS and RHS; equality wins a label in both.
                 row_code = {lab: len(eq_labels) + i for i, lab in enumerate(ub_labels)}
                 row_code.update((lab, i) for i, lab in enumerate(eq_labels))
                 row_code["COST"] = -1
@@ -375,6 +378,8 @@ def parse_mps(text: str) -> DiscreteLP:
                 ent_val.append(float(parts[k + 1]))
         elif section == "RHS":
             for k in range(1, len(parts) - 1, 2):
+                if parts[k] not in row_code:
+                    raise ValueError(f"unknown row label {parts[k]!r}")
                 rhs[parts[k]] = float(parts[k + 1])
     n = len(col_order)
     n0 = sum(1 for cn in col_order if cn.startswith("W0_"))

@@ -16,7 +16,13 @@ normals, and one uniform per acting path and cluster.
 
 band_policy_oracle() is an independent renewal-reward estimator for
 inventory-shaped problems under an (s, S) ordering band; band_search()
-brute-forces the best band with common random numbers.
+brute-forces the best band with common random numbers.  Both run one
+batched core, _band_cycles(): the regenerative cycles of many bands share
+one Euler/bridge step loop in a pool of at most _POOL_CYCLES live cycles
+(whole bands join while they fit, always at least one).  Each band keeps
+its own generator seeded with cfg.seed and draws per step one normal per
+live cycle, then one uniform per live cycle still above s, so every
+estimate equals that of the band run alone.
 """
 from __future__ import annotations
 
@@ -532,7 +538,7 @@ class OracleEstimate:
 
 
 def _inventory_shape(problem: ProblemSpec):
-    """Check the inventory preconditions; returns (mu_d, constant drift flag)."""
+    """Check the inventory preconditions; returns the demand rate mu_d."""
     if problem.gen_b.kind != JUMP:
         raise ValueError("band oracle requires a jump singular generator")
     xs = np.linspace(problem.state.x_lo, problem.state.x_hi, 7)
@@ -551,54 +557,155 @@ def _inventory_shape(problem: ProblemSpec):
     return mu_d
 
 
-def band_policy_oracle(problem: ProblemSpec, band: BandPolicy,
-                       cfg: SimConfig) -> OracleEstimate:
-    """Renewal-reward estimate of the long-run average cost of an (s, S) band.
+# Below this log crossing probability no uniform but 0.0 falls under
+# exp(log_p): uniforms are multiples of 2**-53 and exp(-40) < 2**-53.  The
+# oracle skips those exp calls, which underflow slowly far from s.
+_LOG_P_FLOOR = -40.0
 
-    Each regenerative cycle starts at S and runs the diffusion to the hitting
-    time of s (with a Brownian-bridge crossing test to remove the first-order
-    discrete-monitoring bias), then pays the ordering cost of jumping back to
-    S.  cfg.n_paths is the number of cycles.
+# Most regenerative cycles the band oracle steps at once.  Whole bands are
+# admitted while they fit, and always at least one.
+_POOL_CYCLES = 4096
+
+
+@dataclass
+class _LiveBand:
+    """A band whose cycles are in the oracle's pool."""
+
+    index: int  # position in the caller's band list
+    rng: np.random.Generator
+    slot: int  # its n entries of the per-cycle result buffers
+    start: int  # pool step at which its cycles began
+    deadline: int  # start + its step limit
+    lo: int  # pool position of its first live cycle
+    n_live: int
+
+
+class _CyclePool:
+    """The live regenerative cycles of several bands, stored band by band.
+
+    Per live cycle: its state before and after the step, its cost so far,
+    its band's s, where its results go (slot * n + cycle) and the step's
+    draws (normals, then uniforms).  A band's slot holds the cost and the
+    ending pool step of each of its n cycles.  The buffers are allocated
+    once; slots serve twice the bands that fit at once, so new bands join
+    while earlier ones finish their last cycles.
     """
-    mu_d = _inventory_shape(problem)
-    if not (problem.state.x_lo <= band.s < band.big_s <= problem.state.x_hi):
-        raise ValueError("band levels must lie inside the state interval")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    n = cfg.n_paths
-    dt = cfg.dt
-    sqdt = math.sqrt(dt)
-    s, big_s = band.s, band.big_s
-    order_cost = float(eval2(problem.costs.c1, np.array(s), np.array(big_s - s)))
 
-    x = np.full(n, big_s)
-    t_acc = np.zeros(n)
-    c_acc = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    max_steps = int(math.ceil(50.0 * (big_s - s) / mu_d / dt)) + 10_000
-    u0 = np.zeros(n)
-    for _ in range(max_steps):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        xs = x[idx]
-        sig = eval2(problem.gen_a.diffusion, xs, u0[:idx.size])
-        z = rng.standard_normal(idx.size)
-        x1 = xs - mu_d * dt + sig * sqdt * z
-        c_acc[idx] += eval2(problem.costs.c0, xs, u0[:idx.size]) * dt
-        t_acc[idx] += dt
-        hit = x1 <= s
-        both_above = ~hit
-        if both_above.any():
-            num = -2.0 * (xs[both_above] - s) * (x1[both_above] - s)
-            p_cross = np.exp(num / (sig[both_above] ** 2 * dt))
-            hit[both_above] = rng.random(both_above.sum()) < p_cross
-        x[idx] = x1
-        done = idx[hit]
-        active[done] = False
-    if active.any():
-        raise SimulationError("some regenerative cycles did not terminate")
+    def __init__(self, problem: ProblemSpec, mu_d: float, n: int, dt: float):
+        self.diffusion, self.c0 = problem.gen_a.diffusion, problem.costs.c0
+        self.mu_d, self.n, self.dt = mu_d, n, dt
+        self.cap = cap = max(_POOL_CYCLES, n)
+        self.x, self.x1, self.c, self.s, self.draws = (np.empty(cap) for _ in range(5))
+        self.u0 = np.zeros(cap)
+        self.dest = np.empty(cap, dtype=np.intp)
+        self.hit, self.keep = np.empty(cap, dtype=bool), np.empty(cap, dtype=bool)
+        n_slots = 2 * (cap // n)
+        self.res_cost = np.empty(n_slots * n)
+        self.res_end = np.empty(n_slots * n, dtype=np.int64)
+        self.free = list(range(n_slots - 1, -1, -1))
+        self.live: list[_LiveBand] = []
+        self.size = 0
 
-    cycle_cost = c_acc + order_cost
+    def has_room(self) -> bool:
+        return bool(self.free) and self.size + self.n <= self.cap
+
+    def admit(self, index: int, band: BandPolicy, rng, k: int, max_steps: int):
+        """Start the n cycles of a band at S, at pool step k."""
+        n, lo = self.n, self.size
+        slot = self.free.pop()
+        seg = slice(lo, lo + n)
+        self.x[seg] = band.big_s
+        self.c[seg] = 0.0
+        self.s[seg] = band.s
+        self.dest[seg] = np.arange(slot * n, slot * n + n)
+        self.live.append(_LiveBand(index, rng, slot, k, k + max_steps, lo, n))
+        self.size += n
+
+    def _counts(self, mask: np.ndarray) -> list[int]:
+        """Number of True entries of mask in each live band's segment."""
+        if len(self.live) == 1:
+            return [int(np.count_nonzero(mask))]
+        return np.add.reduceat(mask, [b.lo for b in self.live], dtype=np.intp).tolist()
+
+    def step(self):
+        """One Euler step of every live cycle and its bridge crossing test.
+
+        Leaves the new states in x1 and the cycles that reached s in hit.
+        Each band draws one normal per live cycle, then one uniform per
+        live cycle still above s, as it would alone.
+        """
+        m, dt = self.size, self.dt
+        xs, xn, sl, u = self.x[:m], self.x1[:m], self.s[:m], self.u0[:m]
+        zl, hl, kl = self.draws[:m], self.hit[:m], self.keep[:m]
+        sig = eval2(self.diffusion, xs, u)
+        for b in self.live:
+            b.rng.standard_normal(out=self.draws[b.lo:b.lo + b.n_live])
+        # xn = (xs - mu_d dt) + (sig sqrt(dt)) z, as one band alone computes it.
+        np.multiply(sig, math.sqrt(dt), out=xn)
+        xn *= zl
+        np.subtract(xs, self.mu_d * dt, out=zl)
+        xn += zl
+        self.c[:m] += eval2(self.c0, xs, u) * dt
+        np.less_equal(xn, sl, out=hl)
+        np.logical_not(hl, out=kl)
+        counts = self._counts(kl)
+        n_above = sum(counts)
+        if not n_above:
+            return
+        off = 0
+        for b, cnt in zip(self.live, counts):
+            if cnt:
+                b.rng.random(out=self.draws[off:off + cnt])
+                off += cnt
+        sa = sl[kl]
+        num = -2.0 * (xs[kl] - sa) * (xn[kl] - sa)
+        log_p = num / (sig[kl] ** 2 * dt)
+        # The crossing probability exp(log_p) decides only where it can
+        # exceed the uniform.
+        r = self.draws[:n_above]
+        near = (log_p > _LOG_P_FLOOR) | (r == 0.0)
+        crossed = np.zeros(n_above, dtype=bool)
+        crossed[near] = r[near] < np.exp(log_p[near])
+        hl[kl] = crossed
+
+    def retire(self, k: int) -> list[_LiveBand]:
+        """Record the cycles that ended at pool step k and compact the pool.
+
+        Returns the bands left with no live cycle; their slots are free again
+        once the caller has read them.
+        """
+        m = self.size
+        hl, kl = self.hit[:m], self.keep[:m]
+        np.logical_not(hl, out=kl)
+        n_kept = int(np.count_nonzero(kl))
+        if n_kept == m:
+            self.x, self.x1 = self.x1, self.x
+            return []
+        ended = self.dest[:m][hl]
+        self.res_cost[ended] = self.c[:m][hl]
+        self.res_end[ended] = k
+        kept = self._counts(kl)
+        self.x[:n_kept] = self.x1[:m][kl]
+        self.c[:n_kept] = self.c[:m][kl]
+        self.s[:n_kept] = self.s[:m][kl]
+        self.dest[:n_kept] = self.dest[:m][kl]
+        self.size = n_kept
+        still, done, lo = [], [], 0
+        for b, cnt in zip(self.live, kept):
+            if cnt:
+                b.lo, b.n_live = lo, cnt
+                lo += cnt
+                still.append(b)
+            else:
+                done.append(b)
+                self.free.append(b.slot)
+        self.live = still
+        return done
+
+
+def _band_estimate(cycle_cost: np.ndarray, t_acc: np.ndarray) -> OracleEstimate:
+    """Renewal-reward reduction of one band's n cycles, in cycle order."""
+    n = cycle_cost.size
     rate = float(cycle_cost.sum() / t_acc.sum())
     centered = cycle_cost - rate * t_acc
     if n >= 2:
@@ -614,6 +721,60 @@ def band_policy_oracle(problem: ProblemSpec, band: BandPolicy,
     )
 
 
+def _band_cycles(problem: ProblemSpec, bands, cfg: SimConfig) -> list[OracleEstimate]:
+    """Renewal-reward estimates of the bands, from one Euler/bridge step loop.
+
+    Checks the problem, then every band in order.  Each band draws from its
+    own generator seeded with cfg.seed (common random numbers across bands)
+    exactly what it would draw alone.  Whole bands join a pool of at most
+    _POOL_CYCLES live cycles (or one band) while they fit.  A cycle's time
+    is the prefix sum of dt up to its step count.  When a band's last cycle
+    ends, its estimate is reduced on its own n cycles, in cycle order.
+    """
+    mu_d = _inventory_shape(problem)
+    for band in bands:
+        if not (problem.state.x_lo <= band.s < band.big_s <= problem.state.x_hi):
+            raise ValueError("band levels must lie inside the state interval")
+    n, dt = cfg.n_paths, cfg.dt
+    pool = _CyclePool(problem, mu_d, n, dt)
+    results: list[OracleEstimate | None] = [None] * len(bands)
+    queued = k = 0
+    while True:
+        while queued < len(bands) and pool.has_room():
+            band = bands[queued]
+            max_steps = int(math.ceil(50.0 * (band.big_s - band.s) / mu_d / dt)) + 10_000
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+            pool.admit(queued, band, rng, k, max_steps)
+            queued += 1
+        if not pool.live:
+            return results
+        pool.step()
+        k += 1
+        for b in pool.retire(k):
+            band = bands[b.index]
+            row = slice(b.slot * n, (b.slot + 1) * n)
+            steps = pool.res_end[row] - b.start
+            t_acc = np.cumsum(np.full(k - b.start, dt))[steps - 1]
+            order_cost = float(eval2(problem.costs.c1, np.array(band.s),
+                                     np.array(band.big_s - band.s)))
+            results[b.index] = _band_estimate(pool.res_cost[row] + order_cost, t_acc)
+        if any(k >= b.deadline for b in pool.live):
+            raise SimulationError("some regenerative cycles did not terminate")
+
+
+def band_policy_oracle(problem: ProblemSpec, band: BandPolicy,
+                       cfg: SimConfig) -> OracleEstimate:
+    """Renewal-reward estimate of the long-run average cost of an (s, S) band.
+
+    Each regenerative cycle starts at S and runs the diffusion to the hitting
+    time of s (with a Brownian-bridge crossing test to remove the first-order
+    discrete-monitoring bias), then pays the ordering cost of jumping back to
+    S.  cfg.n_paths is the number of cycles.  The step loop is the one
+    band_search uses (_band_cycles), here with a single band.
+    """
+    return _band_cycles(problem, [band], cfg)[0]
+
+
 @dataclass
 class BandSearchResult:
     best: BandPolicy
@@ -625,7 +786,10 @@ class BandSearchResult:
 def band_search(problem: ProblemSpec, s_grid, S_grid, cfg: SimConfig) -> BandSearchResult:
     """Evaluate every s < S pair with common random numbers; return the minimizer.
 
-    Pairs are scanned in lexicographic (s, S) order and only strictly lower
+    Every pair is checked first, in lexicographic (s, S) order, and then all
+    run in one batched step loop (_band_cycles): each pair draws from its own
+    generator seeded with cfg.seed, so its estimate equals band_policy_oracle's,
+    and at most _POOL_CYCLES cycles are live at once.  Only strictly lower
     costs replace the incumbent, so exact-cost ties resolve to the
     lexicographically smallest pair.
     """
@@ -633,12 +797,8 @@ def band_search(problem: ProblemSpec, s_grid, S_grid, cfg: SimConfig) -> BandSea
     if not pairs:
         raise ValueError("no (s, S) pairs with s < S")
     pairs.sort()
-    best = None
-    table = []
-    for s, S in pairs:
-        est = band_policy_oracle(problem, BandPolicy(s, S), cfg)
-        table.append((s, S, est.cost, est.half_width))
-        if best is None or est.cost < best[2]:
-            best = (s, S, est.cost, est.half_width)
+    ests = _band_cycles(problem, [BandPolicy(s, S) for s, S in pairs], cfg)
+    table = [(s, S, e.cost, e.half_width) for (s, S), e in zip(pairs, ests)]
+    best = min(table, key=lambda row: row[2])
     return BandSearchResult(best=BandPolicy(best[0], best[1]), cost=best[2],
                             half_width=best[3], table=table)

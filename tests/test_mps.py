@@ -67,3 +67,28 @@ def test_parse_rejects_unknown_label():
            "    W0_000000  R2        1.0\nENDATA\n")
     with pytest.raises(ValueError, match="unknown row label"):
         parse_mps(bad)
+
+
+@pytest.mark.parametrize("idx", [0, 1])
+def test_roundtrip_keeps_the_lp_name(idx):
+    lp = list(small_lps())[idx]
+    assert parse_mps(export_mps(lp)).name == lp.name
+
+
+def test_name_with_spaces_roundtrips():
+    lp = next(iter(small_lps()))
+    assert parse_mps(export_mps(lp, name="my inventory:lta")).name == "my inventory:lta"
+
+
+RHS_TEXT = ("NAME x\nROWS\n N  COST\n E  R1\nCOLUMNS\n"
+            "    W0_000000  R1        1.0\nRHS\n    RHS       {label}        2.0\nENDATA\n")
+
+
+def test_parse_rejects_unknown_rhs_label():
+    with pytest.raises(ValueError, match="unknown row label 'R9'"):
+        parse_mps(RHS_TEXT.format(label="R9"))
+
+
+def test_parse_ignores_rhs_on_cost():
+    assert parse_mps(RHS_TEXT.format(label="COST")).b_eq.tolist() == [0.0]
+    assert parse_mps(RHS_TEXT.format(label="R1")).b_eq.tolist() == [2.0]
