@@ -19,8 +19,9 @@ from .policy import (FeedbackPolicy, Kernel, MeasurePair,
                      marginals_and_kernels)
 from .problems import (BUILTIN_PROBLEMS, ProblemFileError, finite_fuel_problem,
                        inventory_problem, load_problem)
-from .simplex import (INFEASIBLE, ITER_LIMIT, OPTIMAL, UNBOUNDED, LPSolution,
-                      SingularBasisError, export_mps, parse_mps, solve)
+from .simplex import (INFEASIBLE, ITER_LIMIT, NUMERICAL, OPTIMAL, UNBOUNDED,
+                      LPSolution, SingularBasisError, export_mps, parse_mps,
+                      solve)
 from .verify import (BandPolicy, OracleEstimate, SimConfig, SimulationError,
                      VerificationReport, band_policy_oracle, band_search,
                      simulate)

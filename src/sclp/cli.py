@@ -136,8 +136,8 @@ def _solve_or_raise(lp, args, out_dir):
                             "(Farkas certificate in farkas.csv)", EXIT_INFEASIBLE)
     if sol.status == simplex.UNBOUNDED:
         raise PipelineError(f"LP {lp.name} is unbounded", EXIT_UNBOUNDED)
-    if sol.status != simplex.OPTIMAL:
-        raise PipelineError(f"LP {lp.name}: iteration limit reached",
+    if sol.status != simplex.OPTIMAL:  # ITER_LIMIT or NUMERICAL
+        raise PipelineError(f"LP {lp.name} not solved: status {sol.status}",
                             EXIT_NUMERICAL)
     return sol
 

@@ -114,22 +114,6 @@ class DiscreteLP:
         return ([f"W0_{j:06d}" for j in range(self.n0)]
                 + [f"W1_{j:06d}" for j in range(self.n1)])
 
-    def to_csv(self, prefix: str) -> list[str]:
-        """Write objective/eq/ineq as three plain CSV files; returns the paths."""
-        paths = []
-        p = f"{prefix}_objective.csv"
-        np.savetxt(p, self.c.reshape(1, -1), delimiter=",")
-        paths.append(p)
-        p = f"{prefix}_eq.csv"
-        np.savetxt(p, np.column_stack([self.a_eq, self.b_eq]) if self.a_eq.size
-                   else np.zeros((0, self.n_cols + 1)), delimiter=",")
-        paths.append(p)
-        p = f"{prefix}_ineq.csv"
-        np.savetxt(p, np.column_stack([self.a_ub, self.b_ub]) if self.a_ub.size
-                   else np.zeros((0, self.n_cols + 1)), delimiter=",")
-        paths.append(p)
-        return paths
-
 
 def _at_states(basis: BasisFamily, x: np.ndarray, orders):
     """Basis rows at the distinct values of x, and each x's index among them.

@@ -1,10 +1,10 @@
-"""Dense two-phase revised simplex with anti-cycling, plus MPS export.
+"""Dense two-phase revised simplex with certified optima, plus MPS export.
 
 Designed for the assembled measure LPs: few rows (one per test function
-plus mass/budget rows), many columns (one per atom).  Dantzig pricing with
-lowest-index tie-break; Bland's rule engages after a configurable streak of
-degenerate pivots, which guarantees termination.  Row/column equilibration
-is applied before solving and undone on output.
+plus mass/budget rows), many columns (one per atom).  One core runs both
+phases: Dantzig pricing with lowest-index ties, largest pivot among
+ratio-test ties.  Row/column equilibration is applied before solving and
+undone on output.  Optima are checked on the original LP before return.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DiscreteLP
+from .discretize import DiscreteLP, constraint_residual
 
 log = logging.getLogger(__name__)
 
@@ -22,6 +22,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITER_LIMIT = "iter_limit"
+NUMERICAL = "numerical"  # the final basis fails an optimality certificate
 
 
 class SingularBasisError(RuntimeError):
@@ -46,18 +47,18 @@ class LPSolution:
 class _Core:
     """Simplex iterations on a standard-form problem min c.x, A x = b, x >= 0."""
 
-    def __init__(self, a, b, c, basis, tol, bland_after, refactor_every=60):
+    def __init__(self, a, b, c, basis, tol, refactor_every=60):
         self.a = a
         self.b = b
         self.c = c
         self.basis = list(basis)
         self.m, self.n = a.shape
         self.tol = tol
-        self.bland_after = bland_after
         self.refactor_every = refactor_every
         self.in_basis = np.zeros(self.n, dtype=bool)
         self.in_basis[self.basis] = True
         self.allowed = np.ones(self.n, dtype=bool)
+        self.priced = self.n  # only columns below this index may enter
         self.iterations = 0
         self._refactor()
 
@@ -75,30 +76,23 @@ class _Core:
         return self.c[self.basis] @ self.binv
 
     def reduced_costs(self):
-        return self.c - self.duals() @ self.a
+        k = self.priced
+        return self.c[:k] - self.duals() @ self.a[:, :k]
 
     def objective(self):
         return float(self.c[self.basis] @ self.xb)
 
     def run(self, max_iter):
         """Iterate to optimality; returns OPTIMAL or UNBOUNDED or ITER_LIMIT."""
-        degen_streak = 0
-        bland = False
         since_refactor = 0
-        # Steps below this are treated as degenerate for anti-cycling purposes
-        # (strictly tiny steps stall Dantzig pricing just like exact ties).
-        degen_eps = max(self.tol, 1e-7)
         while self.iterations < max_iter:
             red = self.reduced_costs()
-            cand = (~self.in_basis) & self.allowed & (red < -self.tol)
+            k = self.priced
+            cand = (~self.in_basis[:k]) & self.allowed[:k] & (red < -self.tol)
             if not cand.any():
                 return OPTIMAL
-            if bland or degen_streak >= self.bland_after:
-                bland = True
-                enter = int(np.flatnonzero(cand)[0])  # Bland: lowest index
-            else:
-                masked = np.where(cand, red, np.inf)
-                enter = int(np.argmin(masked))  # Dantzig, lowest index on ties
+            masked = np.where(cand, red, np.inf)
+            enter = int(np.argmin(masked))  # Dantzig, lowest index on ties
             d = self.binv @ self.a[:, enter]
             # Pivot eligibility is relative to the column magnitude; tiny
             # pivots produce numerically dependent bases after the update.
@@ -110,19 +104,12 @@ class _Core:
                     # skip it rather than corrupt the basis.
                     self.allowed[enter] = False
                     continue
-                self.entering_ray = (enter, d)
                 return UNBOUNDED
             ratios = np.where(pos, self.xb / np.where(pos, d, 1.0), np.inf)
             rmin = ratios.min()
             ties = np.flatnonzero(ratios <= rmin + self.tol * (1.0 + abs(rmin)))
-            if bland:
-                # Lowest leaving-variable index among ties (Bland's rule).
-                leave_row = int(min(ties, key=lambda i: self.basis[i]))
-            else:
-                # Largest pivot among ties for numerical stability.
-                leave_row = int(ties[np.argmax(d[ties])])
-            step = ratios[leave_row]
-            degen_streak = degen_streak + 1 if step <= degen_eps else 0
+            # Largest pivot among ties for numerical stability.
+            leave_row = int(ties[np.argmax(d[ties])])
 
             self.iterations += 1
             since_refactor += 1
@@ -151,11 +138,11 @@ class _Core:
         self.xb = np.maximum(self.xb, 0.0)
 
     def drive_out_artificials(self, n_structural):
-        """Pivot basic artificials onto structural columns; drop redundant rows.
+        """Pivot basic artificials onto structural columns where possible.
 
-        Returns the set of row indices removed (dependent constraints).
+        An artificial left basic marks a dependent row; it stays in the
+        basis at zero.
         """
-        removed = []
         for row in range(self.m):
             if self.basis[row] < n_structural:
                 continue
@@ -165,108 +152,128 @@ class _Core:
             if cand.size:
                 enter = int(cand[0])
                 self._pivot(row, enter, self.binv @ self.a[:, enter])
-            else:
-                removed.append(row)
-        return removed
 
 
-def solve(lp: DiscreteLP, tol: float = 1e-9, max_iter: int = 50000,
-          bland_after: int = 50, verbose: bool = False) -> LPSolution:
+def solve(lp: DiscreteLP, tol: float = 1e-9, max_iter: int = 50000) -> LPSolution:
     """Solve the LP with a two-phase dense revised simplex.
 
     Deterministic: identical inputs give identical pivots and output.
     Inequality rows gain slack variables internally; equilibration scaling
-    is undone on output.
+    is undone on output.  An optimum that fails its certificate (see
+    _certificate_failure) is returned as NUMERICAL.
     """
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-12, 1e-6]")
     n = lp.n_cols
     me, mu = lp.b_eq.size, lp.b_ub.size
     m = me + mu
-    a = np.zeros((m, n + mu))
+    ncols = n + mu
+    # Structural and slack columns, then one artificial per row for phase 1.
+    # The matrix is built once and scaled in place: it is the largest array.
+    a = np.zeros((m, ncols + m))
     if me:
         a[:me, :n] = lp.a_eq
     if mu:
         a[me:, :n] = lp.a_ub
-        a[me:, n:] = np.eye(mu)
+        a[me:, n:ncols] = np.eye(mu)
+    a[:, ncols:] = np.eye(m)
+    a_s = a[:, :ncols]
     b = np.concatenate([lp.b_eq, lp.b_ub])
     c = np.concatenate([lp.c, np.zeros(mu)])
 
-    # Equilibration: rows then columns scaled to unit max-abs magnitude.
-    row_max = np.abs(a).max(axis=1)
+    # Equilibration: rows then columns scaled to unit max-abs magnitude,
+    # taken as max(max, -min) so that no copy of a is made.
+    row_max = np.maximum(a_s.max(axis=1), -a_s.min(axis=1))
     rscale = np.where(row_max > 0, 1.0 / np.where(row_max > 0, row_max, 1.0), 1.0)
-    a = a * rscale[:, None]
+    a_s *= rscale[:, None]
     b = b * rscale
-    col_max = np.abs(a).max(axis=0)
+    col_max = np.maximum(a_s.max(axis=0), -a_s.min(axis=0))
     cscale = np.where(col_max > 0, 1.0 / np.where(col_max > 0, col_max, 1.0), 1.0)
-    a = a * cscale[None, :]
+    a_s *= cscale[None, :]
     c_s = c * cscale
 
     # Orient rows so the right-hand side is nonnegative.
     flip = np.where(b < 0, -1.0, 1.0)
-    a = a * flip[:, None]
+    a_s *= flip[:, None]
     b = b * flip
 
-    ncols = n + mu
-    n_art = m
-    a1 = np.hstack([a, np.eye(m)])
-    c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-
-    core = _Core(a1, b, c1, basis=list(range(ncols, ncols + n_art)),
-                 tol=tol, bland_after=bland_after)
+    # Phase 1 minimizes the sum of the artificials.
+    core = _Core(a, b, np.concatenate([np.zeros(ncols), np.ones(m)]),
+                 basis=range(ncols, ncols + m), tol=tol)
     status = core.run(max_iter)
     if status == ITER_LIMIT:
-        return _solution(lp, ITER_LIMIT, np.zeros(n), np.zeros(me), np.zeros(mu),
-                         core.iterations)
+        return _no_solution(lp, ITER_LIMIT, core.iterations)
     feas_tol = max(1e-8, tol * 10) * (1.0 + float(np.abs(b).sum()))
     if core.objective() > feas_tol:
         # Farkas certificate from the phase-1 duals, mapped to original rows.
         y = core.duals()
         r = y * rscale * flip
-        if verbose:
-            log.info("infeasible: phase-1 objective %.3e", core.objective())
-        return _solution(lp, INFEASIBLE, np.zeros(n), np.zeros(me), np.zeros(mu),
-                         core.iterations, farkas=r)
+        log.info("infeasible: phase-1 objective %.3e", core.objective())
+        return _no_solution(lp, INFEASIBLE, core.iterations, farkas=r)
 
-    removed = core.drive_out_artificials(ncols)
-    if removed:
-        keep = np.array([i for i in range(m) if i not in set(removed)], dtype=int)
-        a = a[keep]
-        b = b[keep]
-        basis = [core.basis[i] for i in range(m) if i not in set(removed)]
-        if verbose:
-            log.info("dropped %d dependent rows", len(removed))
-    else:
-        keep = np.arange(m)
-        basis = list(core.basis)
+    # Phase 2 on the same core: true costs, and artificials are no longer
+    # priced, so they never re-enter.
+    core.drive_out_artificials(ncols)
+    core.c = np.concatenate([c_s, np.zeros(m)])
+    core.allowed[:] = True  # columns skipped in phase 1 get a new chance
+    core.priced = ncols
+    core._refactor()
+    status = core.run(max_iter)
+    iters = core.iterations
+    if status != OPTIMAL:
+        return _no_solution(lp, status, iters)
 
-    core2 = _Core(np.ascontiguousarray(a), b, c_s, basis=basis,
-                  tol=tol, bland_after=bland_after)
-    status = core2.run(max_iter - core.iterations)
-    iters = core.iterations + core2.iterations
-    if status == UNBOUNDED:
-        return _solution(lp, UNBOUNDED, np.zeros(n), np.zeros(me), np.zeros(mu), iters)
-    if status == ITER_LIMIT:
-        return _solution(lp, ITER_LIMIT, np.zeros(n), np.zeros(me), np.zeros(mu), iters)
-
-    x_s = np.zeros(a.shape[1])
-    x_s[core2.basis] = core2.xb
+    x_s = np.zeros(core.n)
+    x_s[core.basis] = core.xb
     x = np.maximum(x_s[:n] * cscale[:n], 0.0)
-    y_s = core2.duals()
-    y_full = np.zeros(m)
-    y_full[keep] = y_s
-    y = y_full * rscale * flip
+    y = core.duals() * rscale * flip
+    failure = _certificate_failure(lp, x, y[:me], y[me:], tol)
+    if failure:
+        log.info("numerical: %s after %d iterations", failure, iters)
+        return _no_solution(lp, NUMERICAL, iters)
     objective = float(lp.c @ x)
-    if verbose:
-        log.info("optimal: objective %.12g after %d iterations", objective, iters)
-    return _solution(lp, OPTIMAL, x, y[:me], y[me:], iters)
+    log.info("optimal: objective %.12g after %d iterations", objective, iters)
+    return LPSolution(OPTIMAL, x, objective, y[:me], y[me:], iters)
 
 
-def _solution(lp, status, x, dual_eq, dual_ub, iterations, farkas=None):
-    return LPSolution(status=status, weights=x,
-                      objective=float(lp.c @ x) if status == OPTIMAL else np.nan,
-                      dual_eq=dual_eq, dual_ub=dual_ub,
-                      iterations=iterations, farkas=farkas)
+def _certificate_failure(lp, x, y_eq, y_ub, tol) -> str | None:
+    """The first optimality certificate that x and y fail on lp, or None.
+
+    Primal: equality residual and budget violation at most 1e-8.  Dual:
+    inequality duals at most tol, and every structural reduced cost
+    c_j - a_j.y at least -(tol * scale_j + 1e-12 max|y| sum_i |a_ij|).
+    scale_j = |c_j| + |a_j|.|y| is the magnitude of the terms that cancel
+    in the reduced cost; the second term allows for roundoff in the duals
+    themselves.  Gap: |c.x - b.y| at most 1e-8 (1 + |c.x|).
+    """
+    eq, ub = constraint_residual(lp, x)
+    if eq > 1e-8:
+        return f"equality residual {eq!r}"
+    if ub > 1e-8:
+        return f"budget row violated by {ub!r}"
+    if np.any(y_ub > tol):
+        return f"inequality dual of the wrong sign {float(y_ub.max())!r}"
+    y_abs = np.abs(np.concatenate([y_eq, y_ub]))
+    roundoff = 1e-12 * float(y_abs.max(initial=0.0))
+    slack = tol * np.abs(lp.c)
+    # Row by row, so no temporary as large as the constraint matrix.
+    for w, row in zip(y_abs, [*lp.a_eq, *lp.a_ub]):
+        slack += (tol * w + roundoff) * np.abs(row)
+    reduced = lp.c - y_eq @ lp.a_eq - y_ub @ lp.a_ub
+    worst = float((reduced + slack).min(initial=0.0))
+    if worst < 0.0:
+        return f"reduced cost below -tol*scale by {worst!r}"
+    primal = float(lp.c @ x)
+    gap = abs(primal - float(lp.b_eq @ y_eq + lp.b_ub @ y_ub))
+    if gap > 1e-8 * (1.0 + abs(primal)):
+        return f"duality gap {gap!r}"
+    return None
+
+
+def _no_solution(lp, status, iterations, farkas=None):
+    """A result without an optimum: zero weights and duals, objective nan."""
+    return LPSolution(status, np.zeros(lp.n_cols), np.nan, np.zeros(lp.b_eq.size),
+                      np.zeros(lp.b_ub.size), iterations, farkas)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +281,9 @@ def _solution(lp, status, x, dual_eq, dual_ub, iterations, farkas=None):
 # Field layout follows the classic fixed columns for the indicator and name
 # fields; numeric fields are written with full precision (17 significant
 # digits) so a parse/export cycle reproduces every coefficient exactly.
+
+_MPS_BLOCK = 256  # columns written per block by export_mps
+
 
 def _fmt(v: float) -> str:
     return "%.17g" % v
@@ -293,17 +303,18 @@ def export_mps(lp: DiscreteLP, name: str | None = None) -> str:
     for lab in lp.ub_labels:
         lines.append(f" L  {lab}")
     lines.append("COLUMNS")
-    for j, cname in enumerate(cols):
-        if lp.c[j] != 0.0:
-            lines.append(f"    {cname:<10}{'COST':<10}{_fmt(lp.c[j])}")
-        for i, lab in enumerate(lp.eq_labels):
-            v = lp.a_eq[i, j]
-            if v != 0.0:
-                lines.append(f"    {cname:<10}{lab:<10}{_fmt(v)}")
-        for i, lab in enumerate(lp.ub_labels):
-            v = lp.a_ub[i, j]
-            if v != 0.0:
-                lines.append(f"    {cname:<10}{lab:<10}{_fmt(v)}")
+    rows = ["COST", *lp.eq_labels, *lp.ub_labels]
+    for lo in range(0, lp.n_cols, _MPS_BLOCK):
+        # Transposed, so nonzero() lists a block's entries column by
+        # column: cost first, then the equality and inequality rows.
+        blk = np.vstack([lp.c[None, lo:lo + _MPS_BLOCK],
+                         lp.a_eq[:, lo:lo + _MPS_BLOCK],
+                         lp.a_ub[:, lo:lo + _MPS_BLOCK]]).T
+        j, i = np.nonzero(blk)
+        if j.size:
+            lines.append("\n".join(
+                f"    {cols[lo + jj]:<10}{rows[ii]:<10}{_fmt(v)}"
+                for jj, ii, v in zip(j.tolist(), i.tolist(), blk[j, i].tolist())))
     lines.append("RHS")
     for i, lab in enumerate(lp.eq_labels):
         if lp.b_eq[i] != 0.0:
@@ -312,8 +323,8 @@ def export_mps(lp: DiscreteLP, name: str | None = None) -> str:
         if lp.b_ub[i] != 0.0:
             lines.append(f"    {'RHS':<10}{lab:<10}{_fmt(lp.b_ub[i])}")
     lines.append("BOUNDS")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    lines.append("ENDATA\n")
+    return "\n".join(lines)
 
 
 def _lines(text: str):

@@ -89,6 +89,23 @@ def test_export_mps_reparses_identically(tmp_path):
     assert export_mps(parse_mps(text)) == text
 
 
+def test_iteration_limit_exit_names_the_status(tmp_path, capsys):
+    code, _ = run(tmp_path, "--n-state", "21", "--n-control", "5",
+                  "--basis", "8", "--max-iter", "1")
+    assert code == 5
+    assert "not solved: status iter_limit" in capsys.readouterr().err
+
+
+def test_uncertified_optimum_exits_numerical(tmp_path, capsys, monkeypatch):
+    from sclp import simplex
+    monkeypatch.setattr(simplex, "_certificate_failure", lambda *args: "doctored")
+    code, out = run(tmp_path, "--n-state", "21", "--n-control", "5",
+                    "--basis", "8")
+    assert code == 5
+    assert "not solved: status numerical" in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
+
+
 def test_band_oracle_single(tmp_path):
     code, out = run(tmp_path, "--band-s", "-1.0", "--band-S", "0.6",
                     "--dt", "0.01", "--horizon", "10", "--burn-in", "0",

@@ -202,20 +202,6 @@ def test_adjoint_rows_linear_in_generator(scale, shift):
     assert np.allclose(diff, expect, atol=1e-12)
 
 
-def test_to_csv_roundtrip(tmp_path):
-    p = inventory_problem()
-    g = build_grid(p, 11, 3)
-    b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 4)
-    lp = assemble_lta_lp(p, g, b)
-    paths = lp.to_csv(str(tmp_path / "lp"))
-    assert len(paths) == 3
-    c = np.loadtxt(paths[0], delimiter=",")
-    assert np.allclose(c, lp.c)
-    eq = np.atleast_2d(np.loadtxt(paths[1], delimiter=","))
-    assert np.allclose(eq[:, :-1], lp.a_eq)
-    assert np.allclose(eq[:, -1], lp.b_eq)
-
-
 def test_nearest_node_ties_go_left():
     nodes = np.array([0.0, 1.0, 2.0])
     x = np.array([-5.0, 0.0, 0.4, 0.5, 0.6, 1.5, 2.0, 7.0])

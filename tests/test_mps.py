@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sclp.basis import BasisFamily
-from sclp.discretize import assemble_discounted_lp, assemble_lta_lp, build_grid
+from sclp.discretize import (DiscreteLP, assemble_discounted_lp, assemble_lta_lp,
+                             build_grid)
 from sclp.problems import finite_fuel_problem, inventory_problem
 from sclp.simplex import export_mps, parse_mps, solve
 
@@ -92,3 +93,28 @@ def test_parse_rejects_unknown_rhs_label():
 def test_parse_ignores_rhs_on_cost():
     assert parse_mps(RHS_TEXT.format(label="COST")).b_eq.tolist() == [0.0]
     assert parse_mps(RHS_TEXT.format(label="R1")).b_eq.tolist() == [2.0]
+
+
+def reference_mps_columns(lp):
+    """COLUMNS lines written column by column, then row by row."""
+    rows = [("COST", lp.c), *zip(lp.eq_labels, lp.a_eq), *zip(lp.ub_labels, lp.a_ub)]
+    return [f"    {cname:<10}{lab:<10}{row[j]:.17g}"
+            for j, cname in enumerate(lp.column_names())
+            for lab, row in rows if row[j] != 0.0]
+
+
+def test_columns_section_order_across_blocks():
+    # 600 columns span three export blocks; zeros (also -0.0) are skipped.
+    rng = np.random.default_rng(4)
+    n = 600
+    sparse = lambda *shape: rng.normal(size=shape) * (rng.random(shape) < 0.3)
+    c, a_eq, a_ub = sparse(n), sparse(3, n), sparse(2, n)
+    c[:300] = 0.0  # the first block has no cost entries
+    c[256:512] = a_eq[:, 256:512] = a_ub[:, 256:512] = 0.0  # the second is empty
+    a_eq[0, 5] = -0.0
+    lp = DiscreteLP(c=c, a_eq=a_eq, b_eq=np.ones(3), a_ub=a_ub,
+                    b_ub=np.ones(2), n0=n - 100, n1=100,
+                    eq_labels=("E0", "E1", "E2"), ub_labels=("B0", "B1"))
+    lines = export_mps(lp).split("\n")
+    body = lines[lines.index("COLUMNS") + 1:lines.index("RHS")]
+    assert body == reference_mps_columns(lp)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from sclp import simplex
 from sclp.discretize import DiscreteLP
-from sclp.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, solve)
+from sclp.simplex import (INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, solve)
 
 
 def make_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, name="lp"):
@@ -119,3 +120,80 @@ def test_iteration_limit():
     sol = solve(lp, max_iter=1)
     assert sol.status == "iter_limit"
     assert np.isnan(sol.objective)
+
+
+def certified_lp():
+    # min -x0 + x2 s.t. x0 + x1 + x2 = 1, x0 <= 0.5 -> x = (0.5, 0.5, 0),
+    # objective -0.5, duals y_eq = 0 and y_ub = -1.
+    return make_lp([-1.0, 0.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0],
+                   a_ub=[[1.0, 0.0, 0.0]], b_ub=[0.5])
+
+
+def test_certificate_accepts_the_optimum():
+    lp = certified_lp()
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert np.allclose(sol.weights, [0.5, 0.5, 0.0])
+    assert np.allclose(sol.dual, [0.0, -1.0])
+    assert simplex._certificate_failure(lp, sol.weights, sol.dual_eq,
+                                        sol.dual_ub, 1e-9) is None
+
+
+@pytest.mark.parametrize("x, y_eq, y_ub, failure", [
+    ([0.5, 0.5, 1e-7], [0.0], [-1.0], "equality residual"),
+    ([0.6, 0.4, 0.0], [0.0], [-1.0], "budget row violated"),
+    ([0.5, 0.5, 0.0], [0.0], [1e-8], "inequality dual of the wrong sign"),
+    # y_eq = 0.5 prices x1 at -0.5: dual infeasible.
+    ([0.5, 0.5, 0.0], [0.5], [-1.0], "reduced cost below"),
+    # y_eq = y_ub = -1 is dual feasible but proves only -1.5 <= -0.5.
+    ([0.5, 0.5, 0.0], [-1.0], [-1.0], "duality gap"),
+])
+def test_certificate_rejects_doctored_solutions(x, y_eq, y_ub, failure):
+    lp = certified_lp()
+    found = simplex._certificate_failure(lp, np.array(x), np.array(y_eq),
+                                         np.array(y_ub), 1e-9)
+    assert found is not None and found.startswith(failure)
+
+
+@pytest.mark.parametrize("x", [[0.5, 0.5, 5e-9], [0.5 + 5e-9, 0.5 - 5e-9, 0.0]])
+def test_certificate_tolerates_residuals_inside_the_bounds(x):
+    # An equality residual, or a budget violation, of 5e-9 (bound 1e-8).
+    lp = certified_lp()
+    assert simplex._certificate_failure(lp, np.array(x), np.array([0.0]),
+                                        np.array([-1.0]), 1e-9) is None
+
+
+def test_certificate_allows_roundoff_in_zero_duals():
+    # Duals at roundoff level around zero: x1's reduced cost is -3.7e-17,
+    # all of it dual noise, on an optimum HiGHS confirms.
+    lp = make_lp([3.0, 0.0, 2.0, 3.0, -2.0, 1.0],
+                 a_eq=[[3.0, 2.0, 3.0, -1.0, 1.0, -2.0]], b_eq=[0.0],
+                 a_ub=[[-3.0, 1.0, 3.0, -2.0, -1.0, -3.0],
+                       [-3.0, 0.0, 2.0, -3.0, 2.0, -1.0]], b_ub=[-1.0, -1.0])
+    x = np.array([4 / 33, 0.0, 0.0, 2 / 11, 0.0, 1 / 11])
+    y_eq = np.array([-3.7007434154171886e-17])
+    y_ub = np.array([1.1102230246251565e-16, -1.0])
+    assert simplex._certificate_failure(lp, x, y_eq, y_ub, 1e-9) is None
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(1.0)
+
+
+def test_failed_certificate_is_numerical(monkeypatch):
+    monkeypatch.setattr(simplex, "_certificate_failure", lambda *args: "doctored")
+    sol = solve(certified_lp())
+    assert sol.status == NUMERICAL
+    assert np.isnan(sol.objective)
+    assert not sol.weights.any()
+
+
+def test_dependent_row_keeps_its_artificial():
+    # The second row repeats the first; phase 2 runs with its artificial
+    # basic at zero and the duals still certify the optimum.
+    lp = make_lp([2.0, 3.0, 1.0], a_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]],
+                 b_eq=[1.0, 2.0], a_ub=[[0.0, 0.0, 1.0]], b_ub=[1.0])
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(2.0)
+    assert simplex._certificate_failure(lp, sol.weights, sol.dual_eq,
+                                        sol.dual_ub, 1e-9) is None

@@ -1,0 +1,125 @@
+"""Differential tests of the simplex against scipy's HiGHS.
+
+scipy is a test-only dependency: without it this module is skipped.
+"""
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from sclp.basis import BasisFamily
+from sclp.discretize import (NORMALIZED, RESCALED, assemble_discounted_lp,
+                             assemble_lta_lp, build_grid)
+from sclp.problems import finite_fuel_problem, inventory_problem
+from sclp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve
+from test_simplex import make_lp
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+# HiGHS presolve reports some unbounded LPs as infeasible, so it is off.
+HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+def highs(lp):
+    """(status, objective) of lp according to HiGHS."""
+    rows = dict(A_eq=lp.a_eq, b_eq=lp.b_eq) if lp.b_eq.size else {}
+    if lp.b_ub.size:
+        rows.update(A_ub=lp.a_ub, b_ub=lp.b_ub)
+    r = linprog(lp.c, **rows, method="highs", options={"presolve": False})
+    return HIGHS_STATUS.get(r.status, r.message), r.fun
+
+
+def assert_matches_highs(lp):
+    status, objective = highs(lp)
+    sol = solve(lp)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.objective == pytest.approx(objective, rel=1e-9, abs=1e-12)
+
+
+def fuel_lp(n_state, n_basis, form=NORMALIZED):
+    p = finite_fuel_problem()
+    basis = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, n_basis)
+    return assemble_discounted_lp(p, build_grid(p, n_state, 2), basis, form=form)
+
+
+@pytest.mark.parametrize("form", [NORMALIZED, RESCALED])
+@pytest.mark.parametrize("n_state", [161, 321])
+def test_finite_fuel_48_splines(n_state, form):
+    # A permanent Bland fallback used to stall both at 50,000 iterations.
+    assert_matches_highs(fuel_lp(n_state, 48, form))
+
+
+def test_inventory_201x101_100_splines():
+    # A permanent Bland fallback used to pivot into a singular basis here.
+    p = inventory_problem()
+    basis = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 100)
+    assert_matches_highs(assemble_lta_lp(p, build_grid(p, 201, 101), basis))
+
+
+def test_cycling_finite_fuel_never_returns_a_wrong_optimum():
+    # 321x2/96 still cycles; whatever stops it must not claim an optimum.
+    lp = fuel_lp(321, 96)
+    sol = solve(lp, max_iter=5000)
+    if sol.status == OPTIMAL:
+        status, objective = highs(lp)
+        assert status == OPTIMAL
+        assert sol.objective == pytest.approx(objective, rel=1e-9)
+    else:
+        assert np.isnan(sol.objective)
+
+
+CLASSIC_CYCLING = {
+    # Beale (1955).
+    "beale": make_lp([-0.75, 20, -0.5, 6],
+                     a_ub=[[0.25, -8, -1, 9], [0.5, -12, -0.5, 3], [0, 0, 1, 0]],
+                     b_ub=[0, 0, 1]),
+    # Kuhn's example.
+    "kuhn": make_lp([-2, -3, 1, 12],
+                    a_ub=[[-2, -9, 1, 9], [1 / 3, 1, -1 / 3, -2], [2, 3, -1, -12]],
+                    b_ub=[0, 0, 2]),
+    # Marshall and Suurballe (1969): unbounded as stated, and bounded by a
+    # total-mass row.
+    "marshall_suurballe": make_lp([-2.3, -2.15, 13.55, 0.4],
+                                  a_ub=[[0.4, 0.2, -1.4, -0.2], [-7.8, -1.4, 7.8, 0.4]],
+                                  b_ub=[0, 0]),
+    "marshall_suurballe_bounded": make_lp(
+        [-2.3, -2.15, 13.55, 0.4],
+        a_ub=[[0.4, 0.2, -1.4, -0.2], [-7.8, -1.4, 7.8, 0.4], [1, 1, 1, 1]],
+        b_ub=[0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIC_CYCLING))
+def test_classic_cycling_examples(name):
+    assert_matches_highs(CLASSIC_CYCLING[name])
+
+
+@st.composite
+def degenerate_lps(draw):
+    """Small integer LPs whose right-hand sides mostly come from a vertex
+    with several zero coordinates, so ties in the ratio test are common.
+    An occasional shift of b makes some infeasible."""
+    n = draw(st.integers(2, 6))
+    me = draw(st.integers(0, 3))
+    mu = draw(st.integers(0 if me else 1, 3))
+    coef = st.integers(-3, 3)
+    a_eq = draw(arrays(np.int64, (me, n), elements=coef)).astype(float)
+    a_ub = draw(arrays(np.int64, (mu, n), elements=coef)).astype(float)
+    x0 = draw(arrays(np.int64, n, elements=st.sampled_from([0, 0, 1, 2])))
+    shift = st.sampled_from([0, 0, 0, 1, -1])
+    b_eq = a_eq @ x0 + draw(arrays(np.int64, me, elements=shift))
+    b_ub = a_ub @ x0 + draw(arrays(np.int64, mu, elements=shift))
+    c = draw(arrays(np.int64, n, elements=coef)).astype(float)
+    return make_lp(c, a_eq, b_eq, a_ub, b_ub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_lps())
+def test_small_degenerate_lps_match_highs(lp):
+    status, objective = highs(lp)
+    assume(status in HIGHS_STATUS.values())
+    sol = solve(lp)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
