@@ -75,13 +75,17 @@ _PIECES = (
 
 
 def _cardinal(order: int, s):
-    """order-th derivative of N at s (0 outside [0, 4])."""
-    return np.select(
-        [(0.0 <= s) & (s < 1.0), (1.0 <= s) & (s < 2.0),
-         (2.0 <= s) & (s < 3.0), (3.0 <= s) & (s <= 4.0)],
-        [piece(s) for piece in _PIECES[order]],
-        default=0.0,
-    )
+    """order-th derivative of N at s (0 outside [0, 4]).
+
+    Each piece is evaluated only on its own points: [p, p + 1), and [3, 4]
+    for the last one.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape)
+    for p, piece in enumerate(_PIECES[order]):
+        on = (p <= s) & ((s < p + 1) if p < 3 else (s <= 4.0))
+        out[on] = piece(s[on])
+    return out
 
 
 class CubicBSpline(C2Function):

@@ -23,8 +23,8 @@ from .policy import (MeasurePair, boundary_mass_diagnostic, extract_strict,
                      marginals_and_kernels)
 from .problems import BUILTIN_PROBLEMS, ProblemFileError, load_problem
 from .simplex import SingularBasisError, export_mps, parse_mps, solve
-from .verify import (BandPolicy, SimConfig, SimulationError, band_policy_oracle,
-                     band_search, simulate)
+from .verify import (BandPolicy, OracleConfig, SimConfig, SimulationError,
+                     band_policy_oracle, band_search, simulate)
 
 MODES = ("validate", "solve", "policy", "verify", "band-oracle",
          "export-mps", "report")
@@ -191,7 +191,8 @@ def run(args) -> int:
         return EXIT_OK
 
     if args.mode == "band-oracle":
-        cfg = _sim_config(args)
+        # The oracle has no horizon or burn-in; --horizon and --burn-in go unread.
+        cfg = OracleConfig(dt=args.dt, n_paths=args.paths, seed=args.seed)
         if (args.band_s is None) != (args.band_S is None):
             raise PipelineError("--band-s and --band-S must be given together",
                                 EXIT_VALIDATION)

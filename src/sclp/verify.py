@@ -63,6 +63,25 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
+class OracleConfig:
+    """What the band oracle reads: the Euler step, the cycle count, the seed.
+
+    band_policy_oracle and band_search take this or a SimConfig; n_paths is
+    the number of regenerative cycles, and a SimConfig's horizon and burn-in
+    go unread.
+    """
+    dt: float
+    n_paths: int
+    seed: int
+
+    def __post_init__(self):
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
+        if self.n_paths < 1:
+            raise ValueError("n_paths must be at least 1")
+
+
+@dataclass(frozen=True)
 class BandPolicy:
     """(s, S) ordering band: order up to S whenever the state hits s."""
 
@@ -721,7 +740,8 @@ def _band_estimate(cycle_cost: np.ndarray, t_acc: np.ndarray) -> OracleEstimate:
     )
 
 
-def _band_cycles(problem: ProblemSpec, bands, cfg: SimConfig) -> list[OracleEstimate]:
+def _band_cycles(problem: ProblemSpec, bands,
+                 cfg: OracleConfig | SimConfig) -> list[OracleEstimate]:
     """Renewal-reward estimates of the bands, from one Euler/bridge step loop.
 
     Checks the problem, then every band in order.  Each band draws from its
@@ -763,7 +783,7 @@ def _band_cycles(problem: ProblemSpec, bands, cfg: SimConfig) -> list[OracleEsti
 
 
 def band_policy_oracle(problem: ProblemSpec, band: BandPolicy,
-                       cfg: SimConfig) -> OracleEstimate:
+                       cfg: OracleConfig | SimConfig) -> OracleEstimate:
     """Renewal-reward estimate of the long-run average cost of an (s, S) band.
 
     Each regenerative cycle starts at S and runs the diffusion to the hitting
@@ -783,7 +803,8 @@ class BandSearchResult:
     table: list[tuple[float, float, float, float]]  # (s, S, cost, half_width)
 
 
-def band_search(problem: ProblemSpec, s_grid, S_grid, cfg: SimConfig) -> BandSearchResult:
+def band_search(problem: ProblemSpec, s_grid, S_grid,
+                cfg: OracleConfig | SimConfig) -> BandSearchResult:
     """Evaluate every s < S pair with common random numbers; return the minimizer.
 
     Every pair is checked first, in lexicographic (s, S) order, and then all

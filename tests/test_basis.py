@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sclp.basis import BasisFamily, C2Function, CubicBSpline, constant_one
+from sclp.basis import (_PIECES, BasisFamily, C2Function, CubicBSpline, _cardinal,
+                        constant_one)
 
 
 def test_constant_one():
@@ -33,6 +34,22 @@ def test_spline_nonnegative_and_smooth_at_knots():
             left = deriv(np.array([knot - eps]))[0]
             right = deriv(np.array([knot + eps]))[0]
             assert abs(left - right) < 1e-6
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_cardinal_takes_each_piece_on_its_own_interval(order):
+    # Reference: every piece at every point, then one chosen per point.
+    knots = np.arange(-1.0, 6.0)
+    s = np.concatenate([np.random.default_rng(order).uniform(-1.0, 5.0, 5000), knots,
+                        np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+                        [-0.0]])
+    want = np.select([(0.0 <= s) & (s < 1.0), (1.0 <= s) & (s < 2.0),
+                      (2.0 <= s) & (s < 3.0), (3.0 <= s) & (s <= 4.0)],
+                     [piece(s) for piece in _PIECES[order]], default=0.0)
+    got = _cardinal(order, s)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert _cardinal(order, np.asarray(4.0)).shape == ()
 
 
 @settings(max_examples=60, deadline=None)

@@ -114,6 +114,20 @@ def test_band_oracle_single(tmp_path):
     assert "s,S,cost,half_width" in (out / "band_table.csv").read_text()
 
 
+def test_band_oracle_ignores_horizon_and_burn_in(tmp_path):
+    # The oracle has no horizon: --horizon 10 with the default burn-in 20
+    # would not make a valid simulation config.
+    code, out = run(tmp_path, "--paths", "20", "--dt", "0.02", "--horizon", "10",
+                    "--band-s", "-1", "--band-S", "0.5", mode="band-oracle")
+    assert code == 0
+    lines = (out / "band_table.csv").read_text().splitlines()
+    assert lines[1] == "s,S,cost,half_width"
+    assert lines[2].startswith("-1.0,0.5,")
+    code, _ = run(tmp_path, "--paths", "20", "--dt", "0", "--band-s", "-1",
+                  "--band-S", "0.5", mode="band-oracle")
+    assert code == 4
+
+
 def test_band_oracle_flag_pairing(tmp_path):
     code, _ = run(tmp_path, "--band-s", "-1.0", mode="band-oracle")
     assert code == 4

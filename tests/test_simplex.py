@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -197,3 +202,98 @@ def test_dependent_row_keeps_its_artificial():
     assert sol.objective == pytest.approx(2.0)
     assert simplex._certificate_failure(lp, sol.weights, sol.dual_eq,
                                         sol.dual_ub, 1e-9) is None
+
+
+def with_copies(lp, src):
+    """lp with column j a copy of lp's column src[j]."""
+    src = np.asarray(src)
+    return make_lp(lp.c[src], lp.a_eq[:, src], lp.b_eq, lp.a_ub[:, src], lp.b_ub)
+
+
+def duplicate_test_lp():
+    # Mass row, a moment row and a budget row; column 1 has zero entries.
+    return make_lp([2.0, 1.0, 3.0, 0.5, 4.0],
+                   a_eq=[[1.0, 1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 3.0, 2.0, 1.0]],
+                   b_eq=[1.0, 1.5],
+                   a_ub=[[0.5, 0.0, 1.0, 2.0, 0.0]], b_ub=[0.9])
+
+
+def test_duplicate_columns_are_priced_once():
+    base = duplicate_test_lp()
+    # First copies keep the base order; later copies are scattered.
+    src = [0, 1, 0, 2, 1, 3, 2, 1, 4, 3]
+    lp = with_copies(base, src)
+    lp.a_eq[1, 7] = -0.0  # equal to column 1's 0.0
+    assert np.signbit(lp.a_eq[1, 7]) and not np.signbit(lp.a_eq[1, 1])
+    first = [0, 1, 3, 5, 8]
+    assert simplex._first_copies(lp).tolist() == first
+    want, got = solve(base), solve(lp)
+    assert want.status == got.status == OPTIMAL
+    assert got.objective == want.objective
+    assert np.array_equal(got.dual_eq, want.dual_eq)
+    assert np.array_equal(got.dual_ub, want.dual_ub)
+    assert got.iterations == want.iterations
+    assert np.array_equal(got.weights[first], want.weights)
+    assert not np.delete(got.weights, first).any()
+    assert want.weights[[2, 3]].all()  # copied columns carry the optimum
+
+
+def test_weight_lands_on_the_first_copy():
+    base = duplicate_test_lp()
+    lp = with_copies(base, [3, 0, 2, 3, 1, 2, 4, 3])
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(solve(base).objective, rel=1e-12)
+    assert simplex._first_copies(lp).tolist() == [0, 1, 2, 4, 6]
+    assert not sol.weights[[3, 5, 7]].any()
+    assert sol.weights[0] > 0 and sol.weights[2] > 0
+
+
+def test_near_copy_stays_a_separate_column():
+    base = duplicate_test_lp()
+    lp = with_copies(base, [0, 1, 2, 3, 4, 4, 0])
+    lp.a_eq[1, 5] = np.nextafter(lp.a_eq[1, 5], np.inf)  # column 4, one ulp off
+    assert simplex._first_copies(lp).tolist() == [0, 1, 2, 3, 4, 5]
+    assert simplex._first_copies(base).tolist() == [0, 1, 2, 3, 4]
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(solve(base).objective, rel=1e-12)
+    assert sol.weights[6] == 0.0
+
+
+def test_first_copies_of_tiny_lps():
+    assert simplex._first_copies(make_lp([])).tolist() == []
+    assert simplex._first_copies(make_lp([1.0])).tolist() == [0]
+    assert simplex._first_copies(make_lp([1.0, 1.0])).tolist() == [0]
+    # No rows: columns are compared on their cost alone.
+    assert simplex._first_copies(make_lp([2.0, 1.0, 2.0])).tolist() == [0, 1]
+
+
+SOLVE_AND_HASH = """
+import hashlib
+import sclp
+from sclp.discretize import assemble_lta_lp, build_grid
+p = sclp.inventory_problem()
+basis = sclp.BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 50)
+sol = sclp.simplex.solve(assemble_lta_lp(p, build_grid(p, 201, 51), basis))
+print(sol.status, sol.iterations, repr(sol.objective),
+      *(hashlib.sha256(v.tobytes()).hexdigest() for v in (sol.weights, sol.dual)))
+"""
+
+
+def test_solution_independent_of_blas_threads():
+    # Inventory 201x51/50 has equal columns whose reduced costs differ in
+    # the last bit between 1 and 2 OpenBLAS threads; priced once, they
+    # cannot swap.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", SOLVE_AND_HASH], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0].startswith("optimal ")
+    assert out[0] == out[1]

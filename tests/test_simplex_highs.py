@@ -11,6 +11,7 @@ from sclp.basis import BasisFamily
 from sclp.discretize import (NORMALIZED, RESCALED, assemble_discounted_lp,
                              assemble_lta_lp, build_grid)
 from sclp.problems import finite_fuel_problem, inventory_problem
+from sclp import simplex
 from sclp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve
 from test_simplex import make_lp
 
@@ -123,3 +124,29 @@ def test_small_degenerate_lps_match_highs(lp):
     assert sol.status == status
     if status == OPTIMAL:
         assert sol.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def duplicated_lps(draw):
+    """A small degenerate LP whose columns are copied to random positions."""
+    lp = draw(degenerate_lps())
+    n = lp.c.size
+    extra = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    src = np.array(draw(st.permutations(list(range(n)) + extra)))
+    return make_lp(lp.c[src], lp.a_eq[:, src], lp.b_eq, lp.a_ub[:, src], lp.b_ub), src
+
+
+@settings(max_examples=100, deadline=None)
+@given(duplicated_lps())
+def test_lps_with_duplicate_columns_match_highs(lp_src):
+    lp, src = lp_src
+    status, objective = highs(lp)
+    assume(status in HIGHS_STATUS.values())
+    sol = solve(lp)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+        # Columns equal to an earlier column carry no weight.
+        first = simplex._first_copies(lp)
+        assert not np.delete(sol.weights, first).any()
+        assert len(first) <= len(set(src.tolist()))
