@@ -99,7 +99,15 @@ def _load(args) -> tuple[ProblemSpec, str]:
 
 
 def _resolved_config(args, digest) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items())}
+    """The options an artifact depends on, plus the problem's content hash.
+
+    --out never changes an artifact, and the band oracle reads neither
+    --horizon nor --burn-in, so those stay out.
+    """
+    unread = {"out"}
+    if args.mode == "band-oracle":
+        unread |= {"horizon", "burn_in"}
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in unread}
     cfg["problem_sha256"] = digest
     return cfg
 
@@ -120,12 +128,6 @@ def _assemble(problem, args):
     return grid, basis, lp
 
 
-def _required_mass(problem, args) -> float:
-    if problem.criterion.kind == DISCOUNTED and args.form == RESCALED:
-        return 1.0 / problem.criterion.alpha
-    return 1.0
-
-
 def _solve_or_raise(lp, args, out_dir):
     sol = solve(lp, tol=args.tol, max_iter=args.max_iter)
     if sol.status == simplex.INFEASIBLE:
@@ -142,13 +144,20 @@ def _solve_or_raise(lp, args, out_dir):
     return sol
 
 
-def _policy_from(problem, grid, sol, args):
-    mass = _required_mass(problem, args)
-    measures = MeasurePair.from_solution(grid, sol.weights, required_mass=mass)
-    policy = marginals_and_kernels(grid, measures)
+def _policy_from(grid, sol):
+    policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
     strict, bad = extract_strict(policy)
     policy.strict = strict
-    return measures, policy, bad
+    return policy, bad
+
+
+def _same_lp(a, b) -> bool:
+    """Every coefficient, bound, size, label and the name identical."""
+    return (a.name == b.name and a.n0 == b.n0 and a.n1 == b.n1
+            and tuple(a.eq_labels) == tuple(b.eq_labels)
+            and tuple(a.ub_labels) == tuple(b.ub_labels)
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("c", "a_eq", "b_eq", "a_ub", "b_ub")))
 
 
 def _sim_config(args) -> SimConfig:
@@ -182,7 +191,9 @@ def run(args) -> int:
     if args.mode == "export-mps":
         _, _, lp = _assemble(problem, args)
         text = export_mps(lp)
-        parse_mps(text)  # round-trip sanity check before writing
+        if not _same_lp(parse_mps(text), lp):  # round-trip check before writing
+            raise PipelineError(f"MPS text of LP {lp.name} does not parse back "
+                                "to the same LP", EXIT_NUMERICAL)
         path = os.path.join(out_dir, "problem.mps")
         with open(path, "w") as fh:
             fh.write(text)
@@ -231,7 +242,7 @@ def run(args) -> int:
         print(solve_line)
         return EXIT_OK
 
-    measures, policy, bad = _policy_from(problem, grid, sol, args)
+    policy, bad = _policy_from(grid, sol)
     if args.mode == "policy":
         text = header + policy.to_text()
         if bad:

@@ -54,9 +54,6 @@ class Kernel:
 
     rows: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
-    def nodes(self) -> list[int]:
-        return sorted(self.rows)
-
     def prob_max(self, node: int) -> tuple[float, float]:
         """(largest probability, its control value) at a covered node."""
         u, p = self.rows[node]

@@ -5,11 +5,12 @@ committed singular-action semantics.  Each step is one shared Euler step
 (_euler_step) under the absolutely continuous control (_Control), then the
 singular action of the problem's kind: jump problems act when the state
 crosses into the singular support from above (_jump_action, band
-behaviour); gradient problems reflect the state at the support edge
-(_gradient_action).  Per-path cost, budget and martingale sums live in
-_Accumulators.  simulate() reports cost and budget estimates with
-confidence intervals, martingale residuals for the supplied test
-functions, and (long-term average) a stationarity distance.  For a fixed
+behaviour); gradient problems reflect the state at each support cluster's
+mu1 mean (_gradient_action).  Per-path cost, budget and martingale sums
+live in _Accumulators.  Budgets hold in mean, as the LP's budget rows do:
+singular action never stops on a path.  simulate() reports cost and budget
+estimates with confidence intervals, martingale residuals for the supplied
+test functions, and (long-term average) a stationarity distance.  For a fixed
 seed the random draws come in a fixed order: the nu0 draw of the initial
 states (discounted), then per step the kernel control's uniforms, the
 normals, and one uniform per acting path and cluster.
@@ -240,10 +241,10 @@ class _Control:
 class _Accumulators:
     """Per-path sums of one run.
 
-    Running and singular cost, budget usage (discount-weighted and raw),
-    which paths may still act, and, when a basis is given, the martingale
-    residuals f(X_T) - f(X_0) - sum of (Af) dt and of Bf over the singular
-    actions, one row per test function.  A weight of exactly 1 is never
+    Running and singular cost, discount-weighted budget usage (held to its
+    cap only in mean, never per path) and, when a basis is given, the
+    martingale residuals f(X_T) - f(X_0) - sum of (Af) dt and of Bf over
+    the singular actions, one row per test function.  A weight of exactly 1 is never
     multiplied in, which leaves every sum unchanged.
     """
 
@@ -256,11 +257,6 @@ class _Accumulators:
         self.sing_cost = np.zeros(n_paths)
         budgets = self.costs.budgets
         self.bud_acc = np.zeros((len(budgets), n_paths))
-        self.bud_raw = np.zeros((len(budgets), n_paths))
-        self.caps = np.array([b.cap for b in budgets])[:, None]
-        # Pathwise budget exhaustion (discounted hard constraints only).
-        self.capped = problem.criterion.kind == DISCOUNTED and bool(budgets)
-        self.sing_enabled = np.ones(n_paths, dtype=bool)
         self.basis = basis
         if basis is not None:
             self.mart = np.zeros((len(basis), n_paths))
@@ -268,16 +264,15 @@ class _Accumulators:
             self.step_rows = (np.empty_like(self.mart), np.empty_like(self.mart))
 
     def running(self, x, u, w: float, counted: bool):
-        """Running cost c0 dt (when counted) and budget usage g dt of a step."""
+        """Running cost c0 dt and budget usage g dt of a counted step."""
+        if not counted:
+            return
         dt = self.dt
-        if counted:
-            c0 = eval2(self.costs.c0, x, u)
-            self.run_cost += (c0 if w == 1.0 else w * c0) * dt
+        c0 = eval2(self.costs.c0, x, u)
+        self.run_cost += (c0 if w == 1.0 else w * c0) * dt
         for i, bud in enumerate(self.costs.budgets):
             gv = eval2(bud.g, x, u)
-            if counted:
-                self.bud_acc[i] += (gv if w == 1.0 else w * gv) * dt
-            self.bud_raw[i] += gv * dt
+            self.bud_acc[i] += (gv if w == 1.0 else w * gv) * dt
 
     def generator(self, x, drift, sig):
         """Take (Af) dt = (f' drift + f'' sig^2 / 2) dt off every residual."""
@@ -305,7 +300,6 @@ class _Accumulators:
             if dxi is not None:
                 hv = hv * dxi
             self.bud_acc[i][sub] += hv if wc == 1.0 else wc * hv
-            self.bud_raw[i][sub] += hv
 
     def jump(self, sub, xs, target):
         """Take Bf = f(target) - f(xs) of a jump off the residuals of sub."""
@@ -323,10 +317,6 @@ class _Accumulators:
         df *= eval2(self.direction, xm, u)
         df *= dxi
         self.mart[:, sub] -= df
-
-    def exhaust(self):
-        """Stop singular action on paths whose raw usage passed a budget cap."""
-        self.sing_enabled &= ~(self.bud_raw > self.caps).any(axis=0)
 
     def finish(self, x):
         """Add f(X_T) - f(X_0) to the residuals."""
@@ -358,8 +348,6 @@ def _jump_action(problem, nodes, triggers, sampler, acc, rng, x, x_new, wc):
         crossed = x_new <= trig
         if x is not None:
             crossed &= x > trig
-        if acc.capped:
-            crossed &= acc.sing_enabled
         if not crossed.any():
             continue
         sub = np.flatnonzero(crossed)
@@ -373,20 +361,18 @@ def _jump_action(problem, nodes, triggers, sampler, acc, rng, x, x_new, wc):
 
 
 def _gradient_action(problem, barriers, sampler, acc, rng, x, x_new, wc):
-    """Reflect the paths that stepped past a cluster's outer edge.
+    """Reflect the paths that stepped past a cluster's edge.
 
     Each is pushed back to the edge along gamma(edge, u), with u drawn from
-    eta1 at the edge node; the push size is |x - edge| / |gamma|.  x (the
-    state before the step) plays no part in reflection.
+    eta1 at the cluster's outer node; the push size is |x - edge| / |gamma|.
+    x (the state before the step) plays no part in reflection.
     """
-    for edge, enode, side in barriers:
+    for edge, outer, side in barriers:
         over = x_new > edge if side < 0 else x_new < edge
-        if acc.capped:
-            over &= acc.sing_enabled
         if not over.any():
             continue
         sub = np.flatnonzero(over)
-        u = sampler.sample(np.full(sub.size, enode), rng.random(sub.size))
+        u = sampler.sample(np.full(sub.size, outer), rng.random(sub.size))
         xs = x_new[sub]
         gam = eval2(problem.gen_b.direction, np.full(sub.size, edge), u)
         gam = np.where(np.abs(gam) < 1e-12, np.copysign(1e-12, -side), gam)
@@ -397,22 +383,24 @@ def _gradient_action(problem, barriers, sampler, acc, rng, x, x_new, wc):
 
 
 def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
-    """(edge value, edge node, side) of each cluster that pushes outward.
+    """(edge value, outer node, side) of each cluster that pushes outward.
 
-    side -1 pushes down at the top edge, +1 pushes up at the bottom edge,
-    as the direction of the edge node's most likely control says.
+    side -1 pushes down from the top, +1 pushes up from the bottom, as the
+    direction of the outer node's most likely control says.  The edge sits
+    at the mu1-weighted mean of the cluster's nodes: the LP spreads the
+    push over the nodes that bracket that point.  At the outer node, Euler
+    overshoot would carry paths past the end of the support.
     """
-    nodes, eta1 = policy.state_nodes, policy.eta1
+    nodes, eta1, mu1 = policy.state_nodes, policy.eta1, policy.mu1_marginal
     direction = problem.gen_b.direction
     barriers = []
     for lo, hi in clusters:
-        u_outer_hi = eta1.prob_max(hi)[1] if hi in eta1.rows else 0.0
-        if float(eval2(direction, nodes[hi], u_outer_hi)) < 0:
-            barriers.append((float(nodes[hi]), hi, -1))
-            continue
-        u_outer_lo = eta1.prob_max(lo)[1] if lo in eta1.rows else 0.0
-        if float(eval2(direction, nodes[lo], u_outer_lo)) > 0:
-            barriers.append((float(nodes[lo]), lo, +1))
+        w = mu1[lo:hi + 1]
+        edge = float(np.dot(w, nodes[lo:hi + 1]) / w.sum())
+        if float(eval2(direction, nodes[hi], eta1.prob_max(hi)[1])) < 0:
+            barriers.append((edge, hi, -1))
+        elif float(eval2(direction, nodes[lo], eta1.prob_max(lo)[1])) > 0:
+            barriers.append((edge, lo, +1))
     return barriers
 
 
@@ -484,8 +472,6 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         if action is not None:
             wc = (math.exp(-alpha * (t + dt)) if disc else 1.0) if counted else 0.0
             action(acc, rng, x if k else None, x_new, wc)
-        if acc.capped:
-            acc.exhaust()
         if x_new.min() < x_lo or x_new.max() > x_hi:
             truncations += int((x_new < x_lo).sum()) + int((x_new > x_hi).sum())
             x_new = np.clip(x_new, x_lo, x_hi)
@@ -497,7 +483,7 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
             f"{truncations} of {total_steps} steps left the state interval")
     acc.finish(x)
 
-    cost, budgets = _cost_estimates(problem, cfg, acc, nodes, horizon)
+    cost, budgets, exhausted = _cost_estimates(problem, cfg, acc, nodes, horizon)
     stat_tv = None
     hist = visits[1]
     if not disc and hist.sum() > 0:
@@ -514,14 +500,18 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         truncation_events=truncations, total_steps=total_steps,
         bridged_steps=int(visits.sum(axis=0)[~control.covered].sum()),
         multi_cluster_support=len(clusters) > 1,
-        budget_exhausted_paths=int((~acc.sing_enabled).sum()),
+        budget_exhausted_paths=exhausted,
         n_paths=cfg.n_paths,
     )
 
 
 def _cost_estimates(problem: ProblemSpec, cfg: SimConfig, acc: _Accumulators,
                     nodes: np.ndarray, horizon: float):
-    """Cost and budget estimates: discounted totals or long-run averages."""
+    """Cost and budget estimates: discounted totals or long-run averages.
+
+    Also counts the paths whose own budget sample passed a cap; the caps
+    bind only the means, so this is a diagnostic.
+    """
     n_paths = cfg.n_paths
     budgets = problem.costs.budgets
     if problem.criterion.kind == DISCOUNTED:
@@ -534,16 +524,19 @@ def _cost_estimates(problem: ProblemSpec, cfg: SimConfig, acc: _Accumulators,
         tail = c0max * DISCOUNT_CUTOFF / alpha
         cost = Estimate("discounted_cost", float(cost_paths.mean()),
                         _half_width(cost_paths) + tail, n_paths)
-        return cost, [Estimate(f"budget_{b.name}", float(acc.bud_acc[i].mean()),
-                               _half_width(acc.bud_acc[i]), n_paths)
-                      for i, b in enumerate(budgets)]
-    denom = horizon - cfg.burn_in
-    cost_paths = (acc.run_cost + acc.sing_cost) / denom
-    cost = Estimate("lta_cost", float(cost_paths.mean()),
-                    _half_width(cost_paths), n_paths)
-    return cost, [Estimate(f"budget_{b.name}", float(acc.bud_acc[i].mean() / denom),
-                           _half_width(acc.bud_acc[i] / denom), n_paths)
-                  for i, b in enumerate(budgets)]
+        denom = 1.0
+    else:
+        denom = horizon - cfg.burn_in
+        cost_paths = (acc.run_cost + acc.sing_cost) / denom
+        cost = Estimate("lta_cost", float(cost_paths.mean()),
+                        _half_width(cost_paths), n_paths)
+    samples = acc.bud_acc / denom
+    estimates = [Estimate(f"budget_{b.name}", float(acc.bud_acc[i].mean() / denom),
+                          _half_width(samples[i]), n_paths)
+                 for i, b in enumerate(budgets)]
+    caps = np.array([b.cap for b in budgets])[:, None]
+    exhausted = int((samples > caps).any(axis=0).sum())
+    return cost, estimates, exhausted
 
 
 @dataclass

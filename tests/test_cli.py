@@ -89,6 +89,22 @@ def test_export_mps_reparses_identically(tmp_path):
     assert export_mps(parse_mps(text)) == text
 
 
+def test_export_mps_round_trip_compares(tmp_path, monkeypatch):
+    import sclp.cli
+    from sclp.simplex import parse_mps
+
+    def perturbed(text):
+        lp = parse_mps(text)
+        lp.a_eq[0, 0] += 1e-12
+        return lp
+
+    monkeypatch.setattr(sclp.cli, "parse_mps", perturbed)
+    code, out = run(tmp_path, "--n-state", "11", "--n-control", "3",
+                    "--basis", "5", mode="export-mps")
+    assert code == 5
+    assert not (out / "problem.mps").exists()
+
+
 def test_iteration_limit_exit_names_the_status(tmp_path, capsys):
     code, _ = run(tmp_path, "--n-state", "21", "--n-control", "5",
                   "--basis", "8", "--max-iter", "1")
@@ -126,6 +142,18 @@ def test_band_oracle_ignores_horizon_and_burn_in(tmp_path):
     code, _ = run(tmp_path, "--paths", "20", "--dt", "0", "--band-s", "-1",
                   "--band-S", "0.5", mode="band-oracle")
     assert code == 4
+
+
+def test_band_oracle_artifact_ignores_horizon_and_out(tmp_path):
+    tables = []
+    for name, horizon in (("a", "10"), ("b", "50")):
+        code = main(["--problem", "inventory", "--mode", "band-oracle",
+                     "--paths", "20", "--dt", "0.02", "--horizon", horizon,
+                     "--band-s", "-1", "--band-S", "0.5",
+                     "--out", str(tmp_path / name)])
+        assert code == 0
+        tables.append((tmp_path / name / "band_table.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_band_oracle_flag_pairing(tmp_path):
@@ -188,3 +216,12 @@ def test_report_mode(tmp_path):
                   "lp_vs_simulation_agree", "lp_vs_oracle_agree",
                   "problem_sha256"):
         assert token in text
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_finite_fuel_report_keeps_every_path_acting(tmp_path, seed):
+    # Budgets hold in mean: no path stops pushing and diffuses off the grid.
+    code, out = run(tmp_path, "--paths", "64", "--dt", "0.01", "--seed", seed,
+                    problem="finite-fuel", mode="report")
+    assert code == 0
+    assert "truncation_events: 0 of " in (out / "report.txt").read_text()
