@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from sclp import (BandPolicy, MeasurePair, OracleConfig, SimConfig,
+from sclp import (BandPolicy, MeasurePair, SimConfig,
                   assemble_lta_lp, band_policy_oracle, band_search, build_grid,
                   BasisFamily, extract_strict, inventory_problem,
                   marginals_and_kernels, simulate, solve)
@@ -60,7 +60,7 @@ def main():
                 default=0.0)
     print(f"martingale check: max |z| = {worst:.2f}")
 
-    oracle_cfg = OracleConfig(dt=dt, n_paths=cycles, seed=args.seed + 1)
+    oracle_cfg = SimConfig(dt=dt, horizon=None, n_paths=cycles, seed=args.seed + 1)
     best = band_search(problem, np.linspace(-1.6, -0.4, 7),
                        np.linspace(0.0, 1.2, 7), oracle_cfg)
     print(f"band search: best (s, S)=({best.best.s:.2f}, {best.best.big_s:.2f}) "

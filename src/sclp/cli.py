@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,12 +19,12 @@ from . import simplex
 from .basis import BasisFamily
 from .discretize import (NORMALIZED, RESCALED, GridError, assemble_discounted_lp,
                          assemble_lta_lp, build_grid, constraint_residual)
-from .model import DISCOUNTED, JUMP, Criterion, ProblemSpec, validate_conditions
+from .model import DISCOUNTED, JUMP, ProblemSpec, validate_conditions
 from .policy import (MeasurePair, boundary_mass_diagnostic, extract_strict,
                      marginals_and_kernels)
 from .problems import BUILTIN_PROBLEMS, ProblemFileError, load_problem
 from .simplex import SingularBasisError, export_mps, parse_mps, solve
-from .verify import (BandPolicy, OracleConfig, SimConfig, SimulationError,
+from .verify import (BandPolicy, OracleNotApplicable, SimConfig, SimulationError,
                      band_policy_oracle, band_search, simulate)
 
 MODES = ("validate", "solve", "policy", "verify", "band-oracle",
@@ -73,6 +74,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+class _Options(argparse.Namespace):
+    """Parsed options that record the name of every option read.
+
+    main clears the record once parsing is done, so the # config header
+    holds exactly the options the run has read.
+    """
+
+    def __init__(self, **kwargs):
+        self._read = set()
+        super().__init__(**kwargs)
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
 def _load(args) -> tuple[ProblemSpec, str]:
     """Resolve the problem argument; returns (problem, content hash)."""
     if args.problem in BUILTIN_PROBLEMS:
@@ -89,32 +107,23 @@ def _load(args) -> tuple[ProblemSpec, str]:
         if problem.criterion.kind != DISCOUNTED:
             raise PipelineError("--alpha only applies to discounted problems",
                                 EXIT_VALIDATION)
-        crit = Criterion(kind=DISCOUNTED, alpha=args.alpha,
-                         nu0=problem.criterion.nu0)
-        problem = ProblemSpec(state=problem.state, control=problem.control,
-                              gen_a=problem.gen_a, gen_b=problem.gen_b,
-                              costs=problem.costs, criterion=crit,
-                              name=problem.name)
+        problem = replace(problem, criterion=replace(problem.criterion,
+                                                     alpha=args.alpha))
     return problem, digest
 
 
-def _resolved_config(args, digest) -> dict:
-    """The options an artifact depends on, plus the problem's content hash.
-
-    --out never changes an artifact, and the band oracle reads neither
-    --horizon nor --burn-in, so those stay out.
-    """
-    unread = {"out"}
-    if args.mode == "band-oracle":
-        unread |= {"horizon", "burn_in"}
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in unread}
-    cfg["problem_sha256"] = digest
-    return cfg
-
-
 def _config_header(args, digest) -> str:
-    return "# config " + json.dumps(_resolved_config(args, digest),
-                                    sort_keys=True) + "\n"
+    """The options read so far but --out, which changes no artifact, and the hash."""
+    cfg = {k: vars(args)[k] for k in args._read - {"out"}}
+    cfg["problem_sha256"] = digest
+    return "# config " + json.dumps(cfg, sort_keys=True) + "\n"
+
+
+def _write(args, name, text, echo=True):
+    with open(os.path.join(args.out, name), "w") as fh:
+        fh.write(text)
+    if echo:
+        print(text, end="")
 
 
 def _assemble(problem, args):
@@ -128,11 +137,11 @@ def _assemble(problem, args):
     return grid, basis, lp
 
 
-def _solve_or_raise(lp, args, out_dir):
+def _solve(lp, args):
     sol = solve(lp, tol=args.tol, max_iter=args.max_iter)
     if sol.status == simplex.INFEASIBLE:
         if sol.farkas is not None:
-            np.savetxt(os.path.join(out_dir, "farkas.csv"),
+            np.savetxt(os.path.join(args.out, "farkas.csv"),
                        sol.farkas.reshape(1, -1), delimiter=",")
         raise PipelineError(f"LP {lp.name} is infeasible "
                             "(Farkas certificate in farkas.csv)", EXIT_INFEASIBLE)
@@ -144,7 +153,7 @@ def _solve_or_raise(lp, args, out_dir):
     return sol
 
 
-def _policy_from(grid, sol):
+def _policy(grid, sol):
     policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
     strict, bad = extract_strict(policy)
     policy.strict = strict
@@ -160,7 +169,10 @@ def _same_lp(a, b) -> bool:
                     for f in ("c", "a_eq", "b_eq", "a_ub", "b_ub")))
 
 
-def _sim_config(args) -> SimConfig:
+def _sim_config(args, lta) -> SimConfig:
+    """Only long-term-average simulations read --horizon and --burn-in."""
+    if not lta:
+        return SimConfig(dt=args.dt, horizon=None, n_paths=args.paths, seed=args.seed)
     return SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,
                      seed=args.seed, burn_in=args.burn_in)
 
@@ -173,100 +185,79 @@ def _default_band_grids(problem):
     return s_grid, big_grid
 
 
-def run(args) -> int:
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    problem, digest = _load(args)
-    header = _config_header(args, digest)
+def _validate(args, problem, digest) -> int:
+    grid = build_grid(problem, args.n_state, args.n_control)
+    report = validate_conditions(problem, grid)
+    _write(args, "validate.txt",
+           _config_header(args, digest) + "\n".join(report.lines()) + "\n")
+    return EXIT_OK if report.passed else EXIT_VALIDATION
 
-    if args.mode == "validate":
-        grid = build_grid(problem, args.n_state, args.n_control)
-        report = validate_conditions(problem, grid)
-        text = header + "\n".join(report.lines()) + "\n"
-        with open(os.path.join(out_dir, "validate.txt"), "w") as fh:
-            fh.write(text)
-        print(text, end="")
-        return EXIT_OK if report.passed else EXIT_VALIDATION
 
-    if args.mode == "export-mps":
-        _, _, lp = _assemble(problem, args)
-        text = export_mps(lp)
-        if not _same_lp(parse_mps(text), lp):  # round-trip check before writing
-            raise PipelineError(f"MPS text of LP {lp.name} does not parse back "
-                                "to the same LP", EXIT_NUMERICAL)
-        path = os.path.join(out_dir, "problem.mps")
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(f"wrote {path} ({lp.n_cols} columns, "
-              f"{lp.b_eq.size + lp.b_ub.size} rows)")
-        return EXIT_OK
+def _export_mps(args, problem, digest) -> int:
+    _, _, lp = _assemble(problem, args)
+    text = export_mps(lp)
+    if not _same_lp(parse_mps(text), lp):  # round-trip check before writing
+        raise PipelineError(f"MPS text of LP {lp.name} does not parse back "
+                            "to the same LP", EXIT_NUMERICAL)
+    _write(args, "problem.mps", text, echo=False)
+    print(f"wrote {os.path.join(args.out, 'problem.mps')} ({lp.n_cols} columns, "
+          f"{lp.b_eq.size + lp.b_ub.size} rows)")
+    return EXIT_OK
 
-    if args.mode == "band-oracle":
-        # The oracle has no horizon or burn-in; --horizon and --burn-in go unread.
-        cfg = OracleConfig(dt=args.dt, n_paths=args.paths, seed=args.seed)
-        if (args.band_s is None) != (args.band_S is None):
-            raise PipelineError("--band-s and --band-S must be given together",
-                                EXIT_VALIDATION)
-        lines = [header]
-        if args.band_s is not None:
-            est = band_policy_oracle(problem, BandPolicy(args.band_s, args.band_S), cfg)
-            lines.append(f"s,S,cost,half_width\n{args.band_s!r},{args.band_S!r},"
-                         f"{est.cost!r},{est.half_width!r}\n")
-        else:
-            s_grid, big_grid = _default_band_grids(problem)
-            res = band_search(problem, s_grid, big_grid, cfg)
-            lines.append("s,S,cost,half_width\n")
-            for s, S, c, h in res.table:
-                lines.append(f"{s!r},{S!r},{c!r},{h!r}\n")
-            lines.append(f"# best s={res.best.s!r} S={res.best.big_s!r} "
-                         f"cost={res.cost!r} +/- {res.half_width!r}\n")
-        text = "".join(lines)
-        with open(os.path.join(out_dir, "band_table.csv"), "w") as fh:
-            fh.write(text)
-        print(text, end="")
-        return EXIT_OK
 
-    # Remaining modes share the assemble + solve front end.
+def _band_oracle(args, problem, digest) -> int:
+    cfg = _sim_config(args, lta=False)  # --paths regenerative cycles
+    if (args.band_s is None) != (args.band_S is None):
+        raise PipelineError("--band-s and --band-S must be given together",
+                            EXIT_VALIDATION)
+    rows = ["s,S,cost,half_width\n"]
+    if args.band_s is not None:
+        est = band_policy_oracle(problem, BandPolicy(args.band_s, args.band_S), cfg)
+        rows.append(f"{args.band_s!r},{args.band_S!r},{est.cost!r},{est.half_width!r}\n")
+    else:
+        res = band_search(problem, *_default_band_grids(problem), cfg)
+        rows += [f"{s!r},{S!r},{c!r},{h!r}\n" for s, S, c, h in res.table]
+        rows.append(f"# best s={res.best.s!r} S={res.best.big_s!r} "
+                    f"cost={res.cost!r} +/- {res.half_width!r}\n")
+    _write(args, "band_table.csv", _config_header(args, digest) + "".join(rows))
+    return EXIT_OK
+
+
+def _pipeline(args, problem, digest) -> int:
+    """solve -> policy -> verify -> report; each mode stops after its stage."""
     grid, basis, lp = _assemble(problem, args)
-    sol = _solve_or_raise(lp, args, out_dir)
+    sol = _solve(lp, args)
     eq_res, ub_res = constraint_residual(lp, sol.weights)
-    np.savetxt(os.path.join(out_dir, "solution.csv"),
+    np.savetxt(os.path.join(args.out, "solution.csv"),
                sol.weights.reshape(1, -1), delimiter=",")
     solve_line = (f"status={sol.status} objective={sol.objective!r} "
                   f"iterations={sol.iterations} eq_residual={eq_res!r} "
                   f"ub_violation={ub_res!r}")
-
     if args.mode == "solve":
-        with open(os.path.join(out_dir, "solve.txt"), "w") as fh:
-            fh.write(header + solve_line + "\n")
+        _write(args, "solve.txt", _config_header(args, digest) + solve_line + "\n",
+               echo=False)
         print(solve_line)
         return EXIT_OK
 
-    policy, bad = _policy_from(grid, sol)
+    policy, bad = _policy(grid, sol)
     if args.mode == "policy":
-        text = header + policy.to_text()
+        text = policy.to_text()
         if bad:
             text += f"# non-degenerate nodes (no strict map): {bad}\n"
         text += f"# boundary mass (10% margin): {boundary_mass_diagnostic(policy, 0.1)!r}\n"
-        with open(os.path.join(out_dir, "policy.txt"), "w") as fh:
-            fh.write(text)
-        print(text, end="")
+        _write(args, "policy.txt", _config_header(args, digest) + text)
         return EXIT_OK
 
-    cfg = _sim_config(args)
+    cfg = _sim_config(args, lta=problem.criterion.kind != DISCOUNTED)
     report = simulate(problem, policy, cfg, basis=basis)
     if args.mode == "verify":
-        text = header + report.to_text()
-        with open(os.path.join(out_dir, "verify_report.txt"), "w") as fh:
-            fh.write(text)
-        with open(os.path.join(out_dir, "verify_report.csv"), "w") as fh:
-            fh.write(report.to_csv())
-        print(text, end="")
+        _write(args, "verify_report.txt", _config_header(args, digest) + report.to_text())
+        _write(args, "verify_report.csv", report.to_csv(), echo=False)
         return EXIT_OK
 
     # mode == report: consolidated pipeline artifacts with agreement flags.
     vreport = validate_conditions(problem, grid)
-    lines = [header, "## conditions\n"]
+    lines = ["## conditions\n"]
     lines += [ln + "\n" for ln in vreport.lines()]
     lines.append("## lp\n" + solve_line + "\n")
     lines.append("## simulation\n" + report.to_text())
@@ -274,27 +265,35 @@ def run(args) -> int:
         0.05 * abs(sol.objective), report.cost.half_width)
     lines.append(f"lp_vs_simulation_agree: {'pass' if sim_ok else 'FAIL'}\n")
     if problem.gen_b.kind == JUMP and problem.criterion.kind != DISCOUNTED:
-        s_grid, big_grid = _default_band_grids(problem)
-        res = band_search(problem, s_grid, big_grid, cfg)
-        lines.append(f"## band oracle\nbest s={res.best.s!r} S={res.best.big_s!r} "
-                     f"cost={res.cost!r} +/- {res.half_width!r}\n")
-        orc_ok = abs(res.cost - sol.objective) <= max(
-            0.05 * abs(sol.objective), res.half_width)
-        lines.append(f"lp_vs_oracle_agree: {'pass' if orc_ok else 'FAIL'}\n")
+        try:
+            res = band_search(problem, *_default_band_grids(problem), cfg)
+        except OracleNotApplicable as exc:
+            lines.append(f"## band oracle\nnot applicable: {exc}\n")
+        else:
+            lines.append(f"## band oracle\nbest s={res.best.s!r} S={res.best.big_s!r} "
+                         f"cost={res.cost!r} +/- {res.half_width!r}\n")
+            orc_ok = abs(res.cost - sol.objective) <= max(
+                0.05 * abs(sol.objective), res.half_width)
+            lines.append(f"lp_vs_oracle_agree: {'pass' if orc_ok else 'FAIL'}\n")
     lines.append(f"boundary_mass_10pct: {boundary_mass_diagnostic(policy, 0.1)!r}\n")
-    text = "".join(lines)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write(text)
-    print(text, end="")
+    _write(args, "report.txt", _config_header(args, digest) + "".join(lines))
     return EXIT_OK
+
+
+def run(args) -> int:
+    os.makedirs(args.out, exist_ok=True)
+    stage = {"validate": _validate, "export-mps": _export_mps,
+             "band-oracle": _band_oracle}.get(args.mode, _pipeline)
+    return stage(args, *_load(args))
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv, namespace=_Options())
     except SystemExit as exc:
         # argparse exits 0 for --help; usage errors count as config failures.
         return 0 if exc.code == 0 else EXIT_VALIDATION
+    args._read.clear()  # parsing itself reads every option
     try:
         return run(args)
     except PipelineError as exc:

@@ -289,9 +289,9 @@ def assemble_discounted_lp(problem: ProblemSpec, grid: Grid, basis: BasisFamily,
 def constraint_residual(lp: DiscreteLP, weights) -> tuple[float, float]:
     """Infinity norms of the equality residual and of positive budget violations.
 
-    weights may be a MeasurePair or a flat vector over all columns.
+    weights is a flat vector over all columns.
     """
-    w = np.asarray(getattr(weights, "flat_weights", weights), dtype=float)
+    w = np.asarray(weights, dtype=float)
     if w.size != lp.n_cols:
         raise ValueError(f"weight vector has {w.size} entries, LP has {lp.n_cols} columns")
     eq = float(np.abs(lp.a_eq @ w - lp.b_eq).max()) if lp.b_eq.size else 0.0

@@ -15,33 +15,19 @@ from .discretize import Grid, nearest_node
 
 @dataclass(frozen=True)
 class MeasurePair:
-    """Nonnegative weights on the mu0 and mu1 atoms of a grid.
-
-    required_mass is 1 for the long-term-average and normalized discounted
-    forms and 1/alpha for the rescaled discounted form.
-    """
+    """Nonnegative weights on the mu0 and mu1 atoms of a grid."""
 
     w0: np.ndarray
     w1: np.ndarray
-    required_mass: float = 1.0
 
     def __post_init__(self):
         if np.any(np.asarray(self.w0) < -1e-12) or np.any(np.asarray(self.w1) < -1e-12):
             raise ValueError("weights must be nonnegative (below -1e-12)")
 
-    @property
-    def flat_weights(self) -> np.ndarray:
-        return np.concatenate([self.w0, self.w1])
-
-    @property
-    def mass_error(self) -> float:
-        return abs(float(np.sum(self.w0)) - self.required_mass)
-
     @staticmethod
-    def from_solution(grid: Grid, weights, required_mass: float = 1.0) -> "MeasurePair":
+    def from_solution(grid: Grid, weights) -> "MeasurePair":
         w = np.maximum(np.asarray(weights, dtype=float), 0.0)
-        return MeasurePair(w0=w[:grid.n0].copy(), w1=w[grid.n0:].copy(),
-                           required_mass=required_mass)
+        return MeasurePair(w0=w[:grid.n0].copy(), w1=w[grid.n0:].copy())
 
 
 @dataclass

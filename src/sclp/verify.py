@@ -44,10 +44,20 @@ class SimulationError(RuntimeError):
     """A simulation run failed (e.g. excessive state-interval truncation)."""
 
 
+class OracleNotApplicable(ValueError):
+    """The problem lacks the inventory shape the band oracle requires."""
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """Euler step, path count and seed of a simulation.
+
+    horizon and burn_in apply to long-term-average simulate runs only, and
+    are checked only when a horizon is given: a discounted run stops at
+    DISCOUNT_CUTOFF, and the band oracle runs n_paths regenerative cycles.
+    """
     dt: float
-    horizon: float
+    horizon: float | None
     n_paths: int
     seed: int
     burn_in: float = 0.0
@@ -55,31 +65,12 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.dt > self.horizon / 100.0:
+        if self.horizon is not None and self.dt > self.horizon / 100.0:
             raise ValueError("dt must be at most horizon/100")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if not 0.0 <= self.burn_in < self.horizon:
+        if self.horizon is not None and not 0.0 <= self.burn_in < self.horizon:
             raise ValueError("burn_in must lie in [0, horizon)")
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """What the band oracle reads: the Euler step, the cycle count, the seed.
-
-    band_policy_oracle and band_search take this or a SimConfig; n_paths is
-    the number of regenerative cycles, and a SimConfig's horizon and burn-in
-    go unread.
-    """
-    dt: float
-    n_paths: int
-    seed: int
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -445,6 +436,8 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     nodes = policy.state_nodes
     x_lo, x_hi = policy.x_lo, policy.x_hi
     disc = problem.criterion.kind == DISCOUNTED
+    if not disc and cfg.horizon is None:
+        raise ValueError("a long-term-average simulation needs a horizon")
     alpha = problem.criterion.alpha if disc else 0.0
     horizon = math.log(1.0 / DISCOUNT_CUTOFF) / alpha if disc else cfg.horizon
     n_steps = int(round(horizon / cfg.dt))
@@ -550,22 +543,23 @@ class OracleEstimate:
 
 
 def _inventory_shape(problem: ProblemSpec):
-    """Check the inventory preconditions; returns the demand rate mu_d."""
+    """Check the inventory preconditions (else OracleNotApplicable); returns mu_d."""
     if problem.gen_b.kind != JUMP:
-        raise ValueError("band oracle requires a jump singular generator")
+        raise OracleNotApplicable("band oracle requires a jump singular generator")
     xs = np.linspace(problem.state.x_lo, problem.state.x_hi, 7)
     us = np.linspace(problem.control.u_lo, problem.control.u_hi, 5)
     xx, uu = np.meshgrid(xs, us, indexing="ij")
     dj = eval2(problem.gen_b.displacement, xx, uu)
     if not np.allclose(dj, uu, atol=1e-12):
-        raise ValueError("band oracle requires jump displacement d(x, u) = u")
+        raise OracleNotApplicable(
+            "band oracle requires jump displacement d(x, u) = u")
     dr = eval2(problem.gen_a.drift, xx, uu)
     if np.ptp(dr) > 1e-12:
-        raise ValueError("band oracle requires a constant drift")
+        raise OracleNotApplicable("band oracle requires a constant drift")
     mu_d = -float(dr.flat[0])
     if mu_d <= 0:
-        raise ValueError("band oracle requires strictly negative drift "
-                         "(cycles may not terminate otherwise)")
+        raise OracleNotApplicable("band oracle requires strictly negative drift "
+                                  "(cycles may not terminate otherwise)")
     return mu_d
 
 
@@ -733,8 +727,7 @@ def _band_estimate(cycle_cost: np.ndarray, t_acc: np.ndarray) -> OracleEstimate:
     )
 
 
-def _band_cycles(problem: ProblemSpec, bands,
-                 cfg: OracleConfig | SimConfig) -> list[OracleEstimate]:
+def _band_cycles(problem: ProblemSpec, bands, cfg: SimConfig) -> list[OracleEstimate]:
     """Renewal-reward estimates of the bands, from one Euler/bridge step loop.
 
     Checks the problem, then every band in order.  Each band draws from its
@@ -776,13 +769,14 @@ def _band_cycles(problem: ProblemSpec, bands,
 
 
 def band_policy_oracle(problem: ProblemSpec, band: BandPolicy,
-                       cfg: OracleConfig | SimConfig) -> OracleEstimate:
+                       cfg: SimConfig) -> OracleEstimate:
     """Renewal-reward estimate of the long-run average cost of an (s, S) band.
 
     Each regenerative cycle starts at S and runs the diffusion to the hitting
     time of s (with a Brownian-bridge crossing test to remove the first-order
     discrete-monitoring bias), then pays the ordering cost of jumping back to
-    S.  cfg.n_paths is the number of cycles.  The step loop is the one
+    S.  cfg.n_paths is the number of cycles; cfg.horizon and cfg.burn_in go
+    unread.  The step loop is the one
     band_search uses (_band_cycles), here with a single band.
     """
     return _band_cycles(problem, [band], cfg)[0]
@@ -797,7 +791,7 @@ class BandSearchResult:
 
 
 def band_search(problem: ProblemSpec, s_grid, S_grid,
-                cfg: OracleConfig | SimConfig) -> BandSearchResult:
+                cfg: SimConfig) -> BandSearchResult:
     """Evaluate every s < S pair with common random numbers; return the minimizer.
 
     Every pair is checked first, in lexicographic (s, S) order, and then all

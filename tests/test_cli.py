@@ -36,6 +36,29 @@ cap = 1e-6
 """
 
 
+INVENTORY_INI = """\
+[problem]
+name = inventory
+[state]
+x_lo = -6
+x_hi = 4
+[control]
+u_lo = 0
+u_hi = 8
+[dynamics]
+drift = constant -1
+diffusion = constant 1
+[singular]
+kind = jump
+displacement = control
+[costs]
+c0 = piecewise_linear 0 2 1
+c1 = linear 1 0 0.5
+[criterion]
+kind = lta
+"""
+
+
 def run(tmp_path, *extra, problem="inventory", mode="solve"):
     out = tmp_path / "out"
     code = main(["--problem", problem, "--mode", mode,
@@ -225,3 +248,108 @@ def test_finite_fuel_report_keeps_every_path_acting(tmp_path, seed):
                     problem="finite-fuel", mode="report")
     assert code == 0
     assert "truncation_events: 0 of " in (out / "report.txt").read_text()
+
+
+def config_keys(path):
+    return set(json.loads(path.read_text().splitlines()[0].split("# config ")[1]))
+
+
+SMALL = ("--n-state", "21", "--n-control", "5", "--basis", "8")
+SHORT = ("--paths", "8", "--dt", "0.02", "--horizon", "4", "--burn-in", "1")
+ONE_BAND = ("--paths", "8", "--dt", "0.02", "--band-s", "-1", "--band-S", "0.5")
+FUEL = ("--n-state", "21", "--n-control", "2", "--basis", "8", "--paths", "8",
+        "--dt", "0.02")
+READ_BY_ALL = {"alpha", "mode", "n_control", "n_state", "problem", "problem_sha256"}
+READ_BY_SOLVE = READ_BY_ALL | {"basis", "max_iter", "tol"}
+READ_BY_LTA_SIM = READ_BY_SOLVE | {"dt", "paths", "seed", "horizon", "burn_in"}
+READ_BY_FUEL_SIM = READ_BY_SOLVE | {"dt", "paths", "seed", "form"}
+ARTIFACT = {"validate": "validate.txt", "solve": "solve.txt", "policy": "policy.txt",
+            "verify": "verify_report.txt", "report": "report.txt",
+            "band-oracle": "band_table.csv"}
+HEADER_CASES = [
+    ("inventory", "validate", (), READ_BY_ALL),
+    ("inventory", "solve", SMALL, READ_BY_SOLVE),
+    ("inventory", "policy", SMALL, READ_BY_SOLVE),
+    ("inventory", "verify", SMALL + SHORT, READ_BY_LTA_SIM),
+    ("inventory", "report", SMALL + SHORT, READ_BY_LTA_SIM),
+    ("finite-fuel", "validate", (), READ_BY_ALL),
+    ("finite-fuel", "solve", FUEL, READ_BY_SOLVE | {"form"}),
+    ("finite-fuel", "verify", FUEL, READ_BY_FUEL_SIM),
+    ("finite-fuel", "report", FUEL, READ_BY_FUEL_SIM),
+    ("inventory", "band-oracle", ONE_BAND,
+     {"alpha", "band_S", "band_s", "dt", "mode", "paths", "problem",
+      "problem_sha256", "seed"}),
+]
+
+
+@pytest.mark.parametrize("problem, mode, extra, keys", HEADER_CASES,
+                         ids=[f"{p}-{m}" for p, m, *_ in HEADER_CASES])
+def test_config_header_holds_the_options_read(tmp_path, problem, mode, extra, keys):
+    code, out = run(tmp_path, *extra, problem=problem, mode=mode)
+    assert code == 0
+    assert config_keys(out / ARTIFACT[mode]) == keys
+
+
+def test_solve_artifact_ignores_seed(tmp_path):
+    texts = []
+    for seed in ("1", "2"):
+        code, out = run(tmp_path / seed, *SMALL, "--seed", seed)
+        assert code == 0
+        texts.append((out / "solve.txt").read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_discounted_verify_has_no_horizon(tmp_path):
+    # A discounted run stops at the discount cutoff: --horizon 1 is not
+    # checked against --dt.
+    code, out = run(tmp_path, "--paths", "16", "--dt", "0.02", "--horizon", "1",
+                    problem="finite-fuel", mode="verify")
+    assert code == 0
+    assert "discounted_cost" in (out / "verify_report.txt").read_text()
+
+
+def test_report_without_band_oracle(tmp_path):
+    # Inventory with a state-dependent drift: the LP and the simulation
+    # apply, the (s, S) band oracle does not.
+    ini = tmp_path / "sloped.ini"
+    ini.write_text(INVENTORY_INI.replace("drift = constant -1",
+                                         "drift = linear -1 -0.1 0"))
+    code, out = run(tmp_path, *SMALL, *SHORT, problem=str(ini), mode="report")
+    assert code == 0
+    text = (out / "report.txt").read_text()
+    assert "## band oracle\nnot applicable: band oracle requires a constant drift\n" \
+        in text
+    assert "lp_vs_oracle_agree" not in text
+    assert "lp_vs_simulation_agree" in text
+
+
+# The names perfbench's traced runs rebind in sclp.cli to time each stage.
+PIPELINE_NAMES = ("build_grid", "assemble_lta_lp", "assemble_discounted_lp", "solve",
+                  "constraint_residual", "marginals_and_kernels", "extract_strict",
+                  "boundary_mass_diagnostic", "simulate", "band_search",
+                  "band_policy_oracle", "validate_conditions", "export_mps",
+                  "parse_mps")
+
+
+def test_stages_call_the_names_cli_imports(tmp_path, monkeypatch):
+    import sclp.cli
+    from sclp.verify import SimConfig
+    calls = {name: [] for name in PIPELINE_NAMES}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in PIPELINE_NAMES:
+        monkeypatch.setattr(sclp.cli, name, counted(name, getattr(sclp.cli, name)))
+    for problem, mode, extra in (
+            ("inventory", "report", SMALL + SHORT),
+            ("finite-fuel", "export-mps", FUEL),
+            ("inventory", "band-oracle", ONE_BAND)):
+        code, _ = run(tmp_path / mode, *extra, problem=problem, mode=mode)
+        assert code == 0
+    assert [name for name in PIPELINE_NAMES if not calls[name]] == []
+    # perfbench counts oracle cycles from band_search's 4th positional argument.
+    assert all(isinstance(args[3], SimConfig) for args in calls["band_search"])

@@ -8,7 +8,6 @@ from sclp.discretize import (NORMALIZED, RESCALED, Grid, GridError,
                              build_grid, constraint_residual, nearest_node)
 from sclp.model import (Criterion, DISCOUNTED, ControlSpace, DomainError,
                         ProblemSpec, eval_Af, eval_Bf)
-from sclp.policy import MeasurePair
 from sclp.problems import finite_fuel_problem, inventory_problem
 
 
@@ -178,8 +177,6 @@ def test_constraint_residual():
     eq, ub = constraint_residual(lp, w)
     assert eq == pytest.approx(1.0)  # mass row violated by empty measure
     assert ub == 0.0
-    pair = MeasurePair(w0=np.zeros(lp.n0), w1=np.zeros(lp.n1))
-    assert constraint_residual(lp, pair) == (eq, ub)
     with pytest.raises(ValueError, match="columns"):
         constraint_residual(lp, np.zeros(3))
 

@@ -108,6 +108,14 @@ def test_sim_config_validation():
         SimConfig(dt=0.01, horizon=10.0, n_paths=0, seed=0)
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, horizon=10.0, n_paths=4, seed=0, burn_in=10.0)
+    with pytest.raises(ValueError):
+        SimConfig(dt=0.0, horizon=None, n_paths=4, seed=0)
+    # Without a horizon, dt and burn_in have nothing to be checked against,
+    # and only a long-term-average simulation needs one.
+    cfg = SimConfig(dt=0.5, horizon=None, n_paths=4, seed=0)
+    p = make_problem(drift=ZERO, diffusion=ONE, c0=ZERO, c1=ZERO)
+    with pytest.raises(ValueError, match="needs a horizon"):
+        simulate(p, idle_policy(p), cfg)
 
 
 def test_band_policy_validation():
