@@ -182,14 +182,9 @@ class _SplineRun:
 
 @dataclass(frozen=True)
 class BasisFamily:
-    """An ordered family of C^2 test functions used for the adjoint rows.
-
-    includes_constant records whether the constant function is a member
-    (by convention it is appended last when present).
-    """
+    """An ordered family of C^2 test functions used for the adjoint rows."""
 
     functions: tuple[C2Function, ...]
-    includes_constant: bool = False
 
     def __len__(self):
         return len(self.functions)
@@ -237,21 +232,17 @@ class BasisFamily:
         return out
 
     @staticmethod
-    def cubic_on_interval(x_lo: float, x_hi: float, n: int,
-                          include_constant: bool = True) -> "BasisFamily":
-        """n uniform cubic B-splines whose supports all lie inside [x_lo, x_hi].
+    def cubic_on_interval(x_lo: float, x_hi: float, n: int) -> "BasisFamily":
+        """n uniform cubic B-splines inside [x_lo, x_hi], then the constant 1.
 
-        Knot spacing h = (x_hi - x_lo) / (n + 3); element j is supported on
-        [x_lo + j h, x_lo + (j + 4) h].
+        Knot spacing h = (x_hi - x_lo) / (n + 3); element j < n is supported
+        on [x_lo + j h, x_lo + (j + 4) h], and element n is f = 1.
         """
         if n < 1:
             raise ValueError("need at least one spline element")
         if not x_lo < x_hi:
             raise ValueError("x_lo must be below x_hi")
         h = (x_hi - x_lo) / (n + 3)
-        elems: list[C2Function] = [
-            CubicBSpline(x_lo + j * h, h, name=f"bspl{j:03d}") for j in range(n)
-        ]
-        if include_constant:
-            elems.append(constant_one())
-        return BasisFamily(tuple(elems), includes_constant=include_constant)
+        splines = tuple(CubicBSpline(x_lo + j * h, h, name=f"bspl{j:03d}")
+                        for j in range(n))
+        return BasisFamily(splines + (constant_one(),))

@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="discounted LP form")
     p.add_argument("--alpha", type=float, default=None,
                    help="override the discount rate of a discounted problem")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=50000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paths", type=int, default=200)
@@ -138,7 +137,7 @@ def _assemble(problem, args):
 
 
 def _solve(lp, args):
-    sol = solve(lp, tol=args.tol, max_iter=args.max_iter)
+    sol = solve(lp, max_iter=args.max_iter)
     if sol.status == simplex.INFEASIBLE:
         if sol.farkas is not None:
             np.savetxt(os.path.join(args.out, "farkas.csv"),
@@ -244,7 +243,7 @@ def _pipeline(args, problem, digest) -> int:
         text = policy.to_text()
         if bad:
             text += f"# non-degenerate nodes (no strict map): {bad}\n"
-        text += f"# boundary mass (10% margin): {boundary_mass_diagnostic(policy, 0.1)!r}\n"
+        text += f"# boundary mass (10% margin): {boundary_mass_diagnostic(policy)!r}\n"
         _write(args, "policy.txt", _config_header(args, digest) + text)
         return EXIT_OK
 
@@ -275,7 +274,7 @@ def _pipeline(args, problem, digest) -> int:
             orc_ok = abs(res.cost - sol.objective) <= max(
                 0.05 * abs(sol.objective), res.half_width)
             lines.append(f"lp_vs_oracle_agree: {'pass' if orc_ok else 'FAIL'}\n")
-    lines.append(f"boundary_mass_10pct: {boundary_mass_diagnostic(policy, 0.1)!r}\n")
+    lines.append(f"boundary_mass_10pct: {boundary_mass_diagnostic(policy)!r}\n")
     _write(args, "report.txt", _config_header(args, digest) + "".join(lines))
     return EXIT_OK
 

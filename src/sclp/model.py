@@ -15,6 +15,9 @@ from typing import Callable
 import numpy as np
 
 
+STATE_TOL = 1e-12  # states this far outside the interval still count as inside
+
+
 class DomainError(ValueError):
     """Evaluation requested outside the truncated state interval."""
 
@@ -41,13 +44,9 @@ class StateSpace:
         if not self.x_lo < self.x_hi:
             raise ValueError(f"state interval is empty: [{self.x_lo}, {self.x_hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.x_hi - self.x_lo
-
-    def contains(self, x, tol: float = 1e-12):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return (x >= self.x_lo - tol) & (x <= self.x_hi + tol)
+        return (x >= self.x_lo - STATE_TOL) & (x <= self.x_hi + STATE_TOL)
 
     def require(self, x):
         """Raise DomainError naming the first state of x outside the interval."""
@@ -284,7 +283,7 @@ def validate_conditions(problem: ProblemSpec, grid) -> ValidationReport:
 
     Never raises; the report carries pass/fail flags per condition.
     """
-    from .basis import C2Function, constant_one
+    from .basis import BasisFamily, C2Function, constant_one
 
     if grid.mu0_atoms.shape[0] == 0:
         raise ValueError("grid has no mu0 atoms")
@@ -314,27 +313,26 @@ def validate_conditions(problem: ProblemSpec, grid) -> ValidationReport:
         msgs.append("neither c1 nor any singular budget function is bounded away "
                     "from 0 on the mu1 atoms")
 
-    # The unit function must be annihilated by both generators exactly.
-    one = constant_one()
-    a1 = eval_Af(problem.gen_a, one, x0, u0)
-    unit_ok = bool(np.all(a1 == 0.0))
-    if x1.size:
-        b1 = eval_Bf(problem.gen_b, one, x1, u1)
-        unit_ok = unit_ok and bool(np.all(b1 == 0.0))
-
-    # Finiteness of generator action on low-order polynomial probes.
-    probes = [
-        C2Function(lambda x: x, lambda x: np.ones_like(x),
-                   lambda x: np.zeros_like(x), name="x"),
+    # Generators on the probes 1, x and x^2 as one family, with eval_Af's and
+    # eval_Bf's arithmetic: the unit must map to exactly 0, x and x^2 to
+    # finite values.
+    probes = BasisFamily((
+        constant_one(),
+        C2Function(lambda x: x, np.ones_like, np.zeros_like, name="x"),
         C2Function(lambda x: x ** 2, lambda x: 2.0 * x,
-                   lambda x: np.full_like(x, 2.0), name="x^2"),
-    ]
-    finite = True
-    for f in probes:
-        finite = finite and bool(np.all(np.isfinite(eval_Af(problem.gen_a, f, x0, u0))))
-        if x1.size:
-            finite = finite and bool(np.all(np.isfinite(
-                eval_Bf(problem.gen_b, f, x1, u1))))
+                   lambda x: np.full_like(x, 2.0), name="x^2")))
+    sig = eval2(problem.gen_a.diffusion, x0, u0)
+    d1, d2 = probes.evaluate(x0, (1, 2))
+    gen = [0.5 * sig * sig * d2 + eval2(problem.gen_a.drift, x0, u0) * d1]
+    if x1.size and problem.gen_b.kind == JUMP:
+        targets = jump_targets(problem.gen_b, x1, u1)
+        (v,) = probes.evaluate(np.concatenate([targets, x1]), (0,))
+        gen.append(v[:, :x1.size] - v[:, x1.size:])
+    elif x1.size:
+        (d1,) = probes.evaluate(x1, (1,))
+        gen.append(eval2(problem.gen_b.direction, x1, u1) * d1)
+    unit_ok = all(bool(np.all(g[0] == 0.0)) for g in gen)
+    finite = all(bool(np.all(np.isfinite(g[1:]))) for g in gen)
     if not finite:
         msgs.append("a generator evaluation is non-finite on the grid")
 

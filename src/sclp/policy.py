@@ -12,6 +12,9 @@ import numpy as np
 
 from .discretize import Grid, nearest_node
 
+DEGENERACY_TOL = 1e-6  # a kernel row is a point mass when its largest p >= 1 - this
+BOUNDARY_MARGIN = 0.1  # share of the state interval at each end checked for mass
+
 
 @dataclass(frozen=True)
 class MeasurePair:
@@ -52,13 +55,19 @@ class FeedbackPolicy:
     """State marginals plus conditional kernels, optionally with a strict map."""
 
     state_nodes: np.ndarray
-    x_lo: float
-    x_hi: float
     mu0_marginal: np.ndarray  # probability weights per state node
     mu1_marginal: np.ndarray  # finite measure per state node
     eta0: Kernel
     eta1: Kernel
     strict: dict[int, float] | None = None
+
+    @property
+    def x_lo(self) -> float:
+        return float(self.state_nodes[0])
+
+    @property
+    def x_hi(self) -> float:
+        return float(self.state_nodes[-1])
 
     def to_text(self) -> str:
         lines = [f"# feedback policy on [{self.x_lo!r}, {self.x_hi!r}]"]
@@ -105,15 +114,12 @@ def marginals_and_kernels(grid: Grid, measures: MeasurePair) -> FeedbackPolicy:
         raise ValueError("mu0 weights are all zero; a probability measure is required")
     mu0_marginal, eta0 = _disintegrate(grid.mu0_atoms, measures.w0, grid.state_nodes)
     mu1_marginal, eta1 = _disintegrate(grid.mu1_atoms, measures.w1, grid.state_nodes)
-    x_lo = float(grid.state_nodes[0])
-    x_hi = float(grid.state_nodes[-1])
-    return FeedbackPolicy(state_nodes=grid.state_nodes.copy(), x_lo=x_lo, x_hi=x_hi,
+    return FeedbackPolicy(state_nodes=grid.state_nodes.copy(),
                           mu0_marginal=mu0_marginal, mu1_marginal=mu1_marginal,
                           eta0=eta0, eta1=eta1)
 
 
-def extract_strict(policy: FeedbackPolicy, degeneracy_tol: float = 1e-6
-                   ) -> tuple[dict[int, float] | None, list[int]]:
+def extract_strict(policy: FeedbackPolicy) -> tuple[dict[int, float] | None, list[int]]:
     """Collapse point-mass kernels to a strict map.
 
     Returns (strict map, non-degenerate node list).  The map is None when
@@ -136,7 +142,7 @@ def extract_strict(policy: FeedbackPolicy, degeneracy_tol: float = 1e-6
         for kern in (policy.eta0, policy.eta1):
             if i in kern.rows:
                 pmax, ustar = kern.prob_max(i)
-                if pmax < 1.0 - degeneracy_tol:
+                if pmax < 1.0 - DEGENERACY_TOL:
                     ok = False
                 picks.append(ustar)
         if ok and len(picks) == 2 and abs(picks[0] - picks[1]) > u_tol:
@@ -148,16 +154,13 @@ def extract_strict(policy: FeedbackPolicy, degeneracy_tol: float = 1e-6
     return (strict if not bad else None), bad
 
 
-def boundary_mass_diagnostic(policy: FeedbackPolicy, margin_fraction: float) -> float:
-    """Mass (mu0 plus normalized mu1) within margin_fraction of either boundary.
+def boundary_mass_diagnostic(policy: FeedbackPolicy) -> float:
+    """Mass (mu0 plus normalized mu1) within BOUNDARY_MARGIN of either boundary.
 
     Monitors the state-space truncation: large values mean the interval was
     chosen too narrow.
     """
-    if not 0.0 < margin_fraction < 0.5:
-        raise ValueError("margin_fraction must lie in (0, 0.5)")
-    width = policy.x_hi - policy.x_lo
-    margin = margin_fraction * width
+    margin = BOUNDARY_MARGIN * (policy.x_hi - policy.x_lo)
     near = ((policy.state_nodes <= policy.x_lo + margin)
             | (policy.state_nodes >= policy.x_hi - margin))
     total0 = float(policy.mu0_marginal.sum())

@@ -28,6 +28,9 @@ UNBOUNDED = "unbounded"
 ITER_LIMIT = "iter_limit"
 NUMERICAL = "numerical"  # the final basis fails an optimality certificate
 
+TOL = 1e-9  # pricing, ratio-test and dual-sign tolerance
+REFACTOR_EVERY = 60  # product-form updates between refactorizations
+
 
 class SingularBasisError(RuntimeError):
     """Basis matrix numerically singular even after refactorization."""
@@ -51,14 +54,12 @@ class LPSolution:
 class _Core:
     """Simplex iterations on a standard-form problem min c.x, A x = b, x >= 0."""
 
-    def __init__(self, a, b, c, basis, tol, refactor_every=60):
+    def __init__(self, a, b, c, basis):
         self.a = a
         self.b = b
         self.c = c
         self.basis = list(basis)
         self.m, self.n = a.shape
-        self.tol = tol
-        self.refactor_every = refactor_every
         self.in_basis = np.zeros(self.n, dtype=bool)
         self.in_basis[self.basis] = True
         self.allowed = np.ones(self.n, dtype=bool)
@@ -92,7 +93,7 @@ class _Core:
         while self.iterations < max_iter:
             red = self.reduced_costs()
             k = self.priced
-            cand = (~self.in_basis[:k]) & self.allowed[:k] & (red < -self.tol)
+            cand = (~self.in_basis[:k]) & self.allowed[:k] & (red < -TOL)
             if not cand.any():
                 return OPTIMAL
             masked = np.where(cand, red, np.inf)
@@ -100,10 +101,10 @@ class _Core:
             d = self.binv @ self.a[:, enter]
             # Pivot eligibility is relative to the column magnitude; tiny
             # pivots produce numerically dependent bases after the update.
-            piv_tol = max(self.tol, 1e-7 * float(np.abs(d).max(initial=0.0)))
+            piv_tol = max(TOL, 1e-7 * float(np.abs(d).max(initial=0.0)))
             pos = d > piv_tol
             if not pos.any():
-                if (d > self.tol).any():
+                if (d > TOL).any():
                     # Only numerically unsafe pivots remain in this column;
                     # skip it rather than corrupt the basis.
                     self.allowed[enter] = False
@@ -111,14 +112,14 @@ class _Core:
                 return UNBOUNDED
             ratios = np.where(pos, self.xb / np.where(pos, d, 1.0), np.inf)
             rmin = ratios.min()
-            ties = np.flatnonzero(ratios <= rmin + self.tol * (1.0 + abs(rmin)))
+            ties = np.flatnonzero(ratios <= rmin + TOL * (1.0 + abs(rmin)))
             # Largest pivot among ties for numerical stability.
             leave_row = int(ties[np.argmax(d[ties])])
 
             self.iterations += 1
             since_refactor += 1
             refactor = (abs(d[leave_row]) < 1e-11
-                        or since_refactor >= self.refactor_every)
+                        or since_refactor >= REFACTOR_EVERY)
             if refactor:
                 since_refactor = 0
             self._pivot(leave_row, enter, d, refactor)
@@ -158,17 +159,16 @@ class _Core:
                 self._pivot(row, enter, self.binv @ self.a[:, enter])
 
 
-def solve(lp: DiscreteLP, tol: float = 1e-9, max_iter: int = 50000) -> LPSolution:
+def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
     """Solve the LP with a two-phase dense revised simplex.
 
     Deterministic: identical inputs give identical pivots and output.
     Exactly equal columns are priced once; later copies get weight 0.
     Inequality rows gain slack variables internally; equilibration scaling
-    is undone on output.  An optimum that fails its certificate (see
-    _certificate_failure) is returned as NUMERICAL.
+    is undone on output.  Pricing and ratio tests use the tolerance TOL.
+    An optimum that fails its certificate (see _certificate_failure) is
+    returned as NUMERICAL; max_iter bounds the pivots of both phases.
     """
-    if not 1e-12 <= tol <= 1e-6:
-        raise ValueError("tol must lie in [1e-12, 1e-6]")
     n = lp.n_cols
     me, mu = lp.b_eq.size, lp.b_ub.size
     m = me + mu
@@ -208,11 +208,11 @@ def solve(lp: DiscreteLP, tol: float = 1e-9, max_iter: int = 50000) -> LPSolutio
 
     # Phase 1 minimizes the sum of the artificials.
     core = _Core(a, b, np.concatenate([np.zeros(ncols), np.ones(m)]),
-                 basis=range(ncols, ncols + m), tol=tol)
+                 basis=range(ncols, ncols + m))
     status = core.run(max_iter)
     if status == ITER_LIMIT:
         return _no_solution(lp, ITER_LIMIT, core.iterations)
-    feas_tol = max(1e-8, tol * 10) * (1.0 + float(np.abs(b).sum()))
+    feas_tol = max(1e-8, TOL * 10) * (1.0 + float(np.abs(b).sum()))
     if core.objective() > feas_tol:
         # Farkas certificate from the phase-1 duals, mapped to original rows.
         y = core.duals()
@@ -237,7 +237,7 @@ def solve(lp: DiscreteLP, tol: float = 1e-9, max_iter: int = 50000) -> LPSolutio
     x = np.zeros(n)
     x[keep] = np.maximum(x_s[:k] * cscale[:k], 0.0)
     y = core.duals() * rscale * flip
-    failure = _certificate_failure(lp, x, y[:me], y[me:], tol)
+    failure = _certificate_failure(lp, x, y[:me], y[me:])
     if failure:
         log.info("numerical: %s after %d iterations", failure, iters)
         return _no_solution(lp, NUMERICAL, iters)
@@ -265,12 +265,12 @@ def _first_copies(lp: DiscreteLP) -> np.ndarray:
     return np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
 
 
-def _certificate_failure(lp, x, y_eq, y_ub, tol) -> str | None:
+def _certificate_failure(lp, x, y_eq, y_ub) -> str | None:
     """The first optimality certificate that x and y fail on lp, or None.
 
     Primal: equality residual and budget violation at most 1e-8.  Dual:
-    inequality duals at most tol, and every structural reduced cost
-    c_j - a_j.y at least -(tol * scale_j + 1e-12 max|y| sum_i |a_ij|).
+    inequality duals at most TOL, and every structural reduced cost
+    c_j - a_j.y at least -(TOL * scale_j + 1e-12 max|y| sum_i |a_ij|).
     scale_j = |c_j| + |a_j|.|y| is the magnitude of the terms that cancel
     in the reduced cost; the second term allows for roundoff in the duals
     themselves.  Gap: |c.x - b.y| at most 1e-8 (1 + |c.x|).
@@ -280,18 +280,18 @@ def _certificate_failure(lp, x, y_eq, y_ub, tol) -> str | None:
         return f"equality residual {eq!r}"
     if ub > 1e-8:
         return f"budget row violated by {ub!r}"
-    if np.any(y_ub > tol):
+    if np.any(y_ub > TOL):
         return f"inequality dual of the wrong sign {float(y_ub.max())!r}"
     y_abs = np.abs(np.concatenate([y_eq, y_ub]))
     roundoff = 1e-12 * float(y_abs.max(initial=0.0))
-    slack = tol * np.abs(lp.c)
+    slack = TOL * np.abs(lp.c)
     # Row by row, so no temporary as large as the constraint matrix.
     for w, row in zip(y_abs, [*lp.a_eq, *lp.a_ub]):
-        slack += (tol * w + roundoff) * np.abs(row)
+        slack += (TOL * w + roundoff) * np.abs(row)
     reduced = lp.c - y_eq @ lp.a_eq - y_ub @ lp.a_ub
     worst = float((reduced + slack).min(initial=0.0))
     if worst < 0.0:
-        return f"reduced cost below -tol*scale by {worst!r}"
+        return f"reduced cost below -TOL*scale by {worst!r}"
     primal = float(lp.c @ x)
     gap = abs(primal - float(lp.b_eq @ y_eq + lp.b_ub @ y_ub))
     if gap > 1e-8 * (1.0 + abs(primal)):
@@ -318,13 +318,13 @@ def _fmt(v: float) -> str:
     return "%.17g" % v
 
 
-def export_mps(lp: DiscreteLP, name: str | None = None) -> str:
+def export_mps(lp: DiscreteLP) -> str:
     """Serialize the LP to MPS text with ROWS/COLUMNS/RHS/BOUNDS sections.
 
-    The NAME line carries name, by default the LP's own name.
+    The NAME line carries lp.name.
     """
     cols = lp.column_names()
-    lines = [f"NAME          {lp.name if name is None else name}"]
+    lines = [f"NAME          {lp.name}"]
     lines.append("ROWS")
     lines.append(" N  COST")
     for lab in lp.eq_labels:

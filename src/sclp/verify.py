@@ -5,8 +5,8 @@ committed singular-action semantics.  Each step is one shared Euler step
 (_euler_step) under the absolutely continuous control (_Control), then the
 singular action of the problem's kind: jump problems act when the state
 crosses into the singular support from above (_jump_action, band
-behaviour); gradient problems reflect the state at each support cluster's
-mu1 mean (_gradient_action).  Per-path cost, budget and martingale sums
+behaviour); gradient problems reflect at the two support clusters around
+the mu0 mode (_gradient_action).  Per-path cost, budget and martingale sums
 live in _Accumulators.  Budgets hold in mean, as the LP's budget rows do:
 singular action never stops on a path.  simulate() reports cost and budget
 estimates with confidence intervals, martingale residuals for the supplied
@@ -38,6 +38,7 @@ from .model import DISCOUNTED, JUMP, ProblemSpec, eval2
 from .policy import FeedbackPolicy
 
 DISCOUNT_CUTOFF = 1e-8
+SUPPORT_TOL = 1e-7  # mu1 share below which a node is not in the singular support
 
 
 class SimulationError(RuntimeError):
@@ -179,12 +180,12 @@ def _cluster_node(nodes: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndar
     return np.minimum(np.maximum(nearest_node(nodes, x), lo), hi)
 
 
-def _support_clusters(policy: FeedbackPolicy, rel_tol: float = 1e-7):
+def _support_clusters(policy: FeedbackPolicy):
     """Index clusters of the mu1 support (adjacent covered state nodes)."""
     total = float(policy.mu1_marginal.sum())
     if total <= 0:
         return []
-    sig = np.flatnonzero(policy.mu1_marginal > rel_tol * total)
+    sig = np.flatnonzero(policy.mu1_marginal > SUPPORT_TOL * total)
     sig = np.array([i for i in sig if i in policy.eta1.rows], dtype=int)
     if sig.size == 0:
         return []
@@ -374,16 +375,20 @@ def _gradient_action(problem, barriers, sampler, acc, rng, x, x_new, wc):
 
 
 def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
-    """(edge value, outer node, side) of each cluster that pushes outward.
+    """(edge value, outer node, side) of the two barriers around the mu0 mode.
 
     side -1 pushes down from the top, +1 pushes up from the bottom, as the
     direction of the outer node's most likely control says.  The edge sits
     at the mu1-weighted mean of the cluster's nodes: the LP spreads the
     push over the nodes that bracket that point.  At the outer node, Euler
-    overshoot would carry paths past the end of the support.
+    overshoot would carry paths past the end of the support.  Only the
+    highest up-pushing edge at or below the mode and the lowest
+    down-pushing edge at or above it reflect: paths between them never
+    reach the clusters beyond.
     """
     nodes, eta1, mu1 = policy.state_nodes, policy.eta1, policy.mu1_marginal
     direction = problem.gen_b.direction
+    mode = nodes[int(np.argmax(policy.mu0_marginal))]
     barriers = []
     for lo, hi in clusters:
         w = mu1[lo:hi + 1]
@@ -392,7 +397,9 @@ def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
             barriers.append((edge, hi, -1))
         elif float(eval2(direction, nodes[lo], eta1.prob_max(lo)[1])) > 0:
             barriers.append((edge, lo, +1))
-    return barriers
+    up = [b for b in barriers if b[2] > 0 and b[0] <= mode]
+    down = [b for b in barriers if b[2] < 0 and b[0] >= mode]
+    return up[-1:] + down[:1]
 
 
 def _singular_action(problem: ProblemSpec, policy: FeedbackPolicy, clusters):

@@ -67,17 +67,16 @@ def test_derivatives_match_finite_differences(s, h, t0):
 
 
 def test_partition_of_unity_in_interior():
-    fam = BasisFamily.cubic_on_interval(0.0, 10.0, 17, include_constant=False)
+    splines = BasisFamily.cubic_on_interval(0.0, 10.0, 17).functions[:-1]
     h = 10.0 / 20
     x = np.linspace(3 * h, 10.0 - 3 * h, 101)
-    total = sum(f.value(x) for f in fam.functions)
+    total = sum(f.value(x) for f in splines)
     assert np.allclose(total, 1.0, atol=1e-12)
 
 
 def test_family_layout():
     fam = BasisFamily.cubic_on_interval(-1.0, 1.0, 5)
     assert len(fam) == 6
-    assert fam.includes_constant
     assert fam.functions[-1].name == "1"
     for f in fam.functions[:-1]:
         lo, hi = f.support
@@ -115,13 +114,13 @@ def test_family_evaluate_matches_members(n):
 
 def test_family_evaluate_constant_only_and_irregular_members():
     x = np.linspace(-3.0, 3.0, 61)
-    _assert_rows_match_members(BasisFamily((constant_one(),), includes_constant=True), x)
+    _assert_rows_match_members(BasisFamily((constant_one(),)), x)
     # Splines of unequal spacing, out of order, between other members: each
     # is evaluated on its own.
     quad = C2Function(lambda x: x ** 2, lambda x: 2.0 * x,
                       lambda x: np.full_like(x, 2.0), name="x^2")
     fam = BasisFamily((CubicBSpline(0.5, 0.25), quad, CubicBSpline(-2.0, 1.0),
-                       constant_one()), includes_constant=True)
+                       constant_one()))
     _assert_rows_match_members(fam, x)
     # A uniform run in reverse order, the constant first: evaluated together.
     uniform = BasisFamily.cubic_on_interval(-3.0, 3.0, 9)

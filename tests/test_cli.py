@@ -260,7 +260,7 @@ ONE_BAND = ("--paths", "8", "--dt", "0.02", "--band-s", "-1", "--band-S", "0.5")
 FUEL = ("--n-state", "21", "--n-control", "2", "--basis", "8", "--paths", "8",
         "--dt", "0.02")
 READ_BY_ALL = {"alpha", "mode", "n_control", "n_state", "problem", "problem_sha256"}
-READ_BY_SOLVE = READ_BY_ALL | {"basis", "max_iter", "tol"}
+READ_BY_SOLVE = READ_BY_ALL | {"basis", "max_iter"}
 READ_BY_LTA_SIM = READ_BY_SOLVE | {"dt", "paths", "seed", "horizon", "burn_in"}
 READ_BY_FUEL_SIM = READ_BY_SOLVE | {"dt", "paths", "seed", "form"}
 ARTIFACT = {"validate": "validate.txt", "solve": "solve.txt", "policy": "policy.txt",
@@ -288,6 +288,19 @@ def test_config_header_holds_the_options_read(tmp_path, problem, mode, extra, ke
     code, out = run(tmp_path, *extra, problem=problem, mode=mode)
     assert code == 0
     assert config_keys(out / ARTIFACT[mode]) == keys
+
+
+def test_every_option_is_read_by_some_mode():
+    # An option that no header case records is read by no mode.
+    from sclp.cli import build_parser
+    dests = {a.dest for a in build_parser()._actions} - {"help", "out"}
+    recorded = set().union(*(keys for *_, keys in HEADER_CASES))
+    assert recorded == dests | {"problem_sha256"}
+
+
+def test_tol_option_is_gone(tmp_path):
+    code, _ = run(tmp_path, *SMALL, "--tol", "1e-9")
+    assert code == 4
 
 
 def test_solve_artifact_ignores_seed(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sclp.basis import BasisFamily
+from sclp.basis import BasisFamily, constant_one
 from sclp.discretize import (NORMALIZED, RESCALED, Grid, GridError,
                              assemble_discounted_lp, assemble_lta_lp,
                              build_grid, constraint_residual, nearest_node)
@@ -18,15 +18,14 @@ def test_build_grid_shapes():
     assert g.state_nodes.size == 11
     # Jump targets above x_hi are dropped from the mu1 atom set.
     assert g.n1 < g.n0
-    assert g.n_dropped_jump_atoms == g.n0 - g.n1
-    targets = g.mu1_atoms[:, 0] + g.mu1_atoms[:, 1]
-    assert np.all(targets <= p.state.x_hi + 1e-12)
+    inside = g.mu0_atoms[:, 0] + g.mu0_atoms[:, 1] <= p.state.x_hi + 1e-12
+    assert np.array_equal(g.mu1_atoms, g.mu0_atoms[inside])
 
 
 def test_build_grid_single_control_uses_midpoint():
     p = inventory_problem(u_hi=8.0)
     g = build_grid(p, 5, 1)
-    assert np.allclose(g.control_nodes, [4.0])
+    assert np.all(g.mu0_atoms[:, 1] == 4.0)
 
 
 def test_build_grid_validation():
@@ -114,14 +113,13 @@ def test_jump_target_outside_interval_rejected():
     g = build_grid(p, 11, 3)
     # Keep every mu1 atom, including those whose jump leaves [x_lo, x_hi].
     g = Grid(mu0_atoms=g.mu0_atoms, mu1_atoms=g.mu0_atoms.copy(),
-             state_nodes=g.state_nodes, control_nodes=g.control_nodes)
+             state_nodes=g.state_nodes)
     b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 4)
     with pytest.raises(DomainError, match="jump target"):
         assemble_lta_lp(p, g, b)
     # So do atoms off the state interval.
     off = g.mu0_atoms + np.array([100.0, 0.0])
-    g = Grid(mu0_atoms=off, mu1_atoms=g.mu1_atoms[:0],
-             state_nodes=g.state_nodes, control_nodes=g.control_nodes)
+    g = Grid(mu0_atoms=off, mu1_atoms=g.mu1_atoms[:0], state_nodes=g.state_nodes)
     with pytest.raises(DomainError, match="outside"):
         assemble_lta_lp(p, g, b)
 
@@ -129,8 +127,7 @@ def test_jump_target_outside_interval_rejected():
 def test_min_basis_size():
     p = inventory_problem()
     g = build_grid(p, 11, 3)
-    b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 1,
-                                      include_constant=False)
+    b = BasisFamily((constant_one(),))
     with pytest.raises(ValueError, match="at least 2"):
         assemble_lta_lp(p, g, b)
 

@@ -154,3 +154,55 @@ def test_eval2_same_value_shape_dtype_and_aliasing(case):
     for arg in (x, u):
         if isinstance(arg, np.ndarray):
             assert np.shares_memory(got, arg) == np.shares_memory(want, arg)
+
+
+def _counted(fn, calls, name):
+    def wrapper(x, u):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(x, u)
+    return wrapper
+
+
+def _nan_above(fn, level):
+    return lambda x, u: np.where(np.asarray(x) > level, np.nan, fn(x, u))
+
+
+@pytest.mark.parametrize("case", ["inventory", "fuel", "nan_diffusion", "nan_drift",
+                                  "nan_displacement", "nan_direction"])
+def test_validate_conditions_probes_match_eval_af_bf(case):
+    # Flags as eval_Af/eval_Bf give them probe by probe, with every problem
+    # callable evaluated once.
+    p = finite_fuel_problem() if case in ("fuel", "nan_direction") else inventory_problem()
+    gen_a, gen_b = p.gen_a, p.gen_b
+    if case == "nan_diffusion":
+        gen_a = GeneratorA(drift=gen_a.drift, diffusion=_nan_above(gen_a.diffusion, 2.0))
+    elif case == "nan_drift":
+        gen_a = GeneratorA(drift=_nan_above(gen_a.drift, -5.0), diffusion=gen_a.diffusion)
+    elif case == "nan_displacement":
+        gen_b = GeneratorB(kind=JUMP, displacement=_nan_above(gen_b.displacement, 0.0))
+    elif case == "nan_direction":
+        gen_b = GeneratorB(kind=GRADIENT, direction=_nan_above(gen_b.direction, 0.5))
+    grid = build_grid(p, 21, 2)
+    x0, u0 = grid.mu0_atoms[:, 0], grid.mu0_atoms[:, 1]
+    x1, u1 = grid.mu1_atoms[:, 0], grid.mu1_atoms[:, 1]
+    lin = C2Function(lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x))
+    unit = (np.all(eval_Af(gen_a, constant_one(), x0, u0) == 0.0)
+            and np.all(eval_Bf(gen_b, constant_one(), x1, u1) == 0.0))
+    finite = all(np.all(np.isfinite(ev(gen, f, x, u)))
+                 for f in (lin, QUAD)
+                 for ev, gen, x, u in ((eval_Af, gen_a, x0, u0), (eval_Bf, gen_b, x1, u1)))
+    calls = {}
+    counted = {k: _counted(getattr(gen_a, k), calls, k) for k in ("drift", "diffusion")}
+    gen_a = GeneratorA(**counted)
+    key = "displacement" if gen_b.kind == JUMP else "direction"
+    gen_b = GeneratorB(kind=gen_b.kind, **{key: _counted(getattr(gen_b, key), calls, key)})
+    rep = validate_conditions(ProblemSpec(state=p.state, control=p.control, gen_a=gen_a,
+                                          gen_b=gen_b, costs=p.costs,
+                                          criterion=p.criterion), grid)
+    assert (rep.unit_annihilated, rep.generators_finite) == (unit, finite)
+    assert rep.passed == (unit and finite)
+    assert calls == {"drift": 1, "diffusion": 1, key: 1}
+    if case in ("inventory", "fuel"):
+        assert unit and finite
+    else:
+        assert not finite

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def test_export_idempotent():
 
 def test_sections_present():
     lp = next(iter(small_lps()))
-    text = export_mps(lp, name="CHECK")
+    text = export_mps(replace(lp, name="CHECK"))
     lines = text.splitlines()
     assert lines[0].startswith("NAME") and "CHECK" in lines[0]
     for section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
@@ -78,7 +80,8 @@ def test_roundtrip_keeps_the_lp_name(idx):
 
 def test_name_with_spaces_roundtrips():
     lp = next(iter(small_lps()))
-    assert parse_mps(export_mps(lp, name="my inventory:lta")).name == "my inventory:lta"
+    text = export_mps(replace(lp, name="my inventory:lta"))
+    assert parse_mps(text).name == "my inventory:lta"
 
 
 RHS_TEXT = ("NAME x\nROWS\n N  COST\n E  R1\nCOLUMNS\n"

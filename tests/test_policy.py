@@ -14,8 +14,7 @@ def toy_grid():
     controls = np.array([0.0, 1.0])
     xx, uu = np.meshgrid(nodes, controls, indexing="ij")
     atoms = np.column_stack([xx.ravel(), uu.ravel()])
-    return Grid(mu0_atoms=atoms, mu1_atoms=atoms.copy(), state_nodes=nodes,
-                control_nodes=controls)
+    return Grid(mu0_atoms=atoms, mu1_atoms=atoms.copy(), state_nodes=nodes)
 
 
 def test_measure_pair_validation():
@@ -97,9 +96,7 @@ def test_boundary_mass_uniform():
     w0[::2] = 0.2  # uniform over the 5 state nodes at u = 0
     pol = marginals_and_kernels(g, MeasurePair(w0=w0, w1=np.zeros(g.n1)))
     # margin 0.1 of width 1 catches exactly the two end nodes.
-    assert boundary_mass_diagnostic(pol, 0.1) == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        boundary_mass_diagnostic(pol, 0.6)
+    assert boundary_mass_diagnostic(pol) == pytest.approx(0.4)
 
 
 def test_lp_solution_roundtrip():
@@ -114,4 +111,4 @@ def test_lp_solution_roundtrip():
     assert pol.mu0_marginal.sum() == pytest.approx(1.0, abs=1e-8)
     # Singular mass exists (the drift forces reordering).
     assert pol.mu1_marginal.sum() > 0.01
-    assert boundary_mass_diagnostic(pol, 0.1) < 0.05
+    assert boundary_mass_diagnostic(pol) < 0.05

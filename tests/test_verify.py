@@ -14,8 +14,8 @@ from sclp.policy import (Kernel, MeasurePair, extract_strict,
 from sclp.problems import finite_fuel_problem, inventory_problem
 from sclp.simplex import solve
 from sclp.verify import (BandPolicy, SimConfig, SimulationError, _cluster_node,
-                         _KernelSampler, band_policy_oracle, band_search,
-                         simulate)
+                         _gradient_barriers, _KernelSampler, _support_clusters,
+                         band_policy_oracle, band_search, simulate)
 
 
 def make_problem(drift, diffusion, c0, c1, x_lo=-2.0, x_hi=2.0):
@@ -69,7 +69,7 @@ def test_constant_test_function_residual_exactly_zero():
     b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 8)
     sol = solve(assemble_lta_lp(p, grid, b))
     pol = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
-    fam = BasisFamily((constant_one(),), includes_constant=True)
+    fam = BasisFamily((constant_one(),))
     rep = simulate(p, pol, SimConfig(dt=0.01, horizon=5.0, n_paths=4, seed=1),
                    basis=fam)
     e = rep.martingale_residuals[0]
@@ -243,8 +243,7 @@ def test_report_serialization():
 def _wrapped(fam):
     """The same test functions as plain C2Functions: evaluated one by one."""
     return BasisFamily(tuple(C2Function(f.value, f.d1, f.d2, name=f.name)
-                             for f in fam.functions),
-                       includes_constant=fam.includes_constant)
+                             for f in fam.functions))
 
 
 def _lp_policy(p, n_state, n_control, n_basis, assemble):
@@ -313,10 +312,38 @@ def test_finite_fuel_sandwich():
     assert rep.truncation_events == 0
 
 
+@pytest.mark.parametrize("kwargs, n_control, n_basis, want", [
+    # 13 support clusters, 12 of them pushing down: only the two around the
+    # mu0 mode reflect.
+    (dict(alpha=2.0, x_lo=-8.0, x_hi=8.0), 11, 12, [(-0.8, 18, 1), (0.0, 20, -1)]),
+    ({}, 2, 12, [(-0.471357, 17, 1), (0.471357, 23, -1)]),
+    ({}, 2, 16, [(-0.467868, 17, 1), (0.467868, 23, -1)]),
+])
+def test_gradient_barriers_enclose_the_mu0_mode(kwargs, n_control, n_basis, want):
+    p = finite_fuel_problem(**kwargs)
+    pol, _ = _lp_policy(p, 41, n_control, n_basis, assemble_discounted_lp)
+    barriers = _gradient_barriers(p, pol, _support_clusters(pol))
+    assert [(o, s) for _, o, s in barriers] == [(o, s) for _, o, s in want]
+    assert [e for e, _, _ in barriers] == pytest.approx([e for e, _, _ in want],
+                                                        abs=1e-6)
+
+
+def test_alpha_2_fuel_keeps_its_cap_in_mean():
+    # The lowest down-pushing cluster (-6.4) no longer catches every path:
+    # discounted fuel is within its cap of 1 in mean, not 275.
+    p = finite_fuel_problem(alpha=2.0, x_lo=-8.0, x_hi=8.0)
+    pol, _ = _lp_policy(p, 41, 11, 12, assemble_discounted_lp)
+    rep = simulate(p, pol, SimConfig(dt=0.02, horizon=10.0, n_paths=64, seed=0))
+    fuel = rep.budgets[0]
+    assert fuel.value - fuel.half_width <= p.costs.budgets[0].cap
+    assert rep.truncation_events == 0
+
+
 # ---------------------------------------------------------------------------
 # The random stream of simulate(), pinned: one run per singular action and
 # control kind, recorded before the simulator was split by singular kind.
-# gradient_budget was recorded again once budgets held only in mean.
+# gradient_budget was recorded again once budgets held only in mean, and
+# again once only the two barriers around the mu0 mode reflected.
 # Any change to the order or size of the draws, or to the arithmetic of an
 # update, shows up here and must be deliberate.
 
@@ -393,17 +420,17 @@ PINNED = {
     "gradient_budget": (
         (
             "name,estimate,half_width,n\n"
-            "discounted_cost,-108.2120002708244,0.5023061961316807,16\n"
-            "budget_fuel,275.0117636474635,0.2897202688359867,16\n"
-            "mart[bspl000],1.0498595006914537,1.2531335199229041,16\n"
-            "mart[bspl001],-5.642381870371457,0.13883315037679153,16\n"
-            "mart[bspl002],5.833837349901039,0.6836880158372085,16\n"
-            "mart[bspl003],-1.5218789062499969,0.0,16\n"
-            "mart[bspl004],-0.09516796875000061,0.0,16\n"
+            "discounted_cost,0.32591937943310384,0.06864291477964186,16\n"
+            "budget_fuel,0.5494821674740578,0.13157284200172514,16\n"
+            "mart[bspl000],0.00041462408240009564,0.00013798572209136581,16\n"
+            "mart[bspl001],-0.03812979901066159,0.22671836710972396,16\n"
+            "mart[bspl002],-0.2347611121862217,0.40205165666374454,16\n"
+            "mart[bspl003],0.23661801130928564,0.5155967451960703,16\n"
+            "mart[bspl004],0.03585827580519532,0.06696955891765764,16\n"
             "mart[bspl005],0.0,0.0,16\n"
             "mart[1],0.0,0.0,16\n"
         ),
-        (None, 0, 7376, 0, True, 16),
+        (None, 0, 7376, 3051, True, 1),
     ),
     "jump_kernel": (
         (
