@@ -24,21 +24,24 @@ def refinement_table(problem, levels, n_basis):
     basis = BasisFamily.cubic_on_interval(problem.state.x_lo,
                                           problem.state.x_hi, n_basis)
     print(f"\n{problem.name}: refinement with {n_basis} splines")
-    print(f"{'n_state':>8} {'n_control':>10} {'objective':>12} {'iters':>6}")
+    print(f"{'n_state':>8} {'n_control':>10} {'objective':>12} {'cols':>6} {'iters':>6}")
     for ns, nc in levels:
-        sol = solve(assemble(problem, build_grid(problem, ns, nc), basis))
-        print(f"{ns:>8} {nc:>10} {sol.objective:>12.6f} {sol.iterations:>6}")
+        lp = assemble(problem, build_grid(problem, ns, nc), basis)
+        sol = solve(lp)
+        print(f"{ns:>8} {nc:>10} {sol.objective:>12.6f} {lp.n_cols:>6} "
+              f"{sol.iterations:>6}")
 
 
 def fuel_sweep(caps, n_basis):
     print(f"\nfinite fuel: cap sweep with {n_basis} splines")
-    print(f"{'cap':>8} {'objective':>12}")
+    print(f"{'cap':>8} {'objective':>12} {'cols':>6}")
     for cap in caps:
         problem = finite_fuel_problem(fuel=cap)
         basis = BasisFamily.cubic_on_interval(problem.state.x_lo,
                                               problem.state.x_hi, n_basis)
-        sol = solve(assemble(problem, build_grid(problem, 41, 2), basis))
-        print(f"{cap:>8.2f} {sol.objective:>12.6f}")
+        lp = assemble(problem, build_grid(problem, 41, 2), basis)
+        sol = solve(lp)
+        print(f"{cap:>8.2f} {sol.objective:>12.6f} {lp.n_cols:>6}")
 
 
 def main():

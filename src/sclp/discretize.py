@@ -26,7 +26,10 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Atom sets for the two occupation measures plus the distinct state nodes."""
+    """Atom sets for the two occupation measures plus the distinct state nodes.
+
+    No two mu0 atoms at a state node give equal LP columns (see build_grid).
+    """
 
     mu0_atoms: np.ndarray  # (n0, 2) columns (x, u)
     mu1_atoms: np.ndarray  # (n1, 2)
@@ -48,11 +51,32 @@ def nearest_node(nodes: np.ndarray, x) -> np.ndarray:
     return np.where(np.abs(nodes[left] - x) <= np.abs(nodes[idx] - x), left, idx)
 
 
-def build_grid(problem: ProblemSpec, n_state: int, n_control: int) -> Grid:
-    """Uniform product grid of admissible atoms.
+def _first_copies(rows) -> np.ndarray:
+    """The lowest index of each group of equal columns, increasing.
 
-    Jump problems additionally drop mu1 atoms whose jump target leaves the
-    state interval.
+    rows is a list of equal-length value rows; column j holds the j-th entry
+    of each.  Columns are equal when they agree entry by entry: 0.0 and -0.0
+    agree, one ulp does not, and NaN matches nothing.  A lexicographic sort
+    of the column indices by the rows puts equal columns next to each other,
+    and neighbours are then compared row by row.
+    """
+    order = np.lexsort(rows)
+    starts = np.zeros(order.size, dtype=bool)  # sorted position opens a group
+    starts[:1] = True
+    for row in rows:
+        sorted_row = row[order]
+        starts[1:] |= sorted_row[1:] != sorted_row[:-1]
+    return np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
+
+
+def build_grid(problem: ProblemSpec, n_state: int, n_control: int) -> Grid:
+    """Uniform product grid of admissible atoms, without equal mu0 columns.
+
+    mu1 holds every admissible atom; jump problems drop those whose jump
+    target leaves the state interval.  A mu0 column reads only x, drift,
+    diffusion, c0 and the budget densities g at its atom, so of each group
+    of admissible atoms on which these values are exactly equal, mu0 keeps
+    the lowest-control one.
     """
     if n_state < 3:
         raise GridError("n_state must be at least 3")
@@ -70,16 +94,18 @@ def build_grid(problem: ProblemSpec, n_state: int, n_control: int) -> Grid:
     for i, x in enumerate(state_nodes):
         if not admissible[i].any():
             raise GridError(f"no admissible control at state node x={x!r}")
-    mu0_atoms = np.column_stack([xx[admissible], uu[admissible]])
+    x, u = xx[admissible], uu[admissible]
+    atoms = np.column_stack([x, u])
 
-    mu1_atoms = mu0_atoms
+    reads = [problem.gen_a.drift, problem.gen_a.diffusion, problem.costs.c0,
+             *(bud.g for bud in problem.costs.budgets)]
+    first = _first_copies([x, *(eval2(fn, x, u) for fn in reads)])
+    log.info("kept %d of %d mu0 atoms", first.size, x.size)
+
+    mu1_atoms = atoms
     if problem.gen_b.kind == JUMP:
-        targets = mu0_atoms[:, 0] + eval2(problem.gen_b.displacement,
-                                          mu0_atoms[:, 0], mu0_atoms[:, 1])
-        mu1_atoms = mu0_atoms[st.contains(targets)]
-
-    return Grid(mu0_atoms=mu0_atoms, mu1_atoms=mu1_atoms.copy(),
-                state_nodes=state_nodes)
+        mu1_atoms = atoms[st.contains(jump_targets(problem.gen_b, x, u))]
+    return Grid(mu0_atoms=atoms[first], mu1_atoms=mu1_atoms, state_nodes=state_nodes)
 
 
 @dataclass(frozen=True)

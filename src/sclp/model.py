@@ -315,7 +315,7 @@ def validate_conditions(problem: ProblemSpec, grid) -> ValidationReport:
 
     # Generators on the probes 1, x and x^2 as one family, with eval_Af's and
     # eval_Bf's arithmetic: the unit must map to exactly 0, x and x^2 to
-    # finite values.
+    # finite values; inf * 0 or inf - inf fails them without a warning.
     probes = BasisFamily((
         constant_one(),
         C2Function(lambda x: x, np.ones_like, np.zeros_like, name="x"),
@@ -323,14 +323,15 @@ def validate_conditions(problem: ProblemSpec, grid) -> ValidationReport:
                    lambda x: np.full_like(x, 2.0), name="x^2")))
     sig = eval2(problem.gen_a.diffusion, x0, u0)
     d1, d2 = probes.evaluate(x0, (1, 2))
-    gen = [0.5 * sig * sig * d2 + eval2(problem.gen_a.drift, x0, u0) * d1]
-    if x1.size and problem.gen_b.kind == JUMP:
-        targets = jump_targets(problem.gen_b, x1, u1)
-        (v,) = probes.evaluate(np.concatenate([targets, x1]), (0,))
-        gen.append(v[:, :x1.size] - v[:, x1.size:])
-    elif x1.size:
-        (d1,) = probes.evaluate(x1, (1,))
-        gen.append(eval2(problem.gen_b.direction, x1, u1) * d1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gen = [0.5 * sig * sig * d2 + eval2(problem.gen_a.drift, x0, u0) * d1]
+        if x1.size and problem.gen_b.kind == JUMP:
+            targets = jump_targets(problem.gen_b, x1, u1)
+            (v,) = probes.evaluate(np.concatenate([targets, x1]), (0,))
+            gen.append(v[:, :x1.size] - v[:, x1.size:])
+        elif x1.size:
+            (d1,) = probes.evaluate(x1, (1,))
+            gen.append(eval2(problem.gen_b.direction, x1, u1) * d1)
     unit_ok = all(bool(np.all(g[0] == 0.0)) for g in gen)
     finite = all(bool(np.all(np.isfinite(g[1:]))) for g in gen)
     if not finite:

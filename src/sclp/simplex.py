@@ -3,12 +3,8 @@
 Designed for the assembled measure LPs: few rows (one per test function
 plus mass/budget rows), many columns (one per atom).  One core runs both
 phases: Dantzig pricing with lowest-index ties, largest pivot among
-ratio-test ties.  Exactly equal structural columns are priced once: the
-core sees the first column of each group, and the others get weight 0
-(the duplicate-column step of LP presolve; Andersen and Andersen 1995,
-Presolving in linear programming).  Row/column equilibration is applied
-before solving and undone on output.  Optima are checked on the original
-LP before return.
+ratio-test ties.  Row/column equilibration is applied before solving and
+undone on output.  Optima are checked on the original LP before return.
 """
 from __future__ import annotations
 
@@ -163,7 +159,6 @@ def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
     """Solve the LP with a two-phase dense revised simplex.
 
     Deterministic: identical inputs give identical pivots and output.
-    Exactly equal columns are priced once; later copies get weight 0.
     Inequality rows gain slack variables internally; equilibration scaling
     is undone on output.  Pricing and ratio tests use the tolerance TOL.
     An optimum that fails its certificate (see _certificate_failure) is
@@ -172,23 +167,18 @@ def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
     n = lp.n_cols
     me, mu = lp.b_eq.size, lp.b_ub.size
     m = me + mu
-    # Copies of a column change no row maximum, and Dantzig's lowest-index
-    # rule would enter the first copy anyway: only first copies are priced.
-    keep = _first_copies(lp)
-    k = keep.size
-    log.info("priced %d of %d columns", k, n)
-    ncols = k + mu
-    # Kept structural and slack columns, then one artificial per row for
-    # phase 1.  The matrix is built once, row by row, and scaled in place:
-    # it is the largest array.
+    ncols = n + mu
+    # Structural and slack columns, then one artificial per row for
+    # phase 1.  The matrix is built once and scaled in place: it is the
+    # largest array.
     a = np.zeros((m, ncols + m))
-    for i, row in enumerate([*lp.a_eq, *lp.a_ub]):
-        a[i, :k] = row[keep]
-    a[me:, k:ncols] = np.eye(mu)
+    a[:me, :n] = lp.a_eq
+    a[me:, :n] = lp.a_ub
+    a[me:, n:ncols] = np.eye(mu)
     a[:, ncols:] = np.eye(m)
     a_s = a[:, :ncols]
     b = np.concatenate([lp.b_eq, lp.b_ub])
-    c = np.concatenate([lp.c[keep], np.zeros(mu)])
+    c = np.concatenate([lp.c, np.zeros(mu)])
 
     # Equilibration: rows then columns scaled to unit max-abs magnitude,
     # taken as max(max, -min) so that no copy of a is made.
@@ -234,8 +224,7 @@ def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
 
     x_s = np.zeros(core.n)
     x_s[core.basis] = core.xb
-    x = np.zeros(n)
-    x[keep] = np.maximum(x_s[:k] * cscale[:k], 0.0)
+    x = np.maximum(x_s[:n] * cscale[:n], 0.0)
     y = core.duals() * rscale * flip
     failure = _certificate_failure(lp, x, y[:me], y[me:])
     if failure:
@@ -244,25 +233,6 @@ def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
     objective = float(lp.c @ x)
     log.info("optimal: objective %.12g after %d iterations", objective, iters)
     return LPSolution(OPTIMAL, x, objective, y[:me], y[me:], iters)
-
-
-def _first_copies(lp: DiscreteLP) -> np.ndarray:
-    """The lowest index of each group of equal structural columns, increasing.
-
-    Columns are equal when c, a_eq and a_ub agree entry by entry (0.0 and
-    -0.0 agree).  A lexicographic sort of the column indices by the rows
-    puts equal columns next to each other, and neighbours are then compared
-    row by row: the matrix is neither copied nor transposed, and no BLAS
-    call can make equal columns differ in a last bit.
-    """
-    rows = [lp.c, *lp.a_eq, *lp.a_ub]
-    order = np.lexsort(rows)
-    starts = np.zeros(lp.n_cols, dtype=bool)  # sorted position opens a group
-    starts[:1] = True
-    for row in rows:
-        sorted_row = row[order]
-        starts[1:] |= sorted_row[1:] != sorted_row[:-1]
-    return np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
 
 
 def _certificate_failure(lp, x, y_eq, y_ub) -> str | None:

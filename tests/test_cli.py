@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +78,25 @@ def test_validate_ok(tmp_path, capsys):
     cfg = json.loads(text.splitlines()[0].split("# config ")[1])
     assert "problem_sha256" in cfg
 
+
+
+def test_validate_infinite_diffusion_fails_without_a_warning(tmp_path):
+    # A warning would print on stderr beside the report; in a subprocess,
+    # so that the suite's warnings-as-errors filter does not apply.
+    ini = tmp_path / "inf.ini"
+    ini.write_text(INVENTORY_INI.replace(
+        "diffusion = constant 1", "diffusion = tabulated -6:1 2:1 2.001:inf 4:inf"))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sclp.cli", "--problem", str(ini),
+                           "--mode", "validate", "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr == ""
+    assert "generators_finite: FAIL" in proc.stdout
+    assert "unit_annihilated: FAIL" in proc.stdout
 
 def test_solve_artifacts(tmp_path, capsys):
     code, out = run(tmp_path, "--n-state", "21", "--n-control", "5",

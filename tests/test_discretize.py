@@ -1,25 +1,124 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sclp.basis import BasisFamily, constant_one
 from sclp.discretize import (NORMALIZED, RESCALED, Grid, GridError,
-                             assemble_discounted_lp, assemble_lta_lp,
-                             build_grid, constraint_residual, nearest_node)
-from sclp.model import (Criterion, DISCOUNTED, ControlSpace, DomainError,
-                        ProblemSpec, eval_Af, eval_Bf)
+                             _first_copies, assemble_discounted_lp,
+                             assemble_lta_lp, build_grid, constraint_residual,
+                             nearest_node)
+from sclp.model import (Budget, CostSpec, Criterion, DISCOUNTED, ControlSpace,
+                        DomainError, GeneratorA, ProblemSpec, eval_Af, eval_Bf)
 from sclp.problems import finite_fuel_problem, inventory_problem
+
+
+def product_atoms(p, n_state, n_control):
+    """Every admissible (x, u) of the uniform product grid, state-major."""
+    xx, uu = np.meshgrid(np.linspace(p.state.x_lo, p.state.x_hi, n_state),
+                         np.linspace(p.control.u_lo, p.control.u_hi, n_control),
+                         indexing="ij")
+    ok = p.control.admits(xx, uu)
+    return np.column_stack([xx[ok], uu[ok]])
 
 
 def test_build_grid_shapes():
     p = inventory_problem()
     g = build_grid(p, 11, 5)
-    assert g.mu0_atoms.shape == (55, 2)
     assert g.state_nodes.size == 11
-    # Jump targets above x_hi are dropped from the mu1 atom set.
-    assert g.n1 < g.n0
-    inside = g.mu0_atoms[:, 0] + g.mu0_atoms[:, 1] <= p.state.x_hi + 1e-12
-    assert np.array_equal(g.mu1_atoms, g.mu0_atoms[inside])
+    assert g.mu0_atoms.shape == (11, 2)
+    # mu1 is the 11x5 product grid less the jumps that leave [x_lo, x_hi].
+    product = product_atoms(p, 11, 5)
+    assert product.shape == (55, 2)
+    inside = product[:, 0] + product[:, 1] <= p.state.x_hi + 1e-12
+    assert 0 < g.n1 < 55
+    assert np.array_equal(g.mu1_atoms, product[inside])
+
+
+def test_inventory_mu0_keeps_one_atom_per_state_at_the_lowest_control():
+    # The order size enters no mu0 column of inventory: u = 0 stands for all.
+    g = build_grid(inventory_problem(), 11, 5)
+    assert np.array_equal(g.mu0_atoms[:, 0], g.state_nodes)
+    assert np.all(g.mu0_atoms[:, 1] == 0.0)
+
+
+def with_u_in_drift(p):
+    return dataclasses.replace(p, gen_a=GeneratorA(
+        drift=lambda x, u: -1.0 + 0.1 * np.asarray(u, float),
+        diffusion=p.gen_a.diffusion))
+
+
+def with_u_in_budget(p):
+    budget = Budget(g=lambda x, u: np.asarray(u, float) + 0.0 * x,
+                    h=lambda x, u: np.zeros_like(x), cap=1.0)
+    return dataclasses.replace(p, costs=CostSpec(p.costs.c0, p.costs.c1, (budget,)))
+
+
+@pytest.mark.parametrize("depend", [with_u_in_drift, with_u_in_budget])
+def test_control_dependent_mu0_keeps_every_atom(depend):
+    p = depend(inventory_problem())
+    g = build_grid(p, 11, 5)
+    assert np.array_equal(g.mu0_atoms, product_atoms(p, 11, 5))
+    assert np.array_equal(g.mu1_atoms, build_grid(inventory_problem(), 11, 5).mu1_atoms)
+
+
+def mu0_columns_by_state(grid, lp):
+    """The value rows of lp's mu0 columns, led by each column's state."""
+    return [grid.mu0_atoms[:, 0], lp.c[:lp.n0], *lp.a_eq[:, :lp.n0],
+            *lp.a_ub[:, :lp.n0]]
+
+
+LP_CASES = [
+    (inventory_problem(), 21, 11, assemble_lta_lp),
+    (finite_fuel_problem(alpha=0.5), 21, 3,
+     lambda p, g, b: assemble_discounted_lp(p, g, b, form=NORMALIZED)),
+    (finite_fuel_problem(alpha=0.5), 21, 3,
+     lambda p, g, b: assemble_discounted_lp(p, g, b, form=RESCALED)),
+]
+
+
+@pytest.mark.parametrize("p, n_state, n_control, assemble", LP_CASES,
+                         ids=["inventory", "fuel-normalized", "fuel-rescaled"])
+def test_mu0_columns_are_the_distinct_product_grid_columns(p, n_state, n_control,
+                                                           assemble):
+    b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 8)
+    g = build_grid(p, n_state, n_control)
+    lp = assemble(p, g, b)
+    # Pairwise distinct at each state.  (Columns at different states may
+    # still be equal: finite fuel's at x = -4 and 4 are here.)
+    assert _first_copies(mu0_columns_by_state(g, lp)).tolist() == list(range(lp.n0))
+    # And at each state they are the first copies of the full product
+    # grid's mu0 columns.
+    full = Grid(mu0_atoms=product_atoms(p, n_state, n_control),
+                mu1_atoms=g.mu1_atoms, state_nodes=g.state_nodes)
+    lp_full = assemble(p, full, b)
+    first = _first_copies(mu0_columns_by_state(full, lp_full))
+    assert first.size < full.n0
+    assert np.array_equal(full.mu0_atoms[first], g.mu0_atoms)
+    assert np.array_equal(lp_full.a_eq[:, first], lp.a_eq[:, :lp.n0])
+    assert np.array_equal(lp_full.a_ub[:, first], lp.a_ub[:, :lp.n0])
+    assert np.array_equal(lp_full.c[first], lp.c[:lp.n0])
+
+
+def test_first_copies_groups_exactly_equal_columns():
+    rows = [np.array([2.0, 1.0, 2.0, 1.0, 3.0, 1.0]),
+            np.array([0.0, 5.0, 0.0, 5.0, 0.0, 5.0])]
+    assert _first_copies(rows).tolist() == [0, 1, 4]
+    rows[1][2] = -0.0  # equal to column 0's 0.0
+    assert _first_copies(rows).tolist() == [0, 1, 4]
+    rows[1][3] = np.nextafter(5.0, np.inf)  # one ulp off column 1
+    assert _first_copies(rows).tolist() == [0, 1, 3, 4]
+    rows[0][[1, 5]] = np.nan  # NaN matches nothing, not even NaN
+    assert _first_copies(rows).tolist() == [0, 1, 3, 4, 5]
+
+
+def test_first_copies_of_tiny_inputs():
+    assert _first_copies([np.zeros(0)]).tolist() == []
+    assert _first_copies([np.array([1.0])]).tolist() == [0]
+    assert _first_copies([np.array([1.0, 1.0])]).tolist() == [0]
+    # One row: columns are compared on its entries alone.
+    assert _first_copies([np.array([2.0, 1.0, 2.0])]).tolist() == [0, 1]
 
 
 def test_build_grid_single_control_uses_midpoint():
@@ -112,7 +211,7 @@ def test_jump_target_outside_interval_rejected():
     p = inventory_problem()
     g = build_grid(p, 11, 3)
     # Keep every mu1 atom, including those whose jump leaves [x_lo, x_hi].
-    g = Grid(mu0_atoms=g.mu0_atoms, mu1_atoms=g.mu0_atoms.copy(),
+    g = Grid(mu0_atoms=g.mu0_atoms, mu1_atoms=product_atoms(p, 11, 3),
              state_nodes=g.state_nodes)
     b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 4)
     with pytest.raises(DomainError, match="jump target"):

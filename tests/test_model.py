@@ -115,6 +115,21 @@ def test_validate_conditions_flags_unbounded_singular_cost():
     assert not rep.singular_cost_bounded_away
 
 
+
+def test_validate_conditions_reports_an_infinite_diffusion():
+    # The unit probe computes inf * 0 above x = 2: FAIL flags, no warning
+    # (warnings are errors in this suite).
+    p0 = inventory_problem()
+    diffusion = lambda x, u: np.where(np.asarray(x) > 2.0, np.inf, 1.0)
+    p = ProblemSpec(state=p0.state, control=p0.control,
+                    gen_a=GeneratorA(drift=p0.gen_a.drift, diffusion=diffusion),
+                    gen_b=p0.gen_b, costs=p0.costs, criterion=p0.criterion)
+    rep = validate_conditions(p, build_grid(p, 21, 5))
+    assert not rep.unit_annihilated
+    assert not rep.generators_finite
+    assert not rep.passed
+    assert "generators_finite: FAIL" in rep.lines()
+
 def _eval2_broadcasting(fn, x, u):
     """eval2 as it was before its equal-shape early return."""
     x = np.asarray(x, dtype=float)

@@ -36,3 +36,6 @@ def test_refinement_study_fast():
         values = [float(row.split()[col]) for row in rows]
         # Finer nested grids and larger fuel caps only enlarge the feasible set.
         assert len(values) >= 2 and values == sorted(values, reverse=True), title
+        col = header.split().index("cols")
+        cols = [int(row.split()[col]) for row in rows]
+        assert cols == sorted(cols), title

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sclp import simplex
-from sclp.discretize import DiscreteLP
+from sclp.discretize import DiscreteLP, _first_copies
 from sclp.simplex import (INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, solve)
 
 
@@ -196,6 +196,11 @@ def test_dependent_row_keeps_its_artificial():
                                         sol.dual_ub) is None
 
 
+def first_copies(lp):
+    """The lowest index of each group of exactly equal columns of lp."""
+    return _first_copies([lp.c, *lp.a_eq, *lp.a_ub])
+
+
 def with_copies(lp, src):
     """lp with column j a copy of lp's column src[j]."""
     src = np.asarray(src)
@@ -210,7 +215,9 @@ def duplicate_test_lp():
                    a_ub=[[0.5, 0.0, 1.0, 2.0, 0.0]], b_ub=[0.9])
 
 
-def test_duplicate_columns_are_priced_once():
+def test_copied_columns_give_the_base_optimum():
+    # Copies change no row maximum, and Dantzig's lowest-index rule enters
+    # the first copy: the solve follows the base LP's pivots.
     base = duplicate_test_lp()
     # First copies keep the base order; later copies are scattered.
     src = [0, 1, 0, 2, 1, 3, 2, 1, 4, 3]
@@ -218,7 +225,7 @@ def test_duplicate_columns_are_priced_once():
     lp.a_eq[1, 7] = -0.0  # equal to column 1's 0.0
     assert np.signbit(lp.a_eq[1, 7]) and not np.signbit(lp.a_eq[1, 1])
     first = [0, 1, 3, 5, 8]
-    assert simplex._first_copies(lp).tolist() == first
+    assert first_copies(lp).tolist() == first
     want, got = solve(base), solve(lp)
     assert want.status == got.status == OPTIMAL
     assert got.objective == want.objective
@@ -236,7 +243,7 @@ def test_weight_lands_on_the_first_copy():
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(solve(base).objective, rel=1e-12)
-    assert simplex._first_copies(lp).tolist() == [0, 1, 2, 4, 6]
+    assert first_copies(lp).tolist() == [0, 1, 2, 4, 6]
     assert not sol.weights[[3, 5, 7]].any()
     assert sol.weights[0] > 0 and sol.weights[2] > 0
 
@@ -245,20 +252,12 @@ def test_near_copy_stays_a_separate_column():
     base = duplicate_test_lp()
     lp = with_copies(base, [0, 1, 2, 3, 4, 4, 0])
     lp.a_eq[1, 5] = np.nextafter(lp.a_eq[1, 5], np.inf)  # column 4, one ulp off
-    assert simplex._first_copies(lp).tolist() == [0, 1, 2, 3, 4, 5]
-    assert simplex._first_copies(base).tolist() == [0, 1, 2, 3, 4]
+    assert first_copies(lp).tolist() == [0, 1, 2, 3, 4, 5]
+    assert first_copies(base).tolist() == [0, 1, 2, 3, 4]
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(solve(base).objective, rel=1e-12)
     assert sol.weights[6] == 0.0
-
-
-def test_first_copies_of_tiny_lps():
-    assert simplex._first_copies(make_lp([])).tolist() == []
-    assert simplex._first_copies(make_lp([1.0])).tolist() == [0]
-    assert simplex._first_copies(make_lp([1.0, 1.0])).tolist() == [0]
-    # No rows: columns are compared on their cost alone.
-    assert simplex._first_copies(make_lp([2.0, 1.0, 2.0])).tolist() == [0, 1]
 
 
 SOLVE_AND_HASH = """
@@ -274,9 +273,10 @@ print(sol.status, sol.iterations, repr(sol.objective),
 
 
 def test_solution_independent_of_blas_threads():
-    # Inventory 201x51/50 has equal columns whose reduced costs differ in
-    # the last bit between 1 and 2 OpenBLAS threads; priced once, they
-    # cannot swap.
+    # Equal columns could have reduced costs that differ in the last bit
+    # between 1 and 2 OpenBLAS threads, and swap.  build_grid makes no
+    # equal mu0 columns at a state: inventory 201x51/50 used to have 62%
+    # copies.
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     out = []
     for threads in ("1", "2"):

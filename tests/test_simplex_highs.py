@@ -11,9 +11,8 @@ from sclp.basis import BasisFamily
 from sclp.discretize import (NORMALIZED, RESCALED, assemble_discounted_lp,
                              assemble_lta_lp, build_grid)
 from sclp.problems import finite_fuel_problem, inventory_problem
-from sclp import simplex
 from sclp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve
-from test_simplex import make_lp
+from test_simplex import first_copies, make_lp
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -147,6 +146,6 @@ def test_lps_with_duplicate_columns_match_highs(lp_src):
     if status == OPTIMAL:
         assert sol.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
         # Columns equal to an earlier column carry no weight.
-        first = simplex._first_copies(lp)
+        first = first_copies(lp)
         assert not np.delete(sol.weights, first).any()
         assert len(first) <= len(set(src.tolist()))
