@@ -46,7 +46,6 @@ def main():
 
     policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
     strict, bad = extract_strict(policy)
-    policy.strict = strict
     print(f"policy: {'strict map' if strict is not None else 'relaxed'}"
           f"{'' if not bad else f' ({len(bad)} mixed nodes)'}")
 

@@ -154,8 +154,7 @@ def _solve(lp, args):
 
 def _policy(grid, sol):
     policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
-    strict, bad = extract_strict(policy)
-    policy.strict = strict
+    _, bad = extract_strict(policy)
     return policy, bad
 
 

@@ -72,11 +72,12 @@ def _first_copies(rows) -> np.ndarray:
 def build_grid(problem: ProblemSpec, n_state: int, n_control: int) -> Grid:
     """Uniform product grid of admissible atoms, without equal mu0 columns.
 
-    mu1 holds every admissible atom; jump problems drop those whose jump
-    target leaves the state interval.  A mu0 column reads only x, drift,
-    diffusion, c0 and the budget densities g at its atom, so of each group
-    of admissible atoms on which these values are exactly equal, mu0 keeps
-    the lowest-control one.
+    mu1 holds every admissible atom; jump problems keep only those whose
+    jump target lies in the state interval and differs from x (a zero-size
+    jump has Bf = 0 and costs c1, h >= 0, so it never lowers the optimum).
+    A mu0 column reads only x, drift, diffusion, c0 and the budget densities
+    g at its atom, so of each group of admissible atoms on which these
+    values are exactly equal, mu0 keeps the lowest-control one.
     """
     if n_state < 3:
         raise GridError("n_state must be at least 3")
@@ -104,7 +105,8 @@ def build_grid(problem: ProblemSpec, n_state: int, n_control: int) -> Grid:
 
     mu1_atoms = atoms
     if problem.gen_b.kind == JUMP:
-        mu1_atoms = atoms[st.contains(jump_targets(problem.gen_b, x, u))]
+        target = jump_targets(problem.gen_b, x, u)
+        mu1_atoms = atoms[st.contains(target) & (target != x)]
     return Grid(mu0_atoms=atoms[first], mu1_atoms=mu1_atoms, state_nodes=state_nodes)
 
 

@@ -1,8 +1,9 @@
 """Feedback-policy extraction from optimal atom weights.
 
 The optimal weights are disintegrated into state marginals and conditional
-control kernels; when every kernel row is (numerically) a point mass the
-policy collapses to a strict state-to-control map.
+control kernels.  extract_strict is a diagnostic: it reports whether every
+kernel row is (numerically) a point mass, so that the policy is a strict
+state-to-control map.
 """
 from __future__ import annotations
 
@@ -52,14 +53,13 @@ class Kernel:
 
 @dataclass
 class FeedbackPolicy:
-    """State marginals plus conditional kernels, optionally with a strict map."""
+    """State marginals plus conditional kernels."""
 
     state_nodes: np.ndarray
     mu0_marginal: np.ndarray  # probability weights per state node
     mu1_marginal: np.ndarray  # finite measure per state node
     eta0: Kernel
     eta1: Kernel
-    strict: dict[int, float] | None = None
 
     @property
     def x_lo(self) -> float:
@@ -82,8 +82,6 @@ class FeedbackPolicy:
                     pairs = " ".join(f"{float(uu)!r}:{float(pp)!r}"
                                      for uu, pp in zip(u, p))
                     lines.append(f"  {tag} {pairs}")
-            if self.strict is not None and i in self.strict:
-                lines.append(f"  strict {self.strict[i]!r}")
         return "\n".join(lines) + "\n"
 
 

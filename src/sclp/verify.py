@@ -2,7 +2,7 @@
 
 simulate() runs the controlled diffusion under a feedback policy with
 committed singular-action semantics.  Each step is one shared Euler step
-(_euler_step) under the absolutely continuous control (_Control), then the
+(_euler_step) under a control drawn from the policy's eta0 kernel, then the
 singular action of the problem's kind: jump problems act when the state
 crosses into the singular support from above (_jump_action, band
 behaviour); gradient problems reflect at the two support clusters around
@@ -12,8 +12,9 @@ singular action never stops on a path.  simulate() reports cost and budget
 estimates with confidence intervals, martingale residuals for the supplied
 test functions, and (long-term average) a stationarity distance.  For a fixed
 seed the random draws come in a fixed order: the nu0 draw of the initial
-states (discounted), then per step the kernel control's uniforms, the
-normals, and one uniform per acting path and cluster.
+states (discounted), then per step one eta0 uniform per path (only when
+some eta0 row holds more than one control), the normals, and one uniform
+per acting path and cluster.
 
 band_policy_oracle() is an independent renewal-reward estimator for
 inventory-shaped problems under an (s, S) ordering band; band_search()
@@ -151,8 +152,8 @@ class _KernelSampler:
             self.cdf[i, p.size:] = 1.0
             self.covered[i] = True
 
-    def sample(self, node_idx: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Controls at node_idx for the uniforms r (drawn even when unused)."""
+    def sample(self, node_idx: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+        """Controls at node_idx for the uniforms r (None when no row has two)."""
         if self.uval.shape[1] == 1:
             return self.uval[node_idx, 0]
         return self._sample_cdf(node_idx, r)
@@ -201,43 +202,13 @@ def _support_clusters(policy: FeedbackPolicy):
     return clusters
 
 
-class _Control:
-    """The absolutely continuous control at each path's nearest node.
-
-    A node the policy does not cover borrows the control of the nearest
-    covered node (a bridged step).
-    """
-
-    def __init__(self, policy: FeedbackPolicy):
-        n_nodes = policy.state_nodes.size
-        if policy.strict:
-            self.sampler = None
-            self.covered = np.zeros(n_nodes, dtype=bool)
-            uvals = np.zeros(n_nodes)
-            for i, u in policy.strict.items():
-                self.covered[i] = True
-                uvals[i] = u
-            self.bridge = _bridge_map(self.covered)
-            self.strict_u = uvals[self.bridge]  # the bridged control per node
-        else:
-            self.sampler = _KernelSampler(policy.eta0, n_nodes)
-            self.covered = self.sampler.covered
-            self.bridge = _bridge_map(self.covered)
-
-    def __call__(self, node_idx: np.ndarray, rng) -> np.ndarray:
-        if self.sampler is None:
-            return self.strict_u[node_idx]
-        return self.sampler.sample(self.bridge[node_idx], rng.random(node_idx.size))
-
-
 class _Accumulators:
     """Per-path sums of one run.
 
     Running and singular cost, discount-weighted budget usage (held to its
     cap only in mean, never per path) and, when a basis is given, the
     martingale residuals f(X_T) - f(X_0) - sum of (Af) dt and of Bf over
-    the singular actions, one row per test function.  A weight of exactly 1 is never
-    multiplied in, which leaves every sum unchanged.
+    the singular actions, one row per test function.
     """
 
     def __init__(self, problem: ProblemSpec, basis, x0: np.ndarray, dt: float):
@@ -261,10 +232,9 @@ class _Accumulators:
             return
         dt = self.dt
         c0 = eval2(self.costs.c0, x, u)
-        self.run_cost += (c0 if w == 1.0 else w * c0) * dt
+        self.run_cost += w * c0 * dt
         for i, bud in enumerate(self.costs.budgets):
-            gv = eval2(bud.g, x, u)
-            self.bud_acc[i] += (gv if w == 1.0 else w * gv) * dt
+            self.bud_acc[i] += w * eval2(bud.g, x, u) * dt
 
     def generator(self, x, drift, sig):
         """Take (Af) dt = (f' drift + f'' sig^2 / 2) dt off every residual."""
@@ -283,15 +253,13 @@ class _Accumulators:
         dxi is the size of a gradient push (None for a jump); wc is the
         discount weight, 0 before burn-in.
         """
-        c1 = eval2(self.costs.c1, xs, u)
-        if wc != 1.0:
-            c1 = wc * c1
+        c1 = wc * eval2(self.costs.c1, xs, u)
         self.sing_cost[sub] += c1 if dxi is None else c1 * dxi
         for i, bud in enumerate(self.costs.budgets):
             hv = eval2(bud.h, xs, u)
             if dxi is not None:
                 hv = hv * dxi
-            self.bud_acc[i][sub] += hv if wc == 1.0 else wc * hv
+            self.bud_acc[i][sub] += wc * hv
 
     def jump(self, sub, xs, target):
         """Take Bf = f(target) - f(xs) of a jump off the residuals of sub."""
@@ -452,7 +420,12 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     sqdt = math.sqrt(dt)
     burn_steps = int(round(cfg.burn_in / dt)) if not disc else 0  # disc counts all
 
-    control = _Control(policy)
+    # eta0, with each uncovered node's row borrowed from its nearest covered
+    # node (a bridged step).
+    eta0 = _KernelSampler(policy.eta0, nodes.size)
+    bridge = _bridge_map(eta0.covered)
+    eta0.uval, eta0.cdf = eta0.uval[bridge], eta0.cdf[bridge]
+    relaxed = eta0.uval.shape[1] > 1
     clusters = _support_clusters(policy)
     action = _singular_action(problem, policy, clusters)
     x = _initial_states(problem, policy, rng, cfg.n_paths)
@@ -467,7 +440,7 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         w = math.exp(-alpha * t) if disc else 1.0
         node_idx = nearest_node(nodes, x)
         visits[int(counted)] += np.bincount(node_idx, minlength=nodes.size)
-        u = control(node_idx, rng)
+        u = eta0.sample(node_idx, rng.random(x.size) if relaxed else None)
         x_new = _euler_step(problem, acc, rng, x, u, sqdt, w, counted)
         if action is not None:
             wc = (math.exp(-alpha * (t + dt)) if disc else 1.0) if counted else 0.0
@@ -498,7 +471,7 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         cost=cost, budgets=budgets, martingale_residuals=residuals,
         stationarity_distance=stat_tv,
         truncation_events=truncations, total_steps=total_steps,
-        bridged_steps=int(visits.sum(axis=0)[~control.covered].sum()),
+        bridged_steps=int(visits.sum(axis=0)[~eta0.covered].sum()),
         multi_cluster_support=len(clusters) > 1,
         budget_exhausted_paths=exhausted,
         n_paths=cfg.n_paths,

@@ -9,7 +9,7 @@ import pytest
 from sclp.basis import BasisFamily
 from sclp.discretize import (NORMALIZED, RESCALED, assemble_discounted_lp,
                              assemble_lta_lp, build_grid, constraint_residual)
-from sclp.policy import MeasurePair, extract_strict, marginals_and_kernels
+from sclp.policy import MeasurePair, marginals_and_kernels
 from sclp.problems import finite_fuel_problem, inventory_problem
 from sclp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve
 from sclp.verify import BandPolicy, SimConfig, band_policy_oracle, band_search, simulate
@@ -38,8 +38,6 @@ def solved_policy(problem, n_state, n_control, n_basis, form=None):
     sol = solve(lp)
     assert sol.status == OPTIMAL
     policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
-    strict, _ = extract_strict(policy)
-    policy.strict = strict
     return grid, basis, lp, sol, policy
 
 

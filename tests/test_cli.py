@@ -125,6 +125,33 @@ def test_verify_mode(tmp_path):
     assert "lta_cost" in csv
 
 
+def test_verify_simulates_the_kernels_of_the_lp(tmp_path):
+    # With the order size in the drift, the LP puts eta1 mass on nodes that
+    # carry no mu0 mass.  A path there borrows the nearest eta0 row (not
+    # the jump size), so verify reports exactly what simulate() gives for
+    # the disintegrated policy.
+    from sclp import (BasisFamily, MeasurePair, SimConfig, assemble_lta_lp,
+                      build_grid, load_problem, marginals_and_kernels,
+                      simulate, solve)
+    ini = tmp_path / "inventory-u.ini"
+    ini.write_text(INVENTORY_INI.replace("drift = constant -1",
+                                         "drift = linear -1 0 -0.25"))
+    grid_args = ("--n-state", "41", "--n-control", "11", "--basis", "12")
+    code, out = run(tmp_path, *grid_args, *SHORT, problem=str(ini), mode="verify")
+    assert code == 0
+    problem = load_problem(str(ini))
+    grid = build_grid(problem, 41, 11)
+    basis = BasisFamily.cubic_on_interval(problem.state.x_lo, problem.state.x_hi, 12)
+    sol = solve(assemble_lta_lp(problem, grid, basis))
+    policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
+    assert set(policy.eta1.rows) - set(policy.eta0.rows)
+    rep = simulate(problem, policy, SimConfig(dt=0.02, horizon=4.0, n_paths=8,
+                                              seed=0, burn_in=1.0), basis=basis)
+    assert rep.bridged_steps > 0
+    text = (out / "verify_report.txt").read_text()
+    assert text.split("\n", 1)[1] == rep.to_text()
+
+
 def test_export_mps_reparses_identically(tmp_path):
     from sclp.simplex import export_mps, parse_mps
     code, out = run(tmp_path, "--n-state", "11", "--n-control", "3",

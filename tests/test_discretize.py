@@ -28,12 +28,14 @@ def test_build_grid_shapes():
     g = build_grid(p, 11, 5)
     assert g.state_nodes.size == 11
     assert g.mu0_atoms.shape == (11, 2)
-    # mu1 is the 11x5 product grid less the jumps that leave [x_lo, x_hi].
+    # mu1 is the 11x5 product grid less the jumps that leave [x_lo, x_hi]
+    # and the zero-size jumps (u = 0).
     product = product_atoms(p, 11, 5)
     assert product.shape == (55, 2)
     inside = product[:, 0] + product[:, 1] <= p.state.x_hi + 1e-12
-    assert 0 < g.n1 < 55
-    assert np.array_equal(g.mu1_atoms, product[inside])
+    moves = product[:, 1] != 0.0
+    assert 0 < g.n1 < 55 - 11
+    assert np.array_equal(g.mu1_atoms, product[inside & moves])
 
 
 def test_inventory_mu0_keeps_one_atom_per_state_at_the_lowest_control():

@@ -194,7 +194,8 @@ def test_validate_conditions_probes_match_eval_af_bf(case):
     elif case == "nan_drift":
         gen_a = GeneratorA(drift=_nan_above(gen_a.drift, -5.0), diffusion=gen_a.diffusion)
     elif case == "nan_displacement":
-        gen_b = GeneratorB(kind=JUMP, displacement=_nan_above(gen_b.displacement, 0.0))
+        # NaN at the grid's jumps from x = -4.5 and -4 (size 8; u = 0 moves nothing).
+        gen_b = GeneratorB(kind=JUMP, displacement=_nan_above(gen_b.displacement, -5.0))
     elif case == "nan_direction":
         gen_b = GeneratorB(kind=GRADIENT, direction=_nan_above(gen_b.direction, 0.5))
     grid = build_grid(p, 21, 2)

@@ -9,8 +9,7 @@ from sclp.discretize import (Grid, assemble_discounted_lp, assemble_lta_lp,
 from sclp.model import (Criterion, CostSpec, ControlSpace, DISCOUNTED,
                         GeneratorA, GeneratorB, JUMP, LONG_TERM_AVERAGE,
                         ProblemSpec, StateSpace)
-from sclp.policy import (Kernel, MeasurePair, extract_strict,
-                         marginals_and_kernels)
+from sclp.policy import FeedbackPolicy, Kernel, MeasurePair, marginals_and_kernels
 from sclp.problems import finite_fuel_problem, inventory_problem
 from sclp.simplex import solve
 from sclp.verify import (BandPolicy, SimConfig, SimulationError, _cluster_node,
@@ -36,10 +35,7 @@ def idle_policy(problem, n_state=9):
     # atoms are ordered x-major; pick the (middle node, u=0) atom
     mid = np.argmin(np.abs(grid.mu0_atoms[:, 0]) + grid.mu0_atoms[:, 1])
     w0[mid] = 1.0
-    pol = marginals_and_kernels(grid, MeasurePair(w0=w0, w1=np.zeros(grid.n1)))
-    s, _ = extract_strict(pol)
-    pol.strict = s
-    return pol
+    return marginals_and_kernels(grid, MeasurePair(w0=w0, w1=np.zeros(grid.n1)))
 
 
 ZERO = lambda x, u: np.zeros_like(np.asarray(x, float))
@@ -251,7 +247,6 @@ def _lp_policy(p, n_state, n_control, n_basis, assemble):
     b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, n_basis)
     sol = solve(assemble(p, grid, b))
     pol = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
-    pol.strict, _ = extract_strict(pol)
     return pol, b
 
 
@@ -304,7 +299,6 @@ def test_finite_fuel_sandwich():
     sol = solve(assemble_discounted_lp(p, grid, basis))
     assert sol.objective == pytest.approx(0.06426, abs=1e-5)
     pol = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
-    pol.strict, _ = extract_strict(pol)
     rep = simulate(p, pol, SimConfig(dt=0.005, horizon=20.0, n_paths=200, seed=0))
     assert sol.objective <= c_star <= rep.cost.value + rep.cost.half_width
     fuel = rep.budgets[0]
@@ -339,11 +333,41 @@ def test_alpha_2_fuel_keeps_its_cap_in_mean():
     assert rep.truncation_events == 0
 
 
+def test_node_without_mu0_mass_borrows_the_nearest_eta0_control():
+    # Node 2 (x = -1) carries only eta1 mass: a jump of size 1.  Every other
+    # node applies u = 0, so paths fall at rate 1 from x = 0 (dt = 1/8, no
+    # noise, exact in binary).  At node 2 a path must borrow u = 0 from node 1;
+    # the jump size as control would stop it at x = -0.75 (drift u - 1 = 0)
+    # and charge c0 = u there.  Each cycle of 8 steps starts two at node 2
+    # (x = -0.75 and -0.875), both bridged, and ends in a jump back to 0.
+    p = make_problem(drift=lambda x, u: u - 1.0, diffusion=ZERO,
+                     c0=lambda x, u: u + 0.0 * x, c1=ONE)
+    nodes = np.linspace(-2.0, 2.0, 9)
+    mu0 = np.where(nodes == 0.0, 0.5, 0.0625)
+    mu0[2] = 0.0
+    mu1 = np.zeros(9)
+    mu1[2] = 1.0
+    point = lambda u: (np.array([u]), np.array([1.0]))
+    pol = FeedbackPolicy(nodes, mu0, mu1,
+                         eta0=Kernel({i: point(0.0) for i in range(9) if i != 2}),
+                         eta1=Kernel({2: point(1.0)}))
+    rep = simulate(p, pol, SimConfig(dt=0.125, horizon=12.5, n_paths=2, seed=0))
+    # 100 steps: 12 whole cycles (12 jumps, no running cost) and 4 steps.
+    assert rep.cost.value == 12.0 / 12.5
+    assert rep.bridged_steps == 2 * 12 * 2
+    assert rep.truncation_events == 0
+
+
 # ---------------------------------------------------------------------------
 # The random stream of simulate(), pinned: one run per singular action and
 # control kind, recorded before the simulator was split by singular kind.
 # gradient_budget was recorded again once budgets held only in mean, and
-# again once only the two barriers around the mu0 mode reflected.
+# again once only the two barriers around the mu0 mode reflected.  Only
+# jump_kernel has an eta0 row with two controls, so only it draws eta0
+# uniforms; jump_strict and discounted_jump were recorded again when point-
+# mass eta0 rows stopped drawing them.  (jump_strict's eta0 and eta1 disagree
+# at node 10, so extract_strict finds no strict map there.)  gradient_budget
+# counts its eta1-only nodes as bridged since eta0 alone decides coverage.
 # Any change to the order or size of the draws, or to the arithmetic of an
 # update, shows up here and must be deliberate.
 
@@ -370,7 +394,6 @@ def _pinned_run(name):
     if name == "jump_kernel":
         p = inventory_problem()
         pol, _ = _lp_policy(p, 21, 5, 8, assemble_lta_lp)
-        pol.strict = None
         pol.eta0 = _two_atom_rows(pol.eta0, lambda u: 0.5 * u + 1.0, 0.25)
         pol.eta1 = _two_atom_rows(pol.eta1, lambda u: 0.5 * u, 0.4)
         cfg = SimConfig(dt=0.01, horizon=4.0, n_paths=16, seed=3, burn_in=1.0)
@@ -394,7 +417,6 @@ def _pinned_run(name):
         assert name == "discounted_jump"
         p = _discounted_inventory(0.5)
         pol, _ = _lp_policy(p, 21, 5, 8, assemble_discounted_lp)
-        pol.strict = None
         cfg = SimConfig(dt=0.02, horizon=10.0, n_paths=16, seed=11)
         fam = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 6)
     return simulate(p, pol, cfg, basis=fam)
@@ -406,16 +428,16 @@ PINNED = {
     "discounted_jump": (
         (
             "name,estimate,half_width,n\n"
-            "discounted_cost,3.6131890362235364,0.47883500429801745,16\n"
-            "mart[bspl000],0.002040541222367307,0.0006952699690543303,16\n"
-            "mart[bspl001],0.1942244738660847,0.24399071592743146,16\n"
-            "mart[bspl002],0.248072271088161,0.9560254702904522,16\n"
-            "mart[bspl003],0.46701880930719797,1.4092886880560216,16\n"
-            "mart[bspl004],-1.001507760168599,1.018235916498851,16\n"
-            "mart[bspl005],0.03915618941044824,0.6690283164541473,16\n"
+            "discounted_cost,3.631025656953241,0.5446364828016829,16\n"
+            "mart[bspl000],0.002414786455793779,0.001050313475388483,16\n"
+            "mart[bspl001],0.09160415908162847,0.29868641144065355,16\n"
+            "mart[bspl002],-0.3458741380420785,1.099101296880076,16\n"
+            "mart[bspl003],0.10608155187161553,1.0501655204277784,16\n"
+            "mart[bspl004],-0.32811511827799633,1.7016495926731248,16\n"
+            "mart[bspl005],0.3052164516710496,0.5181311318812719,16\n"
             "mart[1],0.0,0.0,16\n"
         ),
-        (None, 10, 29472, 5960, False, 0),
+        (None, 0, 29472, 6387, False, 0),
     ),
     "gradient_budget": (
         (
@@ -430,7 +452,7 @@ PINNED = {
             "mart[bspl005],0.0,0.0,16\n"
             "mart[1],0.0,0.0,16\n"
         ),
-        (None, 0, 7376, 3051, True, 1),
+        (None, 0, 7376, 4995, True, 1),
     ),
     "jump_kernel": (
         (
@@ -449,9 +471,9 @@ PINNED = {
     "jump_strict": (
         (
             "name,estimate,half_width,n\n"
-            "lta_cost,2.0762595500734715,0.2608440444156676,16\n"
+            "lta_cost,1.8945059847310728,0.34799360178439026,16\n"
         ),
-        (0.3971591853007201, 0, 6400, 1443, False, 0),
+        (0.4257008519673868, 0, 6400, 1856, False, 0),
     ),
 }
 
