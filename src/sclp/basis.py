@@ -2,18 +2,22 @@
 
 The adjoint rows of the measure LPs need test functions f that are twice
 continuously differentiable with compact support, together with exact f'
-and f''.  Uniform cardinal cubic B-splines provide both; the family also
-carries an explicit constant element so the span contains f = 1 (which
-generates the mass condition in the rescaled discounted form).
+and f''.  Uniform cubic B-splines provide both; the family also carries an
+explicit constant element so the span contains f = 1 (which generates the
+mass condition in the rescaled discounted form).
 
-BasisFamily.evaluate computes all members at many points at once.  At most
-four cubic B-splines of a uniform family are nonzero at any point (de Boor,
-A Practical Guide to Splines), so only those are computed.
+Every cubic B-spline is a member of a run of splines on one uniform knot
+lattice, and splines are evaluated only through their run: each point's
+knot cell is found once, and only the at most four splines nonzero there
+(de Boor, A Practical Guide to Splines) are computed, each on the piece
+that cell selects.  A spline's own value, d1 and d2 are its row of that
+evaluation, so BasisFamily.evaluate, which computes all members at many
+points at once, matches them bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -74,110 +78,84 @@ _PIECES = (
 )
 
 
-def _cardinal(order: int, s):
-    """order-th derivative of N at s (0 outside [0, 4]).
+class _SplineRun:
+    """n uniform cubic B-splines, spline j on knots t0 + (j + i) h, i = 0..4.
 
-    Each piece is evaluated only on its own points: [p, p + 1), and [3, 4]
-    for the last one.
+    The one unit in which cubic B-splines are evaluated.
     """
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape)
-    for p, piece in enumerate(_PIECES[order]):
-        on = (p <= s) & ((s < p + 1) if p < 3 else (s <= 4.0))
-        out[on] = piece(s[on])
-    return out
+
+    def __init__(self, t0: float, h: float, n: int):
+        if h <= 0:
+            raise ValueError("knot spacing must be positive")
+        self.t0 = t0 + np.arange(n) * h  # first knot of each spline
+        self.h = float(h)
+
+    def member(self, j: int, name: str | None = None) -> "CubicBSpline":
+        """Spline j as a CubicBSpline view of this run."""
+        f = CubicBSpline.__new__(CubicBSpline)
+        f._join(self, j, name)
+        return f
+
+    def evaluate(self, x: np.ndarray, orders, out, rows: np.ndarray) -> None:
+        """Write the splines at x into zeroed out arrays, one per order.
+
+        Spline j goes to row rows[j]; splines with rows[j] < 0 are skipped,
+        and only points inside the support of some written spline are
+        computed.  A point lies in knot cell floor((x - t0[0]) / h), where
+        spline cell - p takes its piece p (p = 0..3).
+        """
+        present = np.flatnonzero(rows >= 0)
+        lo, hi = present[0], present[-1]
+        cell = np.floor((x - self.t0[0]) / self.h)
+        cols = np.flatnonzero((cell >= lo) & (cell <= hi + 3))
+        if cols.size == 0:
+            return
+        first = cell[cols].astype(np.intp)
+        whole = present.size == hi - lo + 1
+        fmin, fmax = first.min(), first.max()
+        for p in range(4):
+            j, c = first - p, cols
+            if not (whole and lo <= fmin - p and fmax - p <= hi):
+                # Some point's spline cell - p is not written: keep the others.
+                on = (j >= lo) & (j <= hi)
+                on[on] = rows[j[on]] >= 0
+                j, c = j[on], c[on]
+            s = (x[c] - self.t0[j]) / self.h
+            r = rows[j]
+            for order, arr in zip(orders, out):
+                v = _PIECES[order][p](s)
+                if order:
+                    v = v / self.h ** order
+                arr[r, c] = v
 
 
 class CubicBSpline(C2Function):
-    """Cubic B-spline on uniform knots t0, t0+h, ..., t0+4h (compact support)."""
+    """Cubic B-spline on uniform knots t0, t0+h, ..., t0+4h (compact support).
+
+    A member of a _SplineRun, whose evaluation gives its value, d1 and d2;
+    constructed directly, it is a run of one.
+    """
 
     def __init__(self, t0: float, h: float, name: str | None = None):
-        if h <= 0:
-            raise ValueError("knot spacing must be positive")
-        self.t0 = float(t0)
-        self.h = float(h)
-        super().__init__(self._v, self._g, self._gg, name=name or f"B[{t0:.6g},{t0 + 4 * h:.6g}]")
+        self._join(_SplineRun(float(t0), h, 1), 0, name)
+
+    def _join(self, run: _SplineRun, j: int, name: str | None) -> None:
+        self.run, self.j = run, j
+        self.t0, self.h = float(run.t0[j]), run.h
+        self._rows = np.full(run.t0.size, -1, dtype=np.intp)  # itself, in row 0
+        self._rows[j] = 0
+        super().__init__(partial(self._row, 0), partial(self._row, 1),
+                         partial(self._row, 2),
+                         name=name or f"B[{self.t0:.6g},{self.t0 + 4 * self.h:.6g}]")
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.t0, self.t0 + 4.0 * self.h)
 
-    def _v(self, x):
-        return _cardinal(0, (x - self.t0) / self.h)
-
-    def _g(self, x):
-        return _cardinal(1, (x - self.t0) / self.h) / self.h
-
-    def _gg(self, x):
-        return _cardinal(2, (x - self.t0) / self.h) / self.h ** 2
-
-
-# Points within this distance of a knot (in units of the knot spacing) take
-# the piece-selecting path; elsewhere rounding cannot move them across one.
-_KNOT_TOL = 1e-6
-
-
-class _SplineRun:
-    """The uniform cubic B-spline members of a family, by increasing first knot."""
-
-    def __init__(self, rows: np.ndarray, t0: np.ndarray, h: float):
-        self.rows = rows  # member index of each spline
-        self.t0 = t0
-        self.h = h
-
-    @staticmethod
-    def find(functions) -> "_SplineRun | None":
-        """The family's CubicBSpline members, if they share h on uniform knots."""
-        rows = np.array([k for k, f in enumerate(functions)
-                         if isinstance(f, CubicBSpline)], dtype=np.intp)
-        if rows.size == 0:
-            return None
-        t0 = np.array([functions[k].t0 for k in rows])
-        order = np.argsort(t0, kind="stable")
-        rows, t0 = rows[order], t0[order]
-        h = functions[rows[0]].h
-        # Each spline's s must agree with the shared knot index to well
-        # within _KNOT_TOL: equal spacing, uniform starts, moderate scale.
-        uneven = np.abs(t0 - (t0[0] + np.arange(t0.size) * h)).max() / h
-        span = (abs(t0[0]) + abs(t0[-1])) / h + t0.size
-        if any(functions[k].h != h for k in rows) or uneven > 1e-9 or span > 1e8:
-            return None
-        return _SplineRun(rows, t0, h)
-
-    def evaluate(self, x: np.ndarray, orders, out) -> None:
-        """Write the splines' rows of the requested orders into zeroed out arrays."""
-        m = self.rows.size
-        base = (x - self.t0[0]) / self.h
-        cell = np.floor(base)
-        frac = base - cell
-        near = (base > -1.0) & (base < m + 4.0)  # may touch a support
-        clear = near & (frac >= _KNOT_TOL) & (frac <= 1.0 - _KNOT_TOL)
-        # Away from knots, spline cell + off is nonzero on its piece -off.
-        self._fill(out, orders, x, cell, clear, range(-3, 1), fixed=True)
-        # Next to a knot the computed s may fall on either side of it: use a
-        # wider window and let each value select its own piece.
-        self._fill(out, orders, x, cell, near & ~clear, range(-4, 2), fixed=False)
-
-    def _fill(self, out, orders, x, cell, mask, offsets, fixed):
-        cols = np.flatnonzero(mask)
-        if cols.size == 0:
-            return
-        first = cell[cols].astype(np.intp)
-        lo, hi = first.min(), first.max()
-        for off in offsets:
-            j, c = first + off, cols
-            if lo + off < 0 or hi + off >= self.rows.size:
-                # Past an end of the run: keep the splines that exist.
-                exists = (j >= 0) & (j < self.rows.size)
-                j, c = j[exists], c[exists]
-            # The same operations as CubicBSpline's own methods, bit for bit.
-            s = (x[c] - self.t0[j]) / self.h
-            rows = self.rows[j]
-            for order, arr in zip(orders, out):
-                v = _PIECES[order][-off](s) if fixed else _cardinal(order, s)
-                if order:
-                    v = v / self.h ** order
-                arr[rows, c] = v
+    def _row(self, order: int, x: np.ndarray) -> np.ndarray:
+        out = (np.zeros((1, x.size)),)
+        self.run.evaluate(x.reshape(-1), (order,), out, self._rows)
+        return out[0].reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -194,22 +172,31 @@ class BasisFamily:
         return tuple(f.name for f in self.functions)
 
     @cached_property
-    def _layout(self) -> tuple[list[int], _SplineRun | None]:
-        """(members evaluated one by one, the spline run evaluated together)."""
-        run = _SplineRun.find(self.functions)
-        together = set() if run is None else set(run.rows.tolist())
-        return [k for k in range(len(self)) if k not in together], run
+    def _layout(self) -> tuple[list[int], list[tuple[_SplineRun, np.ndarray]]]:
+        """(members evaluated one by one, each spline run with its rows).
+
+        A run's rows[j] is the member index of its spline j, -1 where the
+        family lacks that spline.
+        """
+        others, runs = [], {}
+        for k, f in enumerate(self.functions):
+            if isinstance(f, CubicBSpline):
+                rows = runs.setdefault(f.run, np.full(f.run.t0.size, -1, dtype=np.intp))
+                if rows[f.j] < 0:  # a repeated spline is evaluated on its own
+                    rows[f.j] = k
+                    continue
+            others.append(k)
+        return others, list(runs.items())
 
     def evaluate(self, x, orders=(0, 1, 2), out=None) -> tuple[np.ndarray, ...]:
         """Every member's value (order 0), f' (order 1) or f'' (order 2) at x.
 
         Returns one (len(self), x.size) array per requested order, in the
         order requested; row k equals functions[k].value / d1 / d2 at the
-        flattened x, bit for bit.  Uniform cubic B-spline members are
-        evaluated together: each point's knot interval is found once and only
-        the splines that can be nonzero there are computed.  Other members
-        use their own methods.  out, if given, holds one array per order to
-        overwrite (a loop that evaluates every step can reuse them).
+        flattened x, bit for bit.  The cubic B-spline members of one run are
+        evaluated together; other members use their own methods.  out, if
+        given, holds one array per order to overwrite (a loop that evaluates
+        every step can reuse them).
         """
         if any(o not in (0, 1, 2) for o in orders):
             raise ValueError(f"derivative orders must be 0, 1 or 2, got {orders!r}")
@@ -222,13 +209,13 @@ class BasisFamily:
         else:
             for arr in out:
                 arr.fill(0.0)
-        others, run = self._layout
+        others, runs = self._layout
         for k in others:
             f = self.functions[k]
             for order, rows in zip(orders, out):
                 rows[k] = (f.value, f.d1, f.d2)[order](x)
-        if run is not None:
-            run.evaluate(x, orders, out)
+        for run, rows in runs:
+            run.evaluate(x, orders, out, rows)
         return out
 
     @staticmethod
@@ -242,7 +229,6 @@ class BasisFamily:
             raise ValueError("need at least one spline element")
         if not x_lo < x_hi:
             raise ValueError("x_lo must be below x_hi")
-        h = (x_hi - x_lo) / (n + 3)
-        splines = tuple(CubicBSpline(x_lo + j * h, h, name=f"bspl{j:03d}")
-                        for j in range(n))
+        run = _SplineRun(x_lo, (x_hi - x_lo) / (n + 3), n)
+        splines = tuple(run.member(j, f"bspl{j:03d}") for j in range(n))
         return BasisFamily(splines + (constant_one(),))

@@ -152,12 +152,6 @@ def _solve(lp, args):
     return sol
 
 
-def _policy(grid, sol):
-    policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
-    _, bad = extract_strict(policy)
-    return policy, bad
-
-
 def _same_lp(a, b) -> bool:
     """Every coefficient, bound, size, label and the name identical."""
     return (a.name == b.name and a.n0 == b.n0 and a.n1 == b.n1
@@ -237,9 +231,10 @@ def _pipeline(args, problem, digest) -> int:
         print(solve_line)
         return EXIT_OK
 
-    policy, bad = _policy(grid, sol)
+    policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
     if args.mode == "policy":
         text = policy.to_text()
+        _, bad = extract_strict(policy)
         if bad:
             text += f"# non-degenerate nodes (no strict map): {bad}\n"
         text += f"# boundary mass (10% margin): {boundary_mass_diagnostic(policy)!r}\n"

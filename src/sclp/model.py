@@ -281,7 +281,8 @@ class ValidationReport:
 def validate_conditions(problem: ProblemSpec, grid) -> ValidationReport:
     """Check the standing conditions on the atoms of a grid.
 
-    Never raises; the report carries pass/fail flags per condition.
+    The report carries pass/fail flags per condition; raises ValueError
+    only for a grid without mu0 atoms.
     """
     from .basis import BasisFamily, C2Function, constant_one
 

@@ -14,6 +14,7 @@ import numpy as np
 from .discretize import Grid, nearest_node
 
 DEGENERACY_TOL = 1e-6  # a kernel row is a point mass when its largest p >= 1 - this
+SUPPORT_TOL = 1e-7  # atom weights up to this share of their measure's total are round-off
 BOUNDARY_MARGIN = 0.1  # share of the state interval at each end checked for mass
 
 
@@ -86,11 +87,17 @@ class FeedbackPolicy:
 
 
 def _disintegrate(atoms: np.ndarray, w: np.ndarray, state_nodes: np.ndarray):
-    """Split atom weights into a state marginal and per-node control kernels."""
+    """Split atom weights into a state marginal and per-node control kernels.
+
+    Weights of at most SUPPORT_TOL times the measure's total are simplex
+    round-off: they count as zero, so they make no marginal mass and no
+    kernel row.
+    """
     marginal = np.zeros(state_nodes.size)
     kernel = Kernel()
     if atoms.shape[0] == 0:
         return marginal, kernel
+    w = np.where(w > SUPPORT_TOL * w.sum(), w, 0.0)
     node_of = nearest_node(state_nodes, atoms[:, 0])
     np.add.at(marginal, node_of, w)
     for i in np.flatnonzero(marginal > 0):

@@ -39,7 +39,6 @@ from .model import DISCOUNTED, JUMP, ProblemSpec, eval2
 from .policy import FeedbackPolicy
 
 DISCOUNT_CUTOFF = 1e-8
-SUPPORT_TOL = 1e-7  # mu1 share below which a node is not in the singular support
 
 
 class SimulationError(RuntimeError):
@@ -182,23 +181,13 @@ def _cluster_node(nodes: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndar
 
 
 def _support_clusters(policy: FeedbackPolicy):
-    """Index clusters of the mu1 support (adjacent covered state nodes)."""
-    total = float(policy.mu1_marginal.sum())
-    if total <= 0:
-        return []
-    sig = np.flatnonzero(policy.mu1_marginal > SUPPORT_TOL * total)
-    sig = np.array([i for i in sig if i in policy.eta1.rows], dtype=int)
-    if sig.size == 0:
-        return []
-    clusters = []
-    start = prev = sig[0]
-    for i in sig[1:]:
-        if i == prev + 1:
-            prev = i
-            continue
-        clusters.append((int(start), int(prev)))
-        start = prev = i
-    clusters.append((int(start), int(prev)))
+    """Index clusters of the mu1 support (adjacent nodes with an eta1 row)."""
+    clusters: list[tuple[int, int]] = []
+    for i in sorted(policy.eta1.rows):
+        if clusters and i == clusters[-1][1] + 1:
+            clusters[-1] = (clusters[-1][0], i)
+        else:
+            clusters.append((i, i))
     return clusters
 
 
@@ -437,13 +426,13 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     for k in range(n_steps):
         t = k * dt
         counted = k >= burn_steps
-        w = math.exp(-alpha * t) if disc else 1.0
+        w = math.exp(-alpha * t)
         node_idx = nearest_node(nodes, x)
         visits[int(counted)] += np.bincount(node_idx, minlength=nodes.size)
         u = eta0.sample(node_idx, rng.random(x.size) if relaxed else None)
         x_new = _euler_step(problem, acc, rng, x, u, sqdt, w, counted)
         if action is not None:
-            wc = (math.exp(-alpha * (t + dt)) if disc else 1.0) if counted else 0.0
+            wc = math.exp(-alpha * (t + dt)) if counted else 0.0
             action(acc, rng, x if k else None, x_new, wc)
         if x_new.min() < x_lo or x_new.max() > x_hi:
             truncations += int((x_new < x_lo).sum()) + int((x_new > x_hi).sum())

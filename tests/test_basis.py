@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sclp.basis import (_PIECES, BasisFamily, C2Function, CubicBSpline, _cardinal,
-                        constant_one)
+from sclp.basis import _PIECES, BasisFamily, C2Function, CubicBSpline, constant_one
 
 
 def test_constant_one():
@@ -38,18 +37,20 @@ def test_spline_nonnegative_and_smooth_at_knots():
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_cardinal_takes_each_piece_on_its_own_interval(order):
-    # Reference: every piece at every point, then one chosen per point.
+    # Reference: every piece at every point, then one chosen per point, on
+    # the half-open intervals [p, p + 1) of the knot cells.
+    f = CubicBSpline(0.0, 1.0)
     knots = np.arange(-1.0, 6.0)
     s = np.concatenate([np.random.default_rng(order).uniform(-1.0, 5.0, 5000), knots,
                         np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
                         [-0.0]])
     want = np.select([(0.0 <= s) & (s < 1.0), (1.0 <= s) & (s < 2.0),
-                      (2.0 <= s) & (s < 3.0), (3.0 <= s) & (s <= 4.0)],
+                      (2.0 <= s) & (s < 3.0), (3.0 <= s) & (s < 4.0)],
                      [piece(s) for piece in _PIECES[order]], default=0.0)
-    got = _cardinal(order, s)
+    got = (f.value, f.d1, f.d2)[order](s)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert _cardinal(order, np.asarray(4.0)).shape == ()
+    assert (f.value, f.d1, f.d2)[order](np.asarray(4.0)).shape == ()
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,7 +117,7 @@ def test_family_evaluate_constant_only_and_irregular_members():
     x = np.linspace(-3.0, 3.0, 61)
     _assert_rows_match_members(BasisFamily((constant_one(),)), x)
     # Splines of unequal spacing, out of order, between other members: each
-    # is evaluated on its own.
+    # is a run of one.
     quad = C2Function(lambda x: x ** 2, lambda x: 2.0 * x,
                       lambda x: np.full_like(x, 2.0), name="x^2")
     fam = BasisFamily((CubicBSpline(0.5, 0.25), quad, CubicBSpline(-2.0, 1.0),
@@ -125,6 +126,13 @@ def test_family_evaluate_constant_only_and_irregular_members():
     # A uniform run in reverse order, the constant first: evaluated together.
     uniform = BasisFamily.cubic_on_interval(-3.0, 3.0, 9)
     _assert_rows_match_members(BasisFamily(uniform.functions[::-1]), x)
+    # Part of a run around the constant, with a gap and a repeated member,
+    # and points where every spline of each piece is in the family.
+    run = uniform.functions
+    _assert_rows_match_members(BasisFamily(run[2:4] + (constant_one(),) + run[5:7]), x)
+    _assert_rows_match_members(BasisFamily(run[2:6] + (quad, run[3], run[8])), x)
+    for part in (run[2:8], run[2:4] + run[5:8]):
+        _assert_rows_match_members(BasisFamily(part), np.linspace(-0.4, 0.4, 17))
 
 
 def test_family_evaluate_orders_separately():

@@ -125,24 +125,31 @@ def test_verify_mode(tmp_path):
     assert "lta_cost" in csv
 
 
+def _sloped_inventory(tmp_path):
+    """The inventory INI with the order size in the drift, solved at 41x11/12."""
+    from sclp import (BasisFamily, assemble_lta_lp, build_grid, load_problem,
+                      solve)
+    ini = tmp_path / "inventory-u.ini"
+    ini.write_text(INVENTORY_INI.replace("drift = constant -1",
+                                         "drift = linear -1 0 -0.25"))
+    problem = load_problem(str(ini))
+    grid = build_grid(problem, 41, 11)
+    basis = BasisFamily.cubic_on_interval(problem.state.x_lo, problem.state.x_hi, 12)
+    return ini, problem, grid, basis, solve(assemble_lta_lp(problem, grid, basis))
+
+
+SLOPED_GRID = ("--n-state", "41", "--n-control", "11", "--basis", "12")
+
+
 def test_verify_simulates_the_kernels_of_the_lp(tmp_path):
     # With the order size in the drift, the LP puts eta1 mass on nodes that
     # carry no mu0 mass.  A path there borrows the nearest eta0 row (not
     # the jump size), so verify reports exactly what simulate() gives for
     # the disintegrated policy.
-    from sclp import (BasisFamily, MeasurePair, SimConfig, assemble_lta_lp,
-                      build_grid, load_problem, marginals_and_kernels,
-                      simulate, solve)
-    ini = tmp_path / "inventory-u.ini"
-    ini.write_text(INVENTORY_INI.replace("drift = constant -1",
-                                         "drift = linear -1 0 -0.25"))
-    grid_args = ("--n-state", "41", "--n-control", "11", "--basis", "12")
-    code, out = run(tmp_path, *grid_args, *SHORT, problem=str(ini), mode="verify")
+    from sclp import MeasurePair, SimConfig, marginals_and_kernels, simulate
+    ini, problem, grid, basis, sol = _sloped_inventory(tmp_path)
+    code, out = run(tmp_path, *SLOPED_GRID, *SHORT, problem=str(ini), mode="verify")
     assert code == 0
-    problem = load_problem(str(ini))
-    grid = build_grid(problem, 41, 11)
-    basis = BasisFamily.cubic_on_interval(problem.state.x_lo, problem.state.x_hi, 12)
-    sol = solve(assemble_lta_lp(problem, grid, basis))
     policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
     assert set(policy.eta1.rows) - set(policy.eta0.rows)
     rep = simulate(problem, policy, SimConfig(dt=0.02, horizon=4.0, n_paths=8,
@@ -150,6 +157,25 @@ def test_verify_simulates_the_kernels_of_the_lp(tmp_path):
     assert rep.bridged_steps > 0
     text = (out / "verify_report.txt").read_text()
     assert text.split("\n", 1)[1] == rep.to_text()
+
+
+def test_round_off_weights_make_no_kernel_rows(tmp_path):
+    # The simplex leaves weights of about 1e-16 on mu0 atoms with u = 8 at
+    # nodes 5, 6 and 9, far below the mass at u = 0.  They are round-off:
+    # no marginal mass, no eta0 row, so a path there is bridged.
+    from sclp import MeasurePair, marginals_and_kernels
+    from sclp.discretize import nearest_node
+    ini, _, grid, _, sol = _sloped_inventory(tmp_path)
+    node_of = nearest_node(grid.state_nodes, grid.mu0_atoms[:, 0])
+    for i in (5, 6, 9):
+        assert 0.0 < sol.weights[:grid.n0][node_of == i].sum() < 1e-15
+    policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
+    assert not {5, 6, 9} & set(policy.eta0.rows)
+    assert np.all(policy.mu0_marginal[[5, 6, 9]] == 0.0)
+    code, out = run(tmp_path, *SLOPED_GRID, problem=str(ini), mode="policy")
+    assert code == 0
+    text = (out / "policy.txt").read_text()
+    assert not any(f"node {i} " in text for i in (5, 6, 9))
 
 
 def test_export_mps_reparses_identically(tmp_path):
@@ -408,6 +434,7 @@ def test_stages_call_the_names_cli_imports(tmp_path, monkeypatch):
         monkeypatch.setattr(sclp.cli, name, counted(name, getattr(sclp.cli, name)))
     for problem, mode, extra in (
             ("inventory", "report", SMALL + SHORT),
+            ("inventory", "policy", SMALL),
             ("finite-fuel", "export-mps", FUEL),
             ("inventory", "band-oracle", ONE_BAND)):
         code, _ = run(tmp_path / mode, *extra, problem=problem, mode=mode)
