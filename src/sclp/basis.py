@@ -117,8 +117,10 @@ class _SplineRun:
             j, c = first - p, cols
             if not (whole and lo <= fmin - p and fmax - p <= hi):
                 # Some point's spline cell - p is not written: keep the others.
+                # With whole, every spline in [lo, hi] has a row.
                 on = (j >= lo) & (j <= hi)
-                on[on] = rows[j[on]] >= 0
+                if not whole:
+                    on[on] = rows[j[on]] >= 0
                 j, c = j[on], c[on]
             s = (x[c] - self.t0[j]) / self.h
             r = rows[j]

@@ -23,13 +23,21 @@ class DomainError(ValueError):
 
 
 def eval2(fn, x, u):
-    """Evaluate fn(x, u), broadcasting scalar-valued callables to full shape."""
+    """Evaluate fn(x, u), broadcasting scalar-valued callables to full shape.
+
+    A float64 array of the full shape is returned as fn gave it, and fn may
+    give back its own argument (inventory's displacement returns u): never
+    modify the result in place.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    out = np.asarray(fn(x, u), dtype=float)
-    if out.shape == x.shape == u.shape:
+    out = fn(x, u)
+    shape = x.shape
+    if u.shape != shape:
+        shape = np.broadcast_shapes(shape, u.shape)
+    if type(out) is np.ndarray and out.dtype == float and out.shape == shape:
         return out
-    shape = np.broadcast_shapes(x.shape, u.shape)
+    out = np.asarray(out, dtype=float)
     if out.shape != shape:
         out = np.broadcast_to(out, shape).copy()
     return out

@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .discretize import nearest_node
+from .discretize import nearest_node, node_cuts
 from .model import DISCOUNTED, JUMP, ProblemSpec, eval2
 from .policy import FeedbackPolicy
 
@@ -171,13 +171,14 @@ def _bridge_map(covered: np.ndarray) -> np.ndarray:
     return idxs[nearest_node(idxs, np.arange(covered.size))]
 
 
-def _cluster_node(nodes: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _cluster_node(cuts: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Index of the node of nodes[lo:hi + 1] nearest to each x.
 
-    The global nearest node clamped into the cluster: for sorted nodes this
-    is nearest_node on the slice, ties included.
+    cuts is node_cuts(nodes).  The global nearest node clamped into the
+    cluster: for sorted nodes this is nearest_node on the slice, ties
+    included.
     """
-    return np.minimum(np.maximum(nearest_node(nodes, x), lo), hi)
+    return np.minimum(np.maximum(cuts.searchsorted(x), lo), hi)
 
 
 def _support_clusters(policy: FeedbackPolicy):
@@ -286,7 +287,7 @@ def _euler_step(problem: ProblemSpec, acc: _Accumulators, rng, x, u,
     return x + drift * acc.dt + sig * sqdt * z
 
 
-def _jump_action(problem, nodes, triggers, sampler, acc, rng, x, x_new, wc):
+def _jump_action(problem, cuts, triggers, sampler, acc, rng, x, x_new, wc):
     """Jump the paths that crossed down to a cluster's top node this step.
 
     A path crosses the trigger level when it steps from above it to at or
@@ -297,11 +298,11 @@ def _jump_action(problem, nodes, triggers, sampler, acc, rng, x, x_new, wc):
         crossed = x_new <= trig
         if x is not None:
             crossed &= x > trig
-        if not crossed.any():
+        sub = crossed.nonzero()[0]
+        if not sub.size:
             continue
-        sub = np.flatnonzero(crossed)
         xs = x_new[sub]
-        near = np.full(sub.size, lo) if lo == hi else _cluster_node(nodes, xs, lo, hi)
+        near = np.full(sub.size, lo) if lo == hi else _cluster_node(cuts, xs, lo, hi)
         u = sampler.sample(near, rng.random(sub.size))
         target = xs + eval2(problem.gen_b.displacement, xs, u)
         acc.singular(sub, xs, u, wc)
@@ -318,9 +319,9 @@ def _gradient_action(problem, barriers, sampler, acc, rng, x, x_new, wc):
     """
     for edge, outer, side in barriers:
         over = x_new > edge if side < 0 else x_new < edge
-        if not over.any():
+        sub = over.nonzero()[0]
+        if not sub.size:
             continue
-        sub = np.flatnonzero(over)
         u = sampler.sample(np.full(sub.size, outer), rng.random(sub.size))
         xs = x_new[sub]
         gam = eval2(problem.gen_b.direction, np.full(sub.size, edge), u)
@@ -371,7 +372,7 @@ def _singular_action(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
         if not triggers:
             return None
         sampler = _KernelSampler(policy.eta1, nodes.size)
-        return partial(_jump_action, problem, nodes, triggers, sampler)
+        return partial(_jump_action, problem, node_cuts(nodes), triggers, sampler)
     barriers = _gradient_barriers(problem, policy, clusters)
     if not barriers:
         return None
@@ -398,6 +399,7 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     nodes = policy.state_nodes
+    cuts = node_cuts(nodes)
     x_lo, x_hi = policy.x_lo, policy.x_hi
     disc = problem.criterion.kind == DISCOUNTED
     if not disc and cfg.horizon is None:
@@ -427,7 +429,7 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         t = k * dt
         counted = k >= burn_steps
         w = math.exp(-alpha * t)
-        node_idx = nearest_node(nodes, x)
+        node_idx = cuts.searchsorted(x)
         visits[int(counted)] += np.bincount(node_idx, minlength=nodes.size)
         u = eta0.sample(node_idx, rng.random(x.size) if relaxed else None)
         x_new = _euler_step(problem, acc, rng, x, u, sqdt, w, counted)

@@ -8,7 +8,7 @@ from sclp.basis import BasisFamily, constant_one
 from sclp.discretize import (NORMALIZED, RESCALED, Grid, GridError,
                              _first_copies, assemble_discounted_lp,
                              assemble_lta_lp, build_grid, constraint_residual,
-                             nearest_node)
+                             nearest_node, node_cuts)
 from sclp.model import (Budget, CostSpec, Criterion, DISCOUNTED, ControlSpace,
                         DomainError, GeneratorA, ProblemSpec, eval_Af, eval_Bf)
 from sclp.problems import finite_fuel_problem, inventory_problem
@@ -301,3 +301,52 @@ def test_nearest_node_ties_go_left():
     nodes = np.array([0.0, 1.0, 2.0])
     x = np.array([-5.0, 0.0, 0.4, 0.5, 0.6, 1.5, 2.0, 7.0])
     assert nearest_node(nodes, x).tolist() == [0, 0, 0, 0, 1, 1, 2, 2]
+
+
+def _nearest_node_reference(nodes, x):
+    """nearest_node as one rounded comparison per point, before node_cuts."""
+    idx = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
+    left = np.maximum(idx - 1, 0)
+    return np.where(np.abs(nodes[left] - x) <= np.abs(nodes[idx] - x), left, idx)
+
+
+def _ulps(x, k):
+    """x moved by k ulps (down for negative k)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.copysign(np.inf, k))
+    return x
+
+
+NODE_SETS = {f"linspace({lo:g},{hi:g},{n})": np.linspace(lo, hi, n)
+             for lo, hi in ((-6.0, 4.0), (-4.0, 4.0)) for n in (2, 25, 41, 161, 321)}
+NODE_SETS["random"] = np.unique(np.random.default_rng(4).uniform(-6.0, 4.0, 60))
+
+
+@pytest.mark.parametrize("name", sorted(NODE_SETS))
+def test_node_cuts_reproduce_the_rounded_comparison(name):
+    nodes = NODE_SETS[name]
+    cuts = node_cuts(nodes)
+    a, b = nodes[:-1], nodes[1:]
+    assert np.all((a <= cuts) & (cuts < b))
+    # The comparison holds at the cut and fails one ulp to its right.
+    assert np.all(np.abs(a - cuts) <= np.abs(b - cuts))
+    up = np.nextafter(cuts, np.inf)
+    assert not np.any(np.abs(a - up) <= np.abs(b - up))
+
+    mids = 0.5 * (a + b)
+    near = [_ulps(p, k) for p in (nodes, mids, cuts) for k in (-2, -1, 0, 1, 2)]
+    w_lo, w_hi = b[0] - a[0], b[-1] - a[-1]
+    outside = [np.linspace(nodes[0] - w_lo, nodes[0], 101),
+               np.linspace(nodes[-1], nodes[-1] + w_hi, 101)]
+    rng = np.random.default_rng(5)
+    uniform = rng.uniform(nodes[0] - w_lo, nodes[-1] + w_hi, 10 ** 5)
+    x = np.concatenate([*near, *outside, uniform])
+    assert np.array_equal(nearest_node(nodes, x), _nearest_node_reference(nodes, x))
+
+
+@pytest.mark.parametrize("nodes", [[], [[0.0, 1.0]], [0.0, np.nan, 1.0],
+                                   [0.0, np.inf], [-np.inf, 0.0],
+                                   [0.0, 1.0, 1.0], [1.0, 0.0]])
+def test_node_cuts_need_finite_increasing_nodes(nodes):
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        node_cuts(np.array(nodes, dtype=float))

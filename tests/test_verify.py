@@ -5,7 +5,7 @@ import pytest
 
 from sclp.basis import BasisFamily, C2Function, constant_one
 from sclp.discretize import (Grid, assemble_discounted_lp, assemble_lta_lp,
-                             build_grid, nearest_node)
+                             build_grid, nearest_node, node_cuts)
 from sclp.model import (Criterion, CostSpec, ControlSpace, DISCOUNTED,
                         GeneratorA, GeneratorB, JUMP, LONG_TERM_AVERAGE,
                         ProblemSpec, StateSpace)
@@ -368,6 +368,8 @@ def test_node_without_mu0_mass_borrows_the_nearest_eta0_control():
 # mass eta0 rows stopped drawing them.  (jump_strict's eta0 and eta1 disagree
 # at node 10, so extract_strict finds no strict map there.)  gradient_budget
 # counts its eta1-only nodes as bridged since eta0 alone decides coverage.
+# jump_cluster (a two-node eta1 cluster) and truncated (clipped paths) were
+# recorded before nearest_node became a search on precomputed cuts.
 # Any change to the order or size of the draws, or to the arithmetic of an
 # update, shows up here and must be deliberate.
 
@@ -413,6 +415,23 @@ def _pinned_run(name):
                                        c1=lambda x, u: 0.5 + 0.25 * x))
         cfg = SimConfig(dt=0.02, horizon=10.0, n_paths=16, seed=2)
         fam = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 6)
+    elif name == "jump_cluster":
+        # jump_strict's eta1 row copied onto the node below, half a unit
+        # smaller: the cluster spans two nodes, so _cluster_node picks each
+        # acting path's row.  At dt 0.04 some paths overshoot to node 9.
+        p = inventory_problem()
+        pol, _ = _lp_policy(p, 21, 5, 8, assemble_lta_lp)
+        u, prob = pol.eta1.rows[10]
+        pol.eta1 = Kernel({9: (u - 0.5, prob), 10: (u, prob)})
+        cfg = SimConfig(dt=0.04, horizon=8.0, n_paths=16, seed=13, burn_in=1.0)
+        fam = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 6)
+    elif name == "truncated":
+        # sim-long's 25x11/18 policy: a few paths step past x_hi and are
+        # clipped back (truncation_events > 0).
+        p = inventory_problem()
+        pol, _ = _lp_policy(p, 25, 11, 18, assemble_lta_lp)
+        cfg = SimConfig(dt=0.01, horizon=20.0, n_paths=256, seed=0, burn_in=2.0)
+        fam = None
     else:
         assert name == "discounted_jump"
         p = _discounted_inventory(0.5)
@@ -468,12 +487,33 @@ PINNED = {
         ),
         (0.3882008519673867, 0, 6400, 1601, False, 0),
     ),
+    "jump_cluster": (
+        (
+            "name,estimate,half_width,n\n"
+            "lta_cost,1.7461017627062623,0.14919148105970487,16\n"
+            "mart[bspl000],0.0,0.0,16\n"
+            "mart[bspl001],0.018979467397239554,0.04572206989202061,16\n"
+            "mart[bspl002],-0.24345326009456286,0.3918881716212377,16\n"
+            "mart[bspl003],-0.18158936259158148,0.4977549773479786,16\n"
+            "mart[bspl004],0.1813790624273456,0.4549002692477303,16\n"
+            "mart[bspl005],0.21096249274688422,0.37483471605442176,16\n"
+            "mart[1],0.0,0.0,16\n"
+        ),
+        (0.38954013768167245, 0, 3200, 751, False, 0),
+    ),
     "jump_strict": (
         (
             "name,estimate,half_width,n\n"
             "lta_cost,1.8945059847310728,0.34799360178439026,16\n"
         ),
         (0.4257008519673868, 0, 6400, 1856, False, 0),
+    ),
+    "truncated": (
+        (
+            "name,estimate,half_width,n\n"
+            "lta_cost,1.8216697991050652,0.03202887073813382,256\n"
+        ),
+        (0.04714655311875663, 7, 512000, 483, False, 0),
     ),
 }
 
@@ -513,6 +553,7 @@ def test_multi_atom_sample_follows_cdf():
 
 def test_cluster_node_equals_nearest_node_on_the_slice():
     nodes = np.linspace(-2.0, 2.0, 9)
+    cuts = node_cuts(nodes)
     mids = 0.5 * (nodes[1:] + nodes[:-1])
     x = np.concatenate([nodes, mids, np.nextafter(mids, -np.inf),
                         np.nextafter(mids, np.inf), [-5.0, -2.1, 2.1, 5.0],
@@ -520,4 +561,4 @@ def test_cluster_node_equals_nearest_node_on_the_slice():
     for lo in range(nodes.size):
         for hi in range(lo, nodes.size):
             want = nearest_node(nodes[lo:hi + 1], x) + lo
-            assert np.array_equal(_cluster_node(nodes, x, lo, hi), want), (lo, hi)
+            assert np.array_equal(_cluster_node(cuts, x, lo, hi), want), (lo, hi)
