@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import Grid, nearest_node
+from .discretize import Grid, node_cuts
 
 DEGENERACY_TOL = 1e-6  # a kernel row is a point mass when its largest p >= 1 - this
 SUPPORT_TOL = 1e-7  # atom weights up to this share of their measure's total are round-off
@@ -86,19 +86,20 @@ class FeedbackPolicy:
         return "\n".join(lines) + "\n"
 
 
-def _disintegrate(atoms: np.ndarray, w: np.ndarray, state_nodes: np.ndarray):
+def _disintegrate(atoms: np.ndarray, w: np.ndarray, cuts: np.ndarray):
     """Split atom weights into a state marginal and per-node control kernels.
 
+    cuts is node_cuts of the state nodes; an atom goes to its nearest node.
     Weights of at most SUPPORT_TOL times the measure's total are simplex
     round-off: they count as zero, so they make no marginal mass and no
     kernel row.
     """
-    marginal = np.zeros(state_nodes.size)
+    marginal = np.zeros(cuts.size + 1)
     kernel = Kernel()
     if atoms.shape[0] == 0:
         return marginal, kernel
     w = np.where(w > SUPPORT_TOL * w.sum(), w, 0.0)
-    node_of = nearest_node(state_nodes, atoms[:, 0])
+    node_of = cuts.searchsorted(atoms[:, 0])
     np.add.at(marginal, node_of, w)
     for i in np.flatnonzero(marginal > 0):
         sel = (node_of == i) & (w > 0)
@@ -117,8 +118,9 @@ def marginals_and_kernels(grid: Grid, measures: MeasurePair) -> FeedbackPolicy:
     """
     if not np.any(measures.w0 > 0):
         raise ValueError("mu0 weights are all zero; a probability measure is required")
-    mu0_marginal, eta0 = _disintegrate(grid.mu0_atoms, measures.w0, grid.state_nodes)
-    mu1_marginal, eta1 = _disintegrate(grid.mu1_atoms, measures.w1, grid.state_nodes)
+    cuts = node_cuts(grid.state_nodes)
+    mu0_marginal, eta0 = _disintegrate(grid.mu0_atoms, measures.w0, cuts)
+    mu1_marginal, eta1 = _disintegrate(grid.mu1_atoms, measures.w1, cuts)
     return FeedbackPolicy(state_nodes=grid.state_nodes.copy(),
                           mu0_marginal=mu0_marginal, mu1_marginal=mu1_marginal,
                           eta0=eta0, eta1=eta1)

@@ -19,11 +19,9 @@ per acting path and cluster.
 band_policy_oracle() is an independent renewal-reward estimator for
 inventory-shaped problems under an (s, S) ordering band; band_search()
 brute-forces the best band with common random numbers.  Both run one
-batched core, _band_cycles(): the regenerative cycles of many bands share
-one Euler/bridge step loop in a pool of at most _POOL_CYCLES live cycles
-(whole bands join while they fit, always at least one).  Each band keeps
-its own generator seeded with cfg.seed and draws per step one normal per
-live cycle, then one uniform per live cycle still above s, so every
+Euler/bridge step loop, _band_cycles(), over the regenerative cycles of
+whole bands, at most _POOL_CYCLES of them live at once.  Each band draws
+from its own generator exactly what it would draw alone, so every
 estimate equals that of the band run alone.
 """
 from __future__ import annotations
@@ -360,11 +358,12 @@ def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
     return up[-1:] + down[:1]
 
 
-def _singular_action(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
+def _singular_action(problem: ProblemSpec, policy: FeedbackPolicy, clusters, cuts):
     """The policy's singular action as action(acc, rng, x, x_new, wc), or None.
 
     Jump problems act when a path crosses into the support from above (band
-    behaviour); gradient problems reflect at the support edge.
+    behaviour; cuts is node_cuts(policy.state_nodes)); gradient problems
+    reflect at the support edge.
     """
     nodes = policy.state_nodes
     if problem.gen_b.kind == JUMP:
@@ -372,7 +371,7 @@ def _singular_action(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
         if not triggers:
             return None
         sampler = _KernelSampler(policy.eta1, nodes.size)
-        return partial(_jump_action, problem, node_cuts(nodes), triggers, sampler)
+        return partial(_jump_action, problem, cuts, triggers, sampler)
     barriers = _gradient_barriers(problem, policy, clusters)
     if not barriers:
         return None
@@ -418,7 +417,7 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     eta0.uval, eta0.cdf = eta0.uval[bridge], eta0.cdf[bridge]
     relaxed = eta0.uval.shape[1] > 1
     clusters = _support_clusters(policy)
-    action = _singular_action(problem, policy, clusters)
+    action = _singular_action(problem, policy, clusters, cuts)
     x = _initial_states(problem, policy, rng, cfg.n_paths)
     acc = _Accumulators(problem, basis, x, dt)
     # Visits per node before burn-in (row 0) and in the window (row 1).
@@ -546,138 +545,13 @@ _POOL_CYCLES = 4096
 
 @dataclass
 class _LiveBand:
-    """A band whose cycles are in the oracle's pool."""
+    """A band with cycles in the oracle's step loop."""
 
     index: int  # position in the caller's band list
     rng: np.random.Generator
-    slot: int  # its n entries of the per-cycle result buffers
-    start: int  # pool step at which its cycles began
+    slot: int  # its n entries of the per-cycle result arrays
+    start: int  # step at which its cycles began
     deadline: int  # start + its step limit
-    lo: int  # pool position of its first live cycle
-    n_live: int
-
-
-class _CyclePool:
-    """The live regenerative cycles of several bands, stored band by band.
-
-    Per live cycle: its state before and after the step, its cost so far,
-    its band's s, where its results go (slot * n + cycle) and the step's
-    draws (normals, then uniforms).  A band's slot holds the cost and the
-    ending pool step of each of its n cycles.  The buffers are allocated
-    once; slots serve twice the bands that fit at once, so new bands join
-    while earlier ones finish their last cycles.
-    """
-
-    def __init__(self, problem: ProblemSpec, mu_d: float, n: int, dt: float):
-        self.diffusion, self.c0 = problem.gen_a.diffusion, problem.costs.c0
-        self.mu_d, self.n, self.dt = mu_d, n, dt
-        self.cap = cap = max(_POOL_CYCLES, n)
-        self.x, self.x1, self.c, self.s, self.draws = (np.empty(cap) for _ in range(5))
-        self.u0 = np.zeros(cap)
-        self.dest = np.empty(cap, dtype=np.intp)
-        self.hit, self.keep = np.empty(cap, dtype=bool), np.empty(cap, dtype=bool)
-        n_slots = 2 * (cap // n)
-        self.res_cost = np.empty(n_slots * n)
-        self.res_end = np.empty(n_slots * n, dtype=np.int64)
-        self.free = list(range(n_slots - 1, -1, -1))
-        self.live: list[_LiveBand] = []
-        self.size = 0
-
-    def has_room(self) -> bool:
-        return bool(self.free) and self.size + self.n <= self.cap
-
-    def admit(self, index: int, band: BandPolicy, rng, k: int, max_steps: int):
-        """Start the n cycles of a band at S, at pool step k."""
-        n, lo = self.n, self.size
-        slot = self.free.pop()
-        seg = slice(lo, lo + n)
-        self.x[seg] = band.big_s
-        self.c[seg] = 0.0
-        self.s[seg] = band.s
-        self.dest[seg] = np.arange(slot * n, slot * n + n)
-        self.live.append(_LiveBand(index, rng, slot, k, k + max_steps, lo, n))
-        self.size += n
-
-    def _counts(self, mask: np.ndarray) -> list[int]:
-        """Number of True entries of mask in each live band's segment."""
-        if len(self.live) == 1:
-            return [int(np.count_nonzero(mask))]
-        return np.add.reduceat(mask, [b.lo for b in self.live], dtype=np.intp).tolist()
-
-    def step(self):
-        """One Euler step of every live cycle and its bridge crossing test.
-
-        Leaves the new states in x1 and the cycles that reached s in hit.
-        Each band draws one normal per live cycle, then one uniform per
-        live cycle still above s, as it would alone.
-        """
-        m, dt = self.size, self.dt
-        xs, xn, sl, u = self.x[:m], self.x1[:m], self.s[:m], self.u0[:m]
-        zl, hl, kl = self.draws[:m], self.hit[:m], self.keep[:m]
-        sig = eval2(self.diffusion, xs, u)
-        for b in self.live:
-            b.rng.standard_normal(out=self.draws[b.lo:b.lo + b.n_live])
-        # xn = (xs - mu_d dt) + (sig sqrt(dt)) z, as one band alone computes it.
-        np.multiply(sig, math.sqrt(dt), out=xn)
-        xn *= zl
-        np.subtract(xs, self.mu_d * dt, out=zl)
-        xn += zl
-        self.c[:m] += eval2(self.c0, xs, u) * dt
-        np.less_equal(xn, sl, out=hl)
-        np.logical_not(hl, out=kl)
-        counts = self._counts(kl)
-        n_above = sum(counts)
-        if not n_above:
-            return
-        off = 0
-        for b, cnt in zip(self.live, counts):
-            if cnt:
-                b.rng.random(out=self.draws[off:off + cnt])
-                off += cnt
-        sa = sl[kl]
-        num = -2.0 * (xs[kl] - sa) * (xn[kl] - sa)
-        log_p = num / (sig[kl] ** 2 * dt)
-        # The crossing probability exp(log_p) decides only where it can
-        # exceed the uniform.
-        r = self.draws[:n_above]
-        near = (log_p > _LOG_P_FLOOR) | (r == 0.0)
-        crossed = np.zeros(n_above, dtype=bool)
-        crossed[near] = r[near] < np.exp(log_p[near])
-        hl[kl] = crossed
-
-    def retire(self, k: int) -> list[_LiveBand]:
-        """Record the cycles that ended at pool step k and compact the pool.
-
-        Returns the bands left with no live cycle; their slots are free again
-        once the caller has read them.
-        """
-        m = self.size
-        hl, kl = self.hit[:m], self.keep[:m]
-        np.logical_not(hl, out=kl)
-        n_kept = int(np.count_nonzero(kl))
-        if n_kept == m:
-            self.x, self.x1 = self.x1, self.x
-            return []
-        ended = self.dest[:m][hl]
-        self.res_cost[ended] = self.c[:m][hl]
-        self.res_end[ended] = k
-        kept = self._counts(kl)
-        self.x[:n_kept] = self.x1[:m][kl]
-        self.c[:n_kept] = self.c[:m][kl]
-        self.s[:n_kept] = self.s[:m][kl]
-        self.dest[:n_kept] = self.dest[:m][kl]
-        self.size = n_kept
-        still, done, lo = [], [], 0
-        for b, cnt in zip(self.live, kept):
-            if cnt:
-                b.lo, b.n_live = lo, cnt
-                lo += cnt
-                still.append(b)
-            else:
-                done.append(b)
-                self.free.append(b.slot)
-        self.live = still
-        return done
 
 
 def _band_estimate(cycle_cost: np.ndarray, t_acc: np.ndarray) -> OracleEstimate:
@@ -703,39 +577,96 @@ def _band_cycles(problem: ProblemSpec, bands, cfg: SimConfig) -> list[OracleEsti
 
     Checks the problem, then every band in order.  Each band draws from its
     own generator seeded with cfg.seed (common random numbers across bands)
-    exactly what it would draw alone.  Whole bands join a pool of at most
-    _POOL_CYCLES live cycles (or one band) while they fit.  A cycle's time
-    is the prefix sum of dt up to its step count.  When a band's last cycle
-    ends, its estimate is reduced on its own n cycles, in cycle order.
+    exactly what it would draw alone: per step one normal per live cycle,
+    then one uniform per live cycle still above s.  Whole bands join while
+    at most max(_POOL_CYCLES, n) cycles are live, and always at least one.
+    Results go into twice as many slots of n entries as bands of n fit, so
+    new bands join while earlier ones finish their last cycles.  A cycle's
+    time is the prefix sum of dt up to its step count.  When a band's last
+    cycle ends, its estimate is reduced on its own n cycles, in cycle order.
     """
     mu_d = _inventory_shape(problem)
     for band in bands:
         if not (problem.state.x_lo <= band.s < band.big_s <= problem.state.x_hi):
             raise ValueError("band levels must lie inside the state interval")
     n, dt = cfg.n_paths, cfg.dt
-    pool = _CyclePool(problem, mu_d, n, dt)
+    sq_dt, drift = math.sqrt(dt), mu_d * dt
+    diffusion, c0, c1 = problem.gen_a.diffusion, problem.costs.c0, problem.costs.c1
+    cap = max(_POOL_CYCLES, n)
+    n_slots = 2 * (cap // n)
+    res_cost, res_end = np.empty(n_slots * n), np.empty(n_slots * n, dtype=np.int64)
+    free = list(range(n_slots - 1, -1, -1))
+    draws, u0 = np.empty(cap), np.zeros(cap)
+    # The live cycles, band by band: state, cost so far, their band's s and
+    # result entry (slot * n + cycle).  live[i]'s cycles end at ends[i].
+    x, c, s = np.empty(0), np.empty(0), np.empty(0)
+    dest = np.empty(0, dtype=np.intp)
+    live: list[_LiveBand] = []
+    ends: list[int] = []
     results: list[OracleEstimate | None] = [None] * len(bands)
     queued = k = 0
     while True:
-        while queued < len(bands) and pool.has_room():
+        while queued < len(bands) and free and x.size + n <= cap:
             band = bands[queued]
             max_steps = int(math.ceil(50.0 * (band.big_s - band.s) / mu_d / dt)) + 10_000
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-            pool.admit(queued, band, rng, k, max_steps)
+            slot = free.pop()
+            live.append(_LiveBand(queued, rng, slot, k, k + max_steps))
+            x = np.append(x, np.full(n, band.big_s))
+            c = np.append(c, np.zeros(n))
+            s = np.append(s, np.full(n, band.s))
+            dest = np.append(dest, np.arange(slot * n, slot * n + n))
+            ends.append(x.size)
             queued += 1
-        if not pool.live:
+        if not live:
             return results
-        pool.step()
+        m = x.size
+        sig = eval2(diffusion, x, u0[:m])
+        for b, lo, hi in zip(live, [0] + ends, ends):
+            b.rng.standard_normal(out=draws[lo:hi])
+        # The Euler step (sig sqrt(dt)) z + (x - mu_d dt), rounded in this order.
+        x1 = (sig * sq_dt) * draws[:m] + (x - drift)
+        c += eval2(c0, x, u0[:m]) * dt
+        hit = x1 <= s
+        above = (~hit).nonzero()[0]
+        up_ends = above.searchsorted(ends).tolist()  # where each band's uniforms end
+        for b, lo, hi in zip(live, [0] + up_ends, up_ends):
+            if hi > lo:
+                b.rng.random(out=draws[lo:hi])
+        sa = s.take(above)
+        log_p = (-2.0 * (x.take(above) - sa) * (x1.take(above) - sa)
+                 / (sig.take(above) ** 2 * dt))
+        # The crossing probability exp(log_p) decides only where it can
+        # exceed the uniform.
+        r = draws[:above.size]
+        near = (log_p > _LOG_P_FLOOR) | (r == 0.0)
+        crossed = np.zeros(above.size, dtype=bool)
+        crossed[near] = r[near] < np.exp(log_p[near])
+        hit[above] = crossed
+        kept = above[~crossed]
         k += 1
-        for b in pool.retire(k):
-            band = bands[b.index]
-            row = slice(b.slot * n, (b.slot + 1) * n)
-            steps = pool.res_end[row] - b.start
-            t_acc = np.cumsum(np.full(k - b.start, dt))[steps - 1]
-            order_cost = float(eval2(problem.costs.c1, np.array(band.s),
-                                     np.array(band.big_s - band.s)))
-            results[b.index] = _band_estimate(pool.res_cost[row] + order_cost, t_acc)
-        if any(k >= b.deadline for b in pool.live):
+        if kept.size < m:
+            gone = hit.nonzero()[0]
+            ended = dest.take(gone)
+            res_cost[ended] = c.take(gone)
+            res_end[ended] = k
+            x1, c, s, dest = x1.take(kept), c.take(kept), s.take(kept), dest.take(kept)
+            ends = kept.searchsorted(ends).tolist()
+            segments = list(zip(live, [0] + ends, ends))
+            for b, lo, hi in segments:
+                if lo == hi:  # the band's last cycle ended
+                    band = bands[b.index]
+                    row = slice(b.slot * n, (b.slot + 1) * n)
+                    steps = res_end[row] - b.start
+                    t_acc = np.cumsum(np.full(k - b.start, dt))[steps - 1]
+                    order_cost = float(eval2(c1, np.array(band.s),
+                                             np.array(band.big_s - band.s)))
+                    results[b.index] = _band_estimate(res_cost[row] + order_cost, t_acc)
+                    free.append(b.slot)
+            live = [b for b, lo, hi in segments if lo < hi]
+            ends = [hi for b, lo, hi in segments if lo < hi]
+        x = x1
+        if any(k >= b.deadline for b in live):
             raise SimulationError("some regenerative cycles did not terminate")
 
 
@@ -747,8 +678,7 @@ def band_policy_oracle(problem: ProblemSpec, band: BandPolicy,
     time of s (with a Brownian-bridge crossing test to remove the first-order
     discrete-monitoring bias), then pays the ordering cost of jumping back to
     S.  cfg.n_paths is the number of cycles; cfg.horizon and cfg.burn_in go
-    unread.  The step loop is the one
-    band_search uses (_band_cycles), here with a single band.
+    unread.  It runs band_search's step loop (_band_cycles) on one band.
     """
     return _band_cycles(problem, [band], cfg)[0]
 

@@ -1,4 +1,4 @@
-"""Band oracle and band search: pinned estimates, one step loop, guards.
+"""Band oracle and band search: pinned estimates, one step loop, memory bound, guards.
 
 tests/data/band_oracle_pins.csv holds every OracleEstimate field (exact
 repr) of each band of four cases, as the one-band-at-a-time loop computed
@@ -7,6 +7,7 @@ diffusion that depends on x, and one cycle per band (half-widths nan).
 """
 import csv
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,30 @@ def test_batched_estimates_pinned_for_any_pool_size(name, pool, monkeypatch):
     bands = [BandPolicy(float(row[0]), float(row[1])) for row in pins]
     assert [_fields(e) for e in verify._band_cycles(p, bands, cfg)] == \
         [row[2:] for row in pins]
+
+
+def _search_peak(k, cfg):
+    """tracemalloc peak (bytes) of band_search over a k x k grid of pairs."""
+    s_grid, big_grid = np.linspace(-1.6, -0.6, k), np.linspace(0.4, 1.4, k)
+    tracemalloc.start()
+    try:
+        band_search(inventory_problem(), s_grid, big_grid, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_band_search_memory_does_not_grow_with_the_pair_count():
+    # At 1024 cycles, 4 pairs already fill the default 4096 live cycles, so
+    # 36 pairs may only queue.  Holding every cycle at once would step 9
+    # times as many (a peak of several MB).  Measured peaks, 4 and 36 pairs
+    # (numpy 2.4, Python 3.11): 530 and 559 KiB with the earlier pool of 14
+    # preallocated buffers; 662 and 686 KiB with the flat live arrays.
+    cfg = SimConfig(dt=0.05, horizon=10.0, n_paths=1024, seed=0)
+    band_search(inventory_problem(), [-1.0], [1.0],
+                SimConfig(dt=0.05, horizon=10.0, n_paths=8, seed=0))  # warm-up
+    few, many = _search_peak(2, cfg), _search_peak(6, cfg)
+    assert many < 1.25 * few, (few, many)
 
 
 def test_band_search_rejects_a_pair_outside_the_interval():

@@ -1,7 +1,6 @@
 """Smoke tests of the scripts under scripts/."""
 import os
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -16,15 +15,6 @@ def run_fast(script):
                           capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
-
-
-def test_run_inventory_fast():
-    out = run_fast("run_inventory.py")
-    search = re.search(r"^band search: .* cost=(\S+) \+- (\S+)$", out, re.M)
-    oracle = re.search(r"^oracle at best band: cost=(\S+) \+- (\S+),", out, re.M)
-    assert search and oracle, out
-    # The search row and the oracle at that band are the same estimate.
-    assert search.groups() == oracle.groups()
 
 
 def test_refinement_study_fast():
