@@ -13,7 +13,7 @@ from .discretize import (NORMALIZED, RESCALED, DiscreteLP, Grid, GridError,
 from .model import (DISCOUNTED, GRADIENT, JUMP, LONG_TERM_AVERAGE, Budget,
                     ControlSpace, CostSpec, Criterion, DomainError, GeneratorA,
                     GeneratorB, ProblemSpec, StateSpace, ValidationReport,
-                    eval_Af, eval_Bf, validate_conditions)
+                    validate_conditions)
 from .policy import (FeedbackPolicy, Kernel, MeasurePair,
                      boundary_mass_diagnostic, extract_strict,
                      marginals_and_kernels)

@@ -200,9 +200,10 @@ def _at_states(basis: BasisFamily, x: np.ndarray, orders):
 def _adjoint_rows(problem: ProblemSpec, grid: Grid, basis: BasisFamily) -> np.ndarray:
     """(len(basis), n0 + n1) adjoint coefficients: Af on mu0 atoms, Bf on mu1 atoms.
 
-    Bit for bit what eval_Af / eval_Bf give for each member, with the same
-    DomainError checks on atoms and jump targets.  Rows are filled one at a
-    time so that no temporary is larger than a row.
+    Bit for bit what A f and B f give member by member
+    (tests/generator_reference.py), with the same DomainError checks on
+    atoms and jump targets.  Rows are filled one at a time so that no
+    temporary is larger than a row.
     """
     if len(basis) < 2:
         raise ValueError("basis must contain at least 2 elements")

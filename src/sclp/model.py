@@ -210,43 +210,6 @@ def jump_targets(gen_b: GeneratorB, x, u, state: StateSpace | None = None):
     return target
 
 
-def eval_Af(gen_a: GeneratorA, f, x, u, state: StateSpace | None = None):
-    """Evaluate the diffusion generator on test function f at (x, u).
-
-    f must expose exact analytic derivatives via d1/d2 (no finite
-    differencing).  Raises DomainError when state is given and x leaves it.
-    """
-    scalar = np.isscalar(x) and np.isscalar(u)
-    xa = np.asarray(x, dtype=float)
-    ua = np.asarray(u, dtype=float)
-    if state is not None:
-        state.require(xa)
-    sig = eval2(gen_a.diffusion, xa, ua)
-    b = eval2(gen_a.drift, xa, ua)
-    out = 0.5 * sig * sig * f.d2(xa) + b * f.d1(xa)
-    return float(out) if scalar else out
-
-
-def eval_Bf(gen_b: GeneratorB, f, x, u, state: StateSpace | None = None):
-    """Evaluate the singular generator on test function f at (x, u).
-
-    For jump generators the jump target must stay inside the state interval
-    when one is supplied; a violation names the offending atom.
-    """
-    scalar = np.isscalar(x) and np.isscalar(u)
-    xa = np.asarray(x, dtype=float)
-    ua = np.asarray(u, dtype=float)
-    if state is not None:
-        state.require(xa)
-    if gen_b.kind == JUMP:
-        target = jump_targets(gen_b, xa, ua, state=state)
-        out = f.value(target) - f.value(xa)
-        out = np.broadcast_to(out, np.broadcast_shapes(xa.shape, ua.shape)).copy()
-    else:
-        out = eval2(gen_b.direction, xa, ua) * f.d1(xa)
-    return float(out) if scalar else out
-
-
 @dataclass
 class ValidationReport:
     """Grid-level checks of the standing conditions on a problem.
@@ -322,9 +285,10 @@ def validate_conditions(problem: ProblemSpec, grid) -> ValidationReport:
         msgs.append("neither c1 nor any singular budget function is bounded away "
                     "from 0 on the mu1 atoms")
 
-    # Generators on the probes 1, x and x^2 as one family, with eval_Af's and
-    # eval_Bf's arithmetic: the unit must map to exactly 0, x and x^2 to
-    # finite values; inf * 0 or inf - inf fails them without a warning.
+    # Generators on the probes 1, x and x^2 as one family, with the
+    # arithmetic of the generator rows (discretize._adjoint_rows): the unit
+    # must map to exactly 0, x and x^2 to finite values; inf * 0 or inf - inf
+    # fails them without a warning.
     probes = BasisFamily((
         constant_one(),
         C2Function(lambda x: x, np.ones_like, np.zeros_like, name="x"),

@@ -18,11 +18,15 @@ per acting path and cluster.
 
 band_policy_oracle() is an independent renewal-reward estimator for
 inventory-shaped problems under an (s, S) ordering band; band_search()
-brute-forces the best band with common random numbers.  Both run one
-Euler/bridge step loop, _band_cycles(), over the regenerative cycles of
-whole bands, at most _POOL_CYCLES of them live at once.  Each band draws
-from its own generator exactly what it would draw alone, so every
-estimate equals that of the band run alone.
+brute-forces the best band.  Both run one Euler/bridge step loop,
+_band_cycles(), over groups: an order-up-to level S with its reorder
+levels.  A cycle's path from S does not depend on s, which only decides
+when the cycle stops, so a group runs its cycles from S down to its lowest
+s and every band (s, S) reads its estimate off them.  At most _POOL_CYCLES
+cycles are live at once.  Each group draws from its own generator, so its
+estimates do not depend on which groups share the loop, and a one-level
+group is band_policy_oracle's run.  band_search groups its pairs by S: the
+bands of one S share their paths.
 """
 from __future__ import annotations
 
@@ -538,20 +542,20 @@ def _inventory_shape(problem: ProblemSpec):
 # oracle skips those exp calls, which underflow slowly far from s.
 _LOG_P_FLOOR = -40.0
 
-# Most regenerative cycles the band oracle steps at once.  Whole bands are
+# Most regenerative cycles the band oracle steps at once.  Whole groups are
 # admitted while they fit, and always at least one.
 _POOL_CYCLES = 4096
 
 
 @dataclass
-class _LiveBand:
-    """A band with cycles in the oracle's step loop."""
+class _LiveGroup:
+    """An order-up-to level S with cycles in the oracle's step loop."""
 
-    index: int  # position in the caller's band list
+    index: int  # position in the caller's group list
     rng: np.random.Generator
-    slot: int  # its n entries of the per-cycle result arrays
+    slots: list[int]  # result slot of each reorder level, highest first
     start: int  # step at which its cycles began
-    deadline: int  # start + its step limit
+    deadline: int  # start + the step limit of its lowest level
 
 
 def _band_estimate(cycle_cost: np.ndarray, t_acc: np.ndarray) -> OracleEstimate:
@@ -572,101 +576,145 @@ def _band_estimate(cycle_cost: np.ndarray, t_acc: np.ndarray) -> OracleEstimate:
     )
 
 
-def _band_cycles(problem: ProblemSpec, bands, cfg: SimConfig) -> list[OracleEstimate]:
-    """Renewal-reward estimates of the bands, from one Euler/bridge step loop.
+def _crossed(x, x1, s, sig, r, dt) -> np.ndarray:
+    """Whether each Euler step from x > s to x1 crosses s.
 
-    Checks the problem, then every band in order.  Each band draws from its
-    own generator seeded with cfg.seed (common random numbers across bands)
-    exactly what it would draw alone: per step one normal per live cycle,
-    then one uniform per live cycle still above s.  Whole bands join while
-    at most max(_POOL_CYCLES, n) cycles are live, and always at least one.
-    Results go into twice as many slots of n entries as bands of n fit, so
-    new bands join while earlier ones finish their last cycles.  A cycle's
-    time is the prefix sum of dt up to its step count.  When a band's last
-    cycle ends, its estimate is reduced on its own n cycles, in cycle order.
+    It does if x1 <= s, or else if the uniform r falls under the crossing
+    probability exp(log_p) of the Brownian bridge from x to x1.
+    """
+    crossed = x1 <= s
+    log_p = (-2.0 * (x - s) * (x1 - s)) / (sig ** 2 * dt)
+    # exp(log_p) decides only above s, and where it can exceed the uniform.
+    near = (~crossed & ((log_p > _LOG_P_FLOOR) | (r == 0.0))).nonzero()[0]
+    crossed[near] = r.take(near) < np.exp(log_p.take(near))
+    return crossed
+
+
+def _band_cycles(problem: ProblemSpec, groups, cfg: SimConfig) -> list[list[OracleEstimate]]:
+    """Renewal-reward estimates of groups of bands, from one Euler/bridge step loop.
+
+    A group (S, levels) holds the bands (s, S) of its reorder levels
+    s_1 >= ... >= s_L.  A cycle's path from S does not depend on s, which
+    only decides when the cycle stops, so the group runs n cycles from S
+    down to s_L and every level reads its cycles off them.  Checks the
+    problem, then every group in order.  Each group draws from its own
+    generator seeded with cfg.seed (common random numbers across groups):
+    per step one normal per live cycle, then one uniform per live cycle
+    still above s_L.  A cycle tests only its highest uncrossed level; when
+    it crosses it, the level records the cycle's cost and step, and the
+    cycle tests the next level on the same step with the same uniform.  So
+    s_L's estimate, and that of a one-level group, is the band's run alone.
+    Whole groups join while at most max(_POOL_CYCLES, n) cycles are live,
+    and always at least one.  Results go into slots of n entries, one per
+    level, twice as many as the larger of the groups of n that fit and the
+    deepest group's levels, so a group joins while another finishes.  A
+    cycle's time is the prefix sum of dt up to its step count from its
+    group's start.  When a group's last cycle ends, each level's estimate
+    is reduced on its own n cycles, in cycle order.  Returns the estimates
+    group by group, level by level.
     """
     mu_d = _inventory_shape(problem)
-    for band in bands:
-        if not (problem.state.x_lo <= band.s < band.big_s <= problem.state.x_hi):
-            raise ValueError("band levels must lie inside the state interval")
+    for big_s, levels in groups:
+        for s in levels:
+            if not (problem.state.x_lo <= s < big_s <= problem.state.x_hi):
+                raise ValueError("band levels must lie inside the state interval")
     n, dt = cfg.n_paths, cfg.dt
     sq_dt, drift = math.sqrt(dt), mu_d * dt
     diffusion, c0, c1 = problem.gen_a.diffusion, problem.costs.c0, problem.costs.c1
     cap = max(_POOL_CYCLES, n)
-    n_slots = 2 * (cap // n)
+    n_slots = 2 * max(cap // n, max(len(levels) for _, levels in groups))
     res_cost, res_end = np.empty(n_slots * n), np.empty(n_slots * n, dtype=np.int64)
+    # Each slot's reorder level, and the slot of its group's next lower
+    # level (-1 after the lowest).
+    slot_s, slot_next = np.empty(n_slots), np.empty(n_slots, dtype=np.intp)
     free = list(range(n_slots - 1, -1, -1))
-    draws, u0 = np.empty(cap), np.zeros(cap)
-    # The live cycles, band by band: state, cost so far, their band's s and
-    # result entry (slot * n + cycle).  live[i]'s cycles end at ends[i].
-    x, c, s = np.empty(0), np.empty(0), np.empty(0)
+    draws, uniforms, u0 = np.empty(cap), np.zeros(cap), np.zeros(cap)
+    # The live cycles, group by group: state, cost so far, highest uncrossed
+    # level, their group's lowest level, and the result entry of the level
+    # tested (slot * n + cycle).  live[i]'s cycles end at ends[i].
+    x, c, s, low = np.empty(0), np.empty(0), np.empty(0), np.empty(0)
     dest = np.empty(0, dtype=np.intp)
-    live: list[_LiveBand] = []
+    live: list[_LiveGroup] = []
     ends: list[int] = []
-    results: list[OracleEstimate | None] = [None] * len(bands)
+    results: list[list[OracleEstimate] | None] = [None] * len(groups)
     queued = k = 0
     while True:
-        while queued < len(bands) and free and x.size + n <= cap:
-            band = bands[queued]
-            max_steps = int(math.ceil(50.0 * (band.big_s - band.s) / mu_d / dt)) + 10_000
+        while (queued < len(groups) and len(free) >= len(groups[queued][1])
+               and x.size + n <= cap):
+            big_s, levels = groups[queued]
+            max_steps = int(math.ceil(50.0 * (big_s - levels[-1]) / mu_d / dt)) + 10_000
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-            slot = free.pop()
-            live.append(_LiveBand(queued, rng, slot, k, k + max_steps))
-            x = np.append(x, np.full(n, band.big_s))
+            slots = [free.pop() for _ in levels]
+            slot_s[slots] = levels
+            slot_next[slots] = slots[1:] + [-1]
+            live.append(_LiveGroup(queued, rng, slots, k, k + max_steps))
+            x = np.append(x, np.full(n, big_s))
             c = np.append(c, np.zeros(n))
-            s = np.append(s, np.full(n, band.s))
-            dest = np.append(dest, np.arange(slot * n, slot * n + n))
+            s = np.append(s, np.full(n, levels[0]))
+            low = np.append(low, np.full(n, levels[-1]))
+            dest = np.append(dest, np.arange(slots[0] * n, slots[0] * n + n))
             ends.append(x.size)
             queued += 1
         if not live:
             return results
         m = x.size
         sig = eval2(diffusion, x, u0[:m])
-        for b, lo, hi in zip(live, [0] + ends, ends):
-            b.rng.standard_normal(out=draws[lo:hi])
+        for g, lo, hi in zip(live, [0] + ends, ends):
+            g.rng.standard_normal(out=draws[lo:hi])
         # The Euler step (sig sqrt(dt)) z + (x - mu_d dt), rounded in this order.
         x1 = (sig * sq_dt) * draws[:m] + (x - drift)
         c += eval2(c0, x, u0[:m]) * dt
-        hit = x1 <= s
-        above = (~hit).nonzero()[0]
-        up_ends = above.searchsorted(ends).tolist()  # where each band's uniforms end
-        for b, lo, hi in zip(live, [0] + up_ends, up_ends):
+        above = (x1 > low).nonzero()[0]
+        up_ends = above.searchsorted(ends).tolist()  # where each group's uniforms end
+        for g, lo, hi in zip(live, [0] + up_ends, up_ends):
             if hi > lo:
-                b.rng.random(out=draws[lo:hi])
-        sa = s.take(above)
-        log_p = (-2.0 * (x.take(above) - sa) * (x1.take(above) - sa)
-                 / (sig.take(above) ** 2 * dt))
-        # The crossing probability exp(log_p) decides only where it can
-        # exceed the uniform.
-        r = draws[:above.size]
-        near = (log_p > _LOG_P_FLOOR) | (r == 0.0)
-        crossed = np.zeros(above.size, dtype=bool)
-        crossed[near] = r[near] < np.exp(log_p[near])
-        hit[above] = crossed
-        kept = above[~crossed]
+                g.rng.random(out=draws[lo:hi])
+        # A cycle at or below s_L draws no uniform and keeps an r left from
+        # an earlier step: it crosses every level left at the endpoint,
+        # whatever r is.
+        r = uniforms[:m]
+        r[above] = draws[:above.size]
+        down = _crossed(x, x1, s, sig, r, dt)
         k += 1
+        # Record each crossed level; a cycle with a level left tests it on
+        # the same step, and down keeps only the cycles that crossed their last.
+        gone = down.nonzero()[0]
+        while gone.size:
+            d = dest.take(gone)
+            res_cost[d] = c.take(gone)
+            res_end[d] = k
+            nxt = slot_next.take(d // n)
+            more = (nxt >= 0).nonzero()[0]
+            if not more.size:
+                break
+            gone, nxt = gone.take(more), nxt.take(more)
+            dest[gone] = nxt * n + d.take(more) % n
+            s[gone] = level = slot_s.take(nxt)
+            down[gone] = again = _crossed(x.take(gone), x1.take(gone), level,
+                                          sig.take(gone), r.take(gone), dt)
+            gone = gone[again]
+        kept = (~down).nonzero()[0]
         if kept.size < m:
-            gone = hit.nonzero()[0]
-            ended = dest.take(gone)
-            res_cost[ended] = c.take(gone)
-            res_end[ended] = k
-            x1, c, s, dest = x1.take(kept), c.take(kept), s.take(kept), dest.take(kept)
+            x1, c, s, low, dest = (a.take(kept) for a in (x1, c, s, low, dest))
             ends = kept.searchsorted(ends).tolist()
             segments = list(zip(live, [0] + ends, ends))
-            for b, lo, hi in segments:
-                if lo == hi:  # the band's last cycle ended
-                    band = bands[b.index]
-                    row = slice(b.slot * n, (b.slot + 1) * n)
-                    steps = res_end[row] - b.start
-                    t_acc = np.cumsum(np.full(k - b.start, dt))[steps - 1]
-                    order_cost = float(eval2(c1, np.array(band.s),
-                                             np.array(band.big_s - band.s)))
-                    results[b.index] = _band_estimate(res_cost[row] + order_cost, t_acc)
-                    free.append(b.slot)
-            live = [b for b, lo, hi in segments if lo < hi]
-            ends = [hi for b, lo, hi in segments if lo < hi]
+            for g, lo, hi in segments:
+                if lo == hi:  # the group's last cycle ended
+                    big_s, levels = groups[g.index]
+                    t = np.cumsum(np.full(k - g.start, dt))
+                    ests = []
+                    for level, slot in zip(levels, g.slots):
+                        row = slice(slot * n, (slot + 1) * n)
+                        order_cost = float(eval2(c1, np.array(level),
+                                                 np.array(big_s - level)))
+                        ests.append(_band_estimate(res_cost[row] + order_cost,
+                                                   t[res_end[row] - g.start - 1]))
+                    results[g.index] = ests
+                    free.extend(g.slots)
+            live = [g for g, lo, hi in segments if lo < hi]
+            ends = [hi for g, lo, hi in segments if lo < hi]
         x = x1
-        if any(k >= b.deadline for b in live):
+        if any(k >= g.deadline for g in live):
             raise SimulationError("some regenerative cycles did not terminate")
 
 
@@ -678,9 +726,10 @@ def band_policy_oracle(problem: ProblemSpec, band: BandPolicy,
     time of s (with a Brownian-bridge crossing test to remove the first-order
     discrete-monitoring bias), then pays the ordering cost of jumping back to
     S.  cfg.n_paths is the number of cycles; cfg.horizon and cfg.burn_in go
-    unread.  It runs band_search's step loop (_band_cycles) on one band.
+    unread.  It runs band_search's step loop (_band_cycles) on a group of
+    one level, so its cycles stop at s and draw uniforms only above s.
     """
-    return _band_cycles(problem, [band], cfg)[0]
+    return _band_cycles(problem, [(band.big_s, [band.s])], cfg)[0][0]
 
 
 @dataclass
@@ -695,19 +744,27 @@ def band_search(problem: ProblemSpec, s_grid, S_grid,
                 cfg: SimConfig) -> BandSearchResult:
     """Evaluate every s < S pair with common random numbers; return the minimizer.
 
-    Every pair is checked first, in lexicographic (s, S) order, and then all
-    run in one batched step loop (_band_cycles): each pair draws from its own
-    generator seeded with cfg.seed, so its estimate equals band_policy_oracle's,
-    and at most _POOL_CYCLES cycles are live at once.  Only strictly lower
-    costs replace the incumbent, so exact-cost ties resolve to the
-    lexicographically smallest pair.
+    The pairs are sorted in lexicographic (s, S) order, and those that share
+    S form one group of _band_cycles: n cycles from S, run down to the
+    lowest s, give every pair with that S.  So the pairs of one S share
+    their paths, and every group draws from a generator seeded with
+    cfg.seed.  Only the row of each S's lowest s equals band_policy_oracle's
+    estimate: the rows above it share a stream that draws uniforms down to
+    that lowest s.  Every pair is checked before any cycle runs, and at most
+    _POOL_CYCLES cycles are live at once.  Only strictly lower costs replace the incumbent, so exact-cost
+    ties resolve to the lexicographically smallest pair.
     """
     pairs = [(float(s), float(S)) for s in s_grid for S in S_grid if s < S]
     if not pairs:
         raise ValueError("no (s, S) pairs with s < S")
     pairs.sort()
-    ests = _band_cycles(problem, [BandPolicy(s, S) for s, S in pairs], cfg)
-    table = [(s, S, e.cost, e.half_width) for (s, S), e in zip(pairs, ests)]
+    levels: dict[float, list[float]] = {}
+    for s, S in pairs:
+        levels.setdefault(S, []).append(s)
+    groups = [(S, ss[::-1]) for S, ss in sorted(levels.items())]
+    ests = {(s, S): e for (S, ss), row in zip(groups, _band_cycles(problem, groups, cfg))
+            for s, e in zip(ss, row)}
+    table = [(s, S, ests[s, S].cost, ests[s, S].half_width) for s, S in pairs]
     best = min(table, key=lambda row: row[2])
     return BandSearchResult(best=BandPolicy(best[0], best[1]), cost=best[2],
                             half_width=best[3], table=table)

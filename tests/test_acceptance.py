@@ -104,7 +104,7 @@ def test_3_adjoint_exactness():
         mass_err = abs(sol.weights[:grid.n0].sum() - mass)
         # The constant test function is annihilated exactly on every atom.
         from sclp.basis import constant_one
-        from sclp.model import eval_Af, eval_Bf
+        from generator_reference import eval_Af, eval_Bf
         one = constant_one()
         a1 = eval_Af(problem.gen_a, one, grid.mu0_atoms[:, 0], grid.mu0_atoms[:, 1])
         b1 = eval_Bf(problem.gen_b, one, grid.mu1_atoms[:, 0], grid.mu1_atoms[:, 1])

@@ -10,8 +10,9 @@ from sclp.discretize import (NORMALIZED, RESCALED, Grid, GridError,
                              assemble_lta_lp, build_grid, constraint_residual,
                              nearest_node, node_cuts)
 from sclp.model import (Budget, CostSpec, Criterion, DISCOUNTED, ControlSpace,
-                        DomainError, GeneratorA, ProblemSpec, eval_Af, eval_Bf)
+                        DomainError, GeneratorA, ProblemSpec)
 from sclp.problems import finite_fuel_problem, inventory_problem
+from generator_reference import eval_Af, eval_Bf
 
 
 def product_atoms(p, n_state, n_control):

@@ -6,8 +6,9 @@ from sclp.discretize import build_grid
 from sclp.model import (DISCOUNTED, GRADIENT, JUMP, LONG_TERM_AVERAGE, Budget,
                         ControlSpace, CostSpec, Criterion, DomainError,
                         GeneratorA, GeneratorB, ProblemSpec, StateSpace,
-                        eval2, eval_Af, eval_Bf, validate_conditions)
+                        eval2, validate_conditions)
 from sclp.problems import finite_fuel_problem, inventory_problem
+from generator_reference import eval_Af, eval_Bf
 
 QUAD = C2Function(lambda x: x ** 2, lambda x: 2.0 * x,
                   lambda x: np.full_like(x, 2.0), name="x^2")
