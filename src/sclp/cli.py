@@ -64,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=200)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--horizon", type=float, default=200.0)
-    p.add_argument("--burn-in", type=float, default=20.0)
+    p.add_argument("--burn-in", type=float, default=None,
+                   help="simulated time before costs are counted "
+                        "(default: a tenth of --horizon)")
     p.add_argument("--band-s", type=float, default=None,
                    help="reorder level for a single band-oracle evaluation")
     p.add_argument("--band-S", type=float, default=None,
@@ -162,9 +164,15 @@ def _same_lp(a, b) -> bool:
 
 
 def _sim_config(args, lta) -> SimConfig:
-    """Only long-term-average simulations read --horizon and --burn-in."""
+    """Only long-term-average simulations read --horizon and --burn-in.
+
+    A missing --burn-in becomes a tenth of --horizon, so the # config
+    header records the value used.
+    """
     if not lta:
         return SimConfig(dt=args.dt, horizon=None, n_paths=args.paths, seed=args.seed)
+    if args.burn_in is None:
+        args.burn_in = args.horizon / 10
     return SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,
                      seed=args.seed, burn_in=args.burn_in)
 

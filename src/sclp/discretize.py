@@ -44,59 +44,35 @@ class Grid:
         return self.mu1_atoms.shape[0]
 
 
-def _float_key(x: np.ndarray) -> np.ndarray:
-    """int64 keys in the order of the floats x (-0.0 and 0.0 share key 0)."""
-    bits = x.view(np.int64)
-    return np.where(bits < 0, -(bits & np.int64(0x7FFFFFFFFFFFFFFF)), bits)
-
-
-def _key_float(key: np.ndarray) -> np.ndarray:
-    """The floats of _float_key's keys."""
-    return np.where(key < 0, -key | np.int64(-0x8000000000000000), key).view(np.float64)
-
-
 def node_cuts(nodes) -> np.ndarray:
-    """cuts[i]: the largest float x with |nodes[i] - x| <= |nodes[i + 1] - x|.
+    """cuts[i]: the largest float at or below (nodes[i] + nodes[i + 1]) / 2, exactly.
 
-    The nodes must be finite and strictly increasing (else ValueError).
-    Inside a cell (a, b], fl(x - a) is nondecreasing and fl(b - x)
-    nonincreasing in x, so the rounded comparison is true up to the cut and
-    false after it, and a <= cut < b.  Each rounded difference is within
-    half an ulp of b - a of the exact one, so the cut lies a few ulps from
-    the rounded midpoint.  Bisection over the floats in their order starts
-    from a bracket of that width (from [a, b] where it does not hold) and
-    ends within 64 halvings.  A walk of ulps from the midpoint need not:
-    for a = -4, b = 4 the midpoint is 0 and the cut 2**-52.
+    So x goes to node i + 1 exactly when x > cuts[i]: the nearest node in
+    exact arithmetic, ties to the left.  TwoSum (Knuth, TAOCP 2, 4.2.2)
+    gives the error e of s = fl(a + b); the cut is m = fl(s / 2), or the
+    float below m where e < 0 or the halving rounded up.  The nodes must be
+    finite and strictly increasing, with finite neighbour sums (else
+    ValueError).
     """
     nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size == 0 or not np.isfinite(nodes).all() \
-            or (np.diff(nodes) <= 0).any():
+    if nodes.ndim != 1 or nodes.size == 0:
         raise ValueError("nodes must be finite and strictly increasing")
     a, b = nodes[:-1], nodes[1:]
-
-    def left(x):
-        return np.abs(a - x) <= np.abs(b - x)
-
-    m = a + 0.5 * (b - a)
-    width = 2.0 * (np.spacing(np.abs(m)) + np.spacing(b - a))
-    x_lo, x_hi = np.fmax(m - width, a), np.fmin(m + width, b)  # NaN if b - a overflows
-    # Keys of floats where the comparison holds (lo) and where it fails (hi).
-    lo = np.where(left(x_lo), _float_key(x_lo), _float_key(a))
-    hi = np.where(left(x_hi), _float_key(b), _float_key(x_hi))
-    while (lo + 1 < hi).any():
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor((lo + hi) / 2)
-        holds = left(_key_float(mid))
-        lo, hi = np.where(holds, mid, lo), np.where(holds, hi, mid)
-    return _key_float(lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a + b
+    if not (np.isfinite(nodes).all() and np.isfinite(s).all()) or (b <= a).any():
+        raise ValueError("nodes must be finite and strictly increasing, "
+                         "with finite neighbour sums")
+    t = s - a
+    e = (a - (s - t)) + (b - t)
+    m = 0.5 * s
+    return np.where((e < 0) | (m + m > s), np.nextafter(m, -np.inf), m)
 
 
 def nearest_node(nodes: np.ndarray, x) -> np.ndarray:
     """Index of the sorted node nearest to each x; a tie goes to the left node.
 
-    The number of node_cuts below x: it equals the index that the rounded
-    comparison |nodes[i] - x| <= |nodes[i + 1] - x| of x's cell picks.
-    Only beyond the last node, where x - nodes[-2] and x - nodes[-1] may
-    round equal, would that comparison pick the second-to-last node.
+    Exact, not rounded, distances decide: the number of node_cuts below x.
     """
     return np.searchsorted(node_cuts(nodes), x)
 

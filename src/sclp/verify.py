@@ -174,11 +174,9 @@ def _bridge_map(covered: np.ndarray) -> np.ndarray:
 
 
 def _cluster_node(cuts: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Index of the node of nodes[lo:hi + 1] nearest to each x.
+    """nearest_node(nodes[lo:hi + 1], x) + lo, from cuts = node_cuts(nodes).
 
-    cuts is node_cuts(nodes).  The global nearest node clamped into the
-    cluster: for sorted nodes this is nearest_node on the slice, ties
-    included.
+    Clamping the global nearest node into the slice gives the same index.
     """
     return np.minimum(np.maximum(cuts.searchsorted(x), lo), hi)
 
@@ -370,17 +368,12 @@ def _singular_action(problem: ProblemSpec, policy: FeedbackPolicy, clusters, cut
     reflect at the support edge.
     """
     nodes = policy.state_nodes
+    sampler = _KernelSampler(policy.eta1, nodes.size)
     if problem.gen_b.kind == JUMP:
         triggers = [(float(nodes[hi]), lo, hi) for lo, hi in clusters]
-        if not triggers:
-            return None
-        sampler = _KernelSampler(policy.eta1, nodes.size)
-        return partial(_jump_action, problem, cuts, triggers, sampler)
+        return partial(_jump_action, problem, cuts, triggers, sampler) if triggers else None
     barriers = _gradient_barriers(problem, policy, clusters)
-    if not barriers:
-        return None
-    sampler = _KernelSampler(policy.eta1, nodes.size)
-    return partial(_gradient_action, problem, barriers, sampler)
+    return partial(_gradient_action, problem, barriers, sampler) if barriers else None
 
 
 def _initial_states(problem: ProblemSpec, policy: FeedbackPolicy, rng, n_paths):

@@ -125,6 +125,16 @@ def test_verify_mode(tmp_path):
     assert "lta_cost" in csv
 
 
+@pytest.mark.parametrize("steps, burn_in", [(("--horizon", "20", "--dt", "0.02"), 2.0),
+                                            (("--dt", "0.25"), 20.0)])
+def test_burn_in_defaults_to_a_tenth_of_the_horizon(tmp_path, steps, burn_in):
+    code, out = run(tmp_path, "--n-state", "21", "--n-control", "5", "--basis", "8",
+                    *steps, "--paths", "8", mode="verify")
+    assert code == 0
+    header = (out / "verify_report.txt").read_text().splitlines()[0]
+    assert json.loads(header.split("# config ")[1])["burn_in"] == burn_in
+
+
 def _sloped_inventory(tmp_path):
     """The inventory INI with the order size in the drift, solved at 41x11/12."""
     from sclp import (BasisFamily, assemble_lta_lp, build_grid, load_problem,
@@ -229,10 +239,11 @@ def test_band_oracle_single(tmp_path):
 
 
 def test_band_oracle_ignores_horizon_and_burn_in(tmp_path):
-    # The oracle has no horizon: --horizon 10 with the default burn-in 20
-    # would not make a valid simulation config.
+    # The oracle has no horizon: --horizon 10 with --burn-in 20 would not
+    # make a valid simulation config.
     code, out = run(tmp_path, "--paths", "20", "--dt", "0.02", "--horizon", "10",
-                    "--band-s", "-1", "--band-S", "0.5", mode="band-oracle")
+                    "--burn-in", "20", "--band-s", "-1", "--band-S", "0.5",
+                    mode="band-oracle")
     assert code == 0
     lines = (out / "band_table.csv").read_text().splitlines()
     assert lines[1] == "s,S,cost,half_width"

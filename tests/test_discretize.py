@@ -1,4 +1,7 @@
+import bisect
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -311,10 +314,21 @@ def _nearest_node_reference(nodes, x):
     return np.where(np.abs(nodes[left] - x) <= np.abs(nodes[idx] - x), left, idx)
 
 
+def _exact_midpoints(nodes):
+    return [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(nodes[:-1], nodes[1:])]
+
+
+def _exact_nearest_node(nodes, x):
+    """The nearest node in rational arithmetic, ties to the left."""
+    mids = _exact_midpoints(nodes)
+    return np.array([bisect.bisect_left(mids, Fraction(v)) for v in x], dtype=np.intp)
+
+
 def _ulps(x, k):
-    """x moved by k ulps (down for negative k)."""
-    for _ in range(abs(k)):
-        x = np.nextafter(x, np.copysign(np.inf, k))
+    """x moved by k ulps (down for negative k); ±inf past the largest float."""
+    with np.errstate(over="ignore"):
+        for _ in range(abs(k)):
+            x = np.nextafter(x, np.copysign(np.inf, k))
     return x
 
 
@@ -325,29 +339,67 @@ NODE_SETS["random"] = np.unique(np.random.default_rng(4).uniform(-6.0, 4.0, 60))
 
 @pytest.mark.parametrize("name", sorted(NODE_SETS))
 def test_node_cuts_reproduce_the_rounded_comparison(name):
+    # Away from midpoints, the exact rule and the rounded comparison agree.
     nodes = NODE_SETS[name]
-    cuts = node_cuts(nodes)
-    a, b = nodes[:-1], nodes[1:]
-    assert np.all((a <= cuts) & (cuts < b))
-    # The comparison holds at the cut and fails one ulp to its right.
-    assert np.all(np.abs(a - cuts) <= np.abs(b - cuts))
-    up = np.nextafter(cuts, np.inf)
-    assert not np.any(np.abs(a - up) <= np.abs(b - up))
-
-    mids = 0.5 * (a + b)
-    near = [_ulps(p, k) for p in (nodes, mids, cuts) for k in (-2, -1, 0, 1, 2)]
-    w_lo, w_hi = b[0] - a[0], b[-1] - a[-1]
+    w_lo, w_hi = nodes[1] - nodes[0], nodes[-1] - nodes[-2]
     outside = [np.linspace(nodes[0] - w_lo, nodes[0], 101),
                np.linspace(nodes[-1], nodes[-1] + w_hi, 101)]
     rng = np.random.default_rng(5)
     uniform = rng.uniform(nodes[0] - w_lo, nodes[-1] + w_hi, 10 ** 5)
-    x = np.concatenate([*near, *outside, uniform])
+    x = np.concatenate([*outside, uniform])
     assert np.array_equal(nearest_node(nodes, x), _nearest_node_reference(nodes, x))
+
+
+BIG, TINY = np.finfo(float).max, np.finfo(float).smallest_subnormal
+EXACT_SETS = dict(NODE_SETS)
+EXACT_SETS["subnormal"] = np.array([*(TINY * np.array([-7, -4, -1, 0, 1, 2, 5, 8, 13])),
+                                    2.0 ** -1022, 2.0 ** -1022 + 3 * TINY])
+EXACT_SETS["near-overflow"] = np.array([-BIG, -1e-300, 1e300,
+                                        *(_ulps(0.5 * BIG, k) for k in range(-3, 1))])
+EXACT_SETS["extremes"] = np.array([-BIG, -TINY, TINY, BIG])
+EXACT_SETS["adjacent"] = np.sort([_ulps(p, k) for p in (0.0, 1.0) for k in range(-3, 4)])
+EXACT_SETS["powers-of-two"] = np.array([-2.0 ** 60, -8.0, -4.0, -2.0 ** -60, 2.0 ** -60,
+                                        4.0, 8.0, 2.0 ** 60])
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SETS))
+def test_node_cuts_round_the_exact_midpoints_down(name):
+    nodes = EXACT_SETS[name]
+    cuts = node_cuts(nodes)
+    a, b = nodes[:-1], nodes[1:]
+    assert np.all((a <= cuts) & (cuts < b))
+    up = np.nextafter(cuts, np.inf)
+    for cut, mid, above in zip(cuts, _exact_midpoints(nodes), up):
+        assert Fraction(cut) <= mid < Fraction(above)
+
+    mids = 0.5 * (a + b)
+    x = np.concatenate([_ulps(p, k) for p in (nodes, mids, cuts) for k in (-2, -1, 0, 1, 2)])
+    x = x[np.isfinite(x)]
+    assert np.array_equal(nearest_node(nodes, x), _exact_nearest_node(nodes, x))
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite_floats, min_size=1, max_size=12), st.lists(finite_floats, max_size=20))
+def test_nearest_node_is_exact_on_any_finite_nodes(values, extra):
+    nodes = np.unique(values)
+    pairs = list(zip(nodes[:-1].tolist(), nodes[1:].tolist()))
+    if not all(math.isfinite(a + b) for a, b in pairs):
+        with pytest.raises(ValueError, match="finite neighbour sums"):
+            node_cuts(nodes)
+        return
+    cuts = node_cuts(nodes)
+    x = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]), extra,
+                        *(_ulps(cuts, k) for k in (-1, 0, 1))])
+    x = x[np.isfinite(x)]
+    assert np.array_equal(nearest_node(nodes, x), _exact_nearest_node(nodes, x))
 
 
 @pytest.mark.parametrize("nodes", [[], [[0.0, 1.0]], [0.0, np.nan, 1.0],
                                    [0.0, np.inf], [-np.inf, 0.0],
-                                   [0.0, 1.0, 1.0], [1.0, 0.0]])
+                                   [0.0, 1.0, 1.0], [1.0, 0.0], [1e308, 1.5e308]])
 def test_node_cuts_need_finite_increasing_nodes(nodes):
     with pytest.raises(ValueError, match="finite and strictly increasing"):
         node_cuts(np.array(nodes, dtype=float))

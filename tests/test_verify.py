@@ -12,9 +12,9 @@ from sclp.model import (Criterion, CostSpec, ControlSpace, DISCOUNTED,
 from sclp.policy import FeedbackPolicy, Kernel, MeasurePair, marginals_and_kernels
 from sclp.problems import finite_fuel_problem, inventory_problem
 from sclp.simplex import solve
-from sclp.verify import (BandPolicy, SimConfig, SimulationError, _cluster_node,
-                         _gradient_barriers, _KernelSampler, _support_clusters,
-                         band_policy_oracle, band_search, simulate)
+from sclp.verify import (BandPolicy, SimConfig, SimulationError, _bridge_map,
+                         _cluster_node, _gradient_barriers, _KernelSampler,
+                         _support_clusters, band_policy_oracle, band_search, simulate)
 
 
 def make_problem(drift, diffusion, c0, c1, x_lo=-2.0, x_hi=2.0):
@@ -549,6 +549,16 @@ def test_multi_atom_sample_follows_cdf():
                   0.5, 0.9])
     idx = np.array([0, 0, 0, 0, 2, 1])
     assert sampler.sample(idx, r).tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 0.0]
+
+
+def test_bridge_map_ties_borrow_the_left_row():
+    # Node 2 is two indices from covered nodes 0 and 4; nodes 5 and 6 are not tied.
+    rows = {0: (np.array([1.0]), np.array([1.0])), 4: (np.array([2.0]), np.array([1.0])),
+            7: (np.array([3.0]), np.array([1.0]))}
+    eta0 = _KernelSampler(Kernel(rows), 8)
+    bridge = _bridge_map(eta0.covered)
+    assert bridge.tolist() == [0, 0, 0, 4, 4, 4, 7, 7]
+    assert eta0.uval[bridge, 0].tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]
 
 
 def test_cluster_node_equals_nearest_node_on_the_slice():
