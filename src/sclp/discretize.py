@@ -219,10 +219,7 @@ def _budget_rows(problem: ProblemSpec, grid: Grid, rhs_scale: float):
     x0, u0 = grid.mu0_atoms[:, 0], grid.mu0_atoms[:, 1]
     for i, bud in enumerate(problem.costs.budgets):
         gv = eval2(bud.g, x0, u0)
-        if grid.n1:
-            hv = eval2(bud.h, grid.mu1_atoms[:, 0], grid.mu1_atoms[:, 1])
-        else:
-            hv = np.zeros(0)
+        hv = eval2(bud.h, grid.mu1_atoms[:, 0], grid.mu1_atoms[:, 1])
         rows.append(np.concatenate([gv, hv]))
         rhs.append(rhs_scale * bud.cap)
         labels.append(f"BUD{i:04d}")
@@ -258,10 +255,7 @@ def _assemble(problem: ProblemSpec, grid: Grid, adj: np.ndarray, adj_rhs: np.nda
 
     x0, u0 = grid.mu0_atoms[:, 0], grid.mu0_atoms[:, 1]
     c0v = eval2(problem.costs.c0, x0, u0)
-    if grid.n1:
-        c1v = eval2(problem.costs.c1, grid.mu1_atoms[:, 0], grid.mu1_atoms[:, 1])
-    else:
-        c1v = np.zeros(0)
+    c1v = eval2(problem.costs.c1, grid.mu1_atoms[:, 0], grid.mu1_atoms[:, 1])
     c = obj_scale * np.concatenate([c0v, c1v])
 
     return DiscreteLP(

@@ -23,11 +23,12 @@ class DomainError(ValueError):
 
 
 def eval2(fn, x, u):
-    """Evaluate fn(x, u), broadcasting scalar-valued callables to full shape.
+    """Evaluate a problem function fn(x, u) as a float64 array of full shape.
 
-    A float64 array of the full shape is returned as fn gave it, and fn may
-    give back its own argument (inventory's displacement returns u): never
-    modify the result in place.
+    fn gets float arrays and may return a scalar or anything that broadcasts
+    to their shape; a complex or None result raises TypeError.  A full-shape
+    float64 array is returned as fn gave it, maybe fn's own argument
+    (inventory's displacement returns u): never modify the result in place.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -37,10 +38,9 @@ def eval2(fn, x, u):
         shape = np.broadcast_shapes(shape, u.shape)
     if type(out) is np.ndarray and out.dtype == float and out.shape == shape:
         return out
-    out = np.asarray(out, dtype=float)
-    if out.shape != shape:
-        out = np.broadcast_to(out, shape).copy()
-    return out
+    full = np.empty(shape)
+    np.copyto(full, out, casting="same_kind")
+    return full
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class StateSpace:
     x_hi: float
 
     def __post_init__(self):
-        if not self.x_lo < self.x_hi:
-            raise ValueError(f"state interval is empty: [{self.x_lo}, {self.x_hi}]")
+        if not -np.inf < self.x_lo < self.x_hi < np.inf:
+            raise ValueError(f"empty or infinite state interval [{self.x_lo}, {self.x_hi}]")
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -68,8 +68,8 @@ class StateSpace:
 class ControlSpace:
     """Control interval [u_lo, u_hi] with an optional admissibility predicate.
 
-    admissible(x, u) -> bool array carves the closed admissible set out of
-    the product space; None means every pair is admissible.
+    admissible(x, u) -> bools that broadcast to the shape of (x, u) carve the
+    closed admissible set out of the product space; None admits every pair.
     """
 
     u_lo: float
@@ -77,19 +77,15 @@ class ControlSpace:
     admissible: Callable | None = None
 
     def __post_init__(self):
-        if self.u_lo > self.u_hi:
-            raise ValueError(f"control interval is empty: [{self.u_lo}, {self.u_hi}]")
+        if not -np.inf < self.u_lo <= self.u_hi < np.inf:
+            raise ValueError(f"empty or infinite control interval "
+                             f"[{self.u_lo}, {self.u_hi}]")
 
     def admits(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if self.admissible is None:
-            return np.broadcast_to(True, np.broadcast_shapes(x.shape, u.shape)).copy()
-        out = np.asarray(self.admissible(x, u), dtype=bool)
-        shape = np.broadcast_shapes(x.shape, u.shape)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape).copy()
-        return out
+        out = True if self.admissible is None else self.admissible(x, u)
+        return np.full(np.broadcast_shapes(x.shape, u.shape), out, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class GeneratorA:
     """One-dimensional Ito diffusion generator.
 
     Af(x, u) = diffusion(x, u)^2 / 2 * f''(x) + drift(x, u) * f'(x).
-    Both callables must be numpy-vectorized over (x, u).
+    Both callables are problem functions, evaluated through eval2.
     """
 
     drift: Callable
@@ -170,10 +166,12 @@ class Criterion:
         if self.kind not in (LONG_TERM_AVERAGE, DISCOUNTED):
             raise ValueError(f"unknown criterion kind: {self.kind!r}")
         if self.kind == DISCOUNTED:
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("discounted criterion requires alpha > 0")
+            if self.alpha is None or not 0 < self.alpha < np.inf:
+                raise ValueError("discounted criterion requires a finite alpha > 0")
             if not self.nu0:
                 raise ValueError("discounted criterion requires an initial distribution nu0")
+            if not all(-np.inf < x < np.inf and 0 <= p < np.inf for x, p in self.nu0):
+                raise ValueError("nu0 needs finite states and probabilities >= 0")
             mass = sum(p for _, p in self.nu0)
             if abs(mass - 1.0) > 1e-12:
                 raise ValueError(f"nu0 mass is {mass!r}, expected 1 within 1e-12")
@@ -199,11 +197,10 @@ def jump_targets(gen_b: GeneratorB, x, u, state: StateSpace | None = None):
     xa = np.asarray(x, dtype=float)
     ua = np.asarray(u, dtype=float)
     target = xa + eval2(gen_b.displacement, xa, ua)
-    if state is not None and not np.all(state.contains(target)):
-        mask = ~state.contains(target)
-        bx = np.broadcast_to(xa, mask.shape)[mask].ravel()[0]
-        bu = np.broadcast_to(ua, mask.shape)[mask].ravel()[0]
-        bt = np.asarray(target)[mask].ravel()[0]
+    outside = None if state is None else ~state.contains(target)
+    if outside is not None and outside.any():
+        bx, bu, bt = (np.broadcast_to(v, outside.shape)[outside][0]
+                      for v in (xa, ua, target))
         raise DomainError(
             f"jump target {bt!r} from atom (x={bx!r}, u={bu!r}) leaves "
             f"[{state.x_lo}, {state.x_hi}]")
@@ -265,13 +262,13 @@ def validate_conditions(problem: ProblemSpec, grid) -> ValidationReport:
 
     # Cost sign checks.
     c0v = eval2(problem.costs.c0, x0, u0)
-    c1v = eval2(problem.costs.c1, x1, u1) if x1.size else np.zeros(0)
+    c1v = eval2(problem.costs.c1, x1, u1)
     nonneg = bool(np.all(c0v >= 0)) and bool(np.all(c1v >= 0))
     g_ok = True
     h_mins = []
     for bud in problem.costs.budgets:
         gv = eval2(bud.g, x0, u0)
-        hv = eval2(bud.h, x1, u1) if x1.size else np.zeros(0)
+        hv = eval2(bud.h, x1, u1)
         g_ok = g_ok and bool(np.all(gv >= 0)) and bool(np.all(hv >= 0))
         h_mins.append(float(hv.min()) if hv.size else np.inf)
     nonneg = nonneg and g_ok

@@ -63,12 +63,11 @@ def inventory_problem(mu_d: float = 1.0, sigma: float = 1.0,
     return ProblemSpec(
         state=StateSpace(x_lo, x_hi),
         control=ControlSpace(0.0, u_hi),
-        gen_a=GeneratorA(drift=lambda x, u: np.full_like(np.asarray(x, float), -mu_d),
-                         diffusion=lambda x, u: np.full_like(np.asarray(x, float), sigma)),
-        gen_b=GeneratorB(kind=JUMP, displacement=lambda x, u: np.asarray(u, float)),
+        gen_a=GeneratorA(drift=lambda x, u: -mu_d, diffusion=lambda x, u: sigma),
+        gen_b=GeneratorB(kind=JUMP, displacement=lambda x, u: u),
         costs=CostSpec(
             c0=lambda x, u: c_b * np.maximum(-x, 0.0) + c_h * np.maximum(x, 0.0),
-            c1=lambda x, u: k1 + k2 * np.asarray(u, float),
+            c1=lambda x, u: k1 + k2 * u,
         ),
         criterion=Criterion(kind=LONG_TERM_AVERAGE),
         name="inventory",
@@ -88,14 +87,12 @@ def finite_fuel_problem(alpha: float = 1.0, sigma: float = 1.0,
         state=StateSpace(x_lo, x_hi),
         control=ControlSpace(-1.0, 1.0,
                              admissible=lambda x, u: np.abs(np.abs(u) - 1.0) <= 1e-12),
-        gen_a=GeneratorA(drift=lambda x, u: np.zeros_like(np.asarray(x, float)),
-                         diffusion=lambda x, u: np.full_like(np.asarray(x, float), sigma)),
-        gen_b=GeneratorB(kind=GRADIENT, direction=lambda x, u: np.asarray(u, float)),
+        gen_a=GeneratorA(drift=lambda x, u: 0.0, diffusion=lambda x, u: sigma),
+        gen_b=GeneratorB(kind=GRADIENT, direction=lambda x, u: u),
         costs=CostSpec(
-            c0=lambda x, u: np.asarray(x, float) ** 2,
-            c1=lambda x, u: np.zeros_like(np.asarray(x, float)),
-            budgets=(Budget(g=lambda x, u: np.zeros_like(np.asarray(x, float)),
-                            h=lambda x, u: np.abs(np.asarray(u, float)),
+            c0=lambda x, u: x ** 2,
+            c1=lambda x, u: 0.0,
+            budgets=(Budget(g=lambda x, u: 0.0, h=lambda x, u: np.abs(u),
                             cap=fuel, name="fuel"),),
         ),
         criterion=Criterion(kind=DISCOUNTED, alpha=alpha, nu0=((x0, 1.0),)),
@@ -109,14 +106,18 @@ BUILTIN_PROBLEMS = {
 }
 
 
+def _float(text: str, where: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ProblemFileError(f"{where}: not a number: {text!r}") from exc
+
+
 def _floats(parts, spec, n):
     if len(parts) != n:
         raise ProblemFileError(
             f"function {spec!r}: expected {n} numeric arguments, got {len(parts)}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ProblemFileError(f"function {spec!r}: non-numeric argument") from exc
+    return [_float(p, f"function {spec!r}") for p in parts]
 
 
 def parse_function(spec: str):
@@ -127,30 +128,23 @@ def parse_function(spec: str):
     kind, args = parts[0], parts[1:]
     if kind == "constant":
         (v,) = _floats(args, spec, 1)
-        return lambda x, u: np.full_like(np.asarray(x, float)
-                                         + np.asarray(u, float), v)
+        return lambda x, u: v
     if kind == "linear":
         a, bx, bu = _floats(args, spec, 3)
-        return lambda x, u: a + bx * np.asarray(x, float) + bu * np.asarray(u, float)
+        return lambda x, u: a + bx * x + bu * u
     if kind == "quadratic":
         a, bx, bu, cxx, cuu = _floats(args, spec, 5)
-        return lambda x, u: (a + bx * np.asarray(x, float)
-                             + bu * np.asarray(u, float)
-                             + cxx * np.asarray(x, float) ** 2
-                             + cuu * np.asarray(u, float) ** 2)
+        return lambda x, u: a + bx * x + bu * u + cxx * x ** 2 + cuu * u ** 2
     if kind == "piecewise_linear":
         kink, sl, sr = _floats(args, spec, 3)
-        return lambda x, u: (sl * np.maximum(kink - np.asarray(x, float), 0.0)
-                             + sr * np.maximum(np.asarray(x, float) - kink, 0.0)
-                             + 0.0 * np.asarray(u, float))
+        return lambda x, u: sl * np.maximum(kink - x, 0.0) + sr * np.maximum(x - kink, 0.0)
     if kind == "abs_control":
         a, b = _floats(args, spec, 2)
-        return lambda x, u: a + b * np.abs(np.asarray(u, float)) \
-            + 0.0 * np.asarray(x, float)
+        return lambda x, u: a + b * np.abs(u)
     if kind == "control":
         if args:
             raise ProblemFileError(f"function {spec!r}: 'control' takes no arguments")
-        return lambda x, u: np.asarray(u, float) + 0.0 * np.asarray(x, float)
+        return lambda x, u: u
     if kind == "tabulated":
         if len(args) < 2:
             raise ProblemFileError(f"function {spec!r}: need at least 2 x:v pairs")
@@ -163,8 +157,7 @@ def parse_function(spec: str):
         vs = np.array([p[1] for p in pts])
         if np.any(np.diff(xs) <= 0):
             raise ProblemFileError(f"function {spec!r}: duplicate x values")
-        return lambda x, u: np.interp(np.asarray(x, float), xs, vs) \
-            + 0.0 * np.asarray(u, float)
+        return lambda x, u: np.interp(x, xs, vs)
     raise ProblemFileError(f"unknown catalog function: {kind!r}")
 
 
@@ -173,8 +166,8 @@ def _parse_admissible(spec: str):
     if parts == ["all"]:
         return None
     if len(parts) == 2 and parts[0] == "abs_equals":
-        v = float(parts[1])
-        return lambda x, u: np.abs(np.abs(np.asarray(u, float)) - v) <= 1e-12
+        v = _float(parts[1], "[control] admissible")
+        return lambda x, u: np.abs(np.abs(u) - v) <= 1e-12
     raise ProblemFileError(f"unknown admissible rule: {spec!r}")
 
 
@@ -186,18 +179,25 @@ def _get(cp, section, key, default=None):
     return cp.get(section, key)
 
 
+def _number(cp, section, key) -> float:
+    return _float(_get(cp, section, key), f"[{section}] {key}")
+
+
 def load_problem(path: str) -> ProblemSpec:
     """Load a ProblemSpec from an INI problem file (see module docstring)."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        # One line: configparser's messages span several.
+        raise ProblemFileError(" ".join(f"malformed problem file: {exc}".split())) from exc
     if not read:
         raise ProblemFileError(f"cannot read problem file: {path}")
 
     name = _get(cp, "problem", "name", default="problem")
-    state = StateSpace(float(_get(cp, "state", "x_lo")),
-                       float(_get(cp, "state", "x_hi")))
+    state = StateSpace(_number(cp, "state", "x_lo"), _number(cp, "state", "x_hi"))
     control = ControlSpace(
-        float(_get(cp, "control", "u_lo")), float(_get(cp, "control", "u_hi")),
+        _number(cp, "control", "u_lo"), _number(cp, "control", "u_hi"),
         admissible=_parse_admissible(_get(cp, "control", "admissible", default="all")))
     gen_a = GeneratorA(drift=parse_function(_get(cp, "dynamics", "drift")),
                        diffusion=parse_function(_get(cp, "dynamics", "diffusion")))
@@ -219,7 +219,7 @@ def load_problem(path: str) -> ProblemSpec:
         budgets.append(Budget(
             g=parse_function(_get(cp, section, "g", default="constant 0")),
             h=parse_function(_get(cp, section, "h")),
-            cap=float(_get(cp, section, "cap")),
+            cap=_number(cp, section, "cap"),
             name=section.split(".", 1)[1]))
     costs = CostSpec(c0=parse_function(_get(cp, "costs", "c0")),
                      c1=parse_function(_get(cp, "costs", "c1")),
@@ -229,7 +229,7 @@ def load_problem(path: str) -> ProblemSpec:
     if ckind == LONG_TERM_AVERAGE:
         criterion = Criterion(kind=LONG_TERM_AVERAGE)
     elif ckind == DISCOUNTED:
-        alpha = float(_get(cp, "criterion", "alpha"))
+        alpha = _number(cp, "criterion", "alpha")
         nu_spec = _get(cp, "criterion", "nu0")
         try:
             nu0 = tuple((float(a.split(":")[0]), float(a.split(":")[1]))

@@ -163,6 +163,7 @@ def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
     is undone on output.  Pricing and ratio tests use the tolerance TOL.
     An optimum that fails its certificate (see _certificate_failure) is
     returned as NUMERICAL; max_iter bounds the pivots of both phases.
+    Raises ValueError for a NaN or infinite coefficient.
     """
     n = lp.n_cols
     me, mu = lp.b_eq.size, lp.b_ub.size
@@ -183,6 +184,9 @@ def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
     # Equilibration: rows then columns scaled to unit max-abs magnitude,
     # taken as max(max, -min) so that no copy of a is made.
     row_max = np.maximum(a_s.max(axis=1), -a_s.min(axis=1))
+    # The row maxima carry any NaN or infinity of the matrix.
+    if not (np.isfinite(c).all() and np.isfinite(b).all() and np.isfinite(row_max).all()):
+        raise ValueError(f"LP {lp.name} has a non-finite coefficient")
     rscale = np.where(row_max > 0, 1.0 / np.where(row_max > 0, row_max, 1.0), 1.0)
     a_s *= rscale[:, None]
     b = b * rscale
@@ -243,14 +247,15 @@ def _certificate_failure(lp, x, y_eq, y_ub) -> str | None:
     c_j - a_j.y at least -(TOL * scale_j + 1e-12 max|y| sum_i |a_ij|).
     scale_j = |c_j| + |a_j|.|y| is the magnitude of the terms that cancel
     in the reduced cost; the second term allows for roundoff in the duals
-    themselves.  Gap: |c.x - b.y| at most 1e-8 (1 + |c.x|).
+    themselves.  Gap: |c.x - b.y| at most 1e-8 (1 + |c.x|).  A NaN fails
+    every test it enters.
     """
     eq, ub = constraint_residual(lp, x)
-    if eq > 1e-8:
+    if not eq <= 1e-8:
         return f"equality residual {eq!r}"
-    if ub > 1e-8:
+    if not ub <= 1e-8:
         return f"budget row violated by {ub!r}"
-    if np.any(y_ub > TOL):
+    if not np.all(y_ub <= TOL):
         return f"inequality dual of the wrong sign {float(y_ub.max())!r}"
     y_abs = np.abs(np.concatenate([y_eq, y_ub]))
     roundoff = 1e-12 * float(y_abs.max(initial=0.0))
@@ -260,11 +265,11 @@ def _certificate_failure(lp, x, y_eq, y_ub) -> str | None:
         slack += (TOL * w + roundoff) * np.abs(row)
     reduced = lp.c - y_eq @ lp.a_eq - y_ub @ lp.a_ub
     worst = float((reduced + slack).min(initial=0.0))
-    if worst < 0.0:
+    if not worst >= 0.0:
         return f"reduced cost below -TOL*scale by {worst!r}"
     primal = float(lp.c @ x)
     gap = abs(primal - float(lp.b_eq @ y_eq + lp.b_ub @ y_ub))
-    if gap > 1e-8 * (1.0 + abs(primal)):
+    if not gap <= 1e-8 * (1.0 + abs(primal)):
         return f"duality gap {gap!r}"
     return None
 

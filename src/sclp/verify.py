@@ -37,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .discretize import nearest_node, node_cuts
-from .model import DISCOUNTED, JUMP, ProblemSpec, eval2
+from .model import DISCOUNTED, JUMP, ProblemSpec, eval2, jump_targets
 from .policy import FeedbackPolicy
 
 DISCOUNT_CUTOFF = 1e-8
@@ -66,10 +66,10 @@ class SimConfig:
     burn_in: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.horizon is not None and self.dt > self.horizon / 100.0:
-            raise ValueError("dt must be at most horizon/100")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if self.horizon is not None and not self.dt <= self.horizon / 100.0 < math.inf:
+            raise ValueError("horizon must be finite, and dt at most horizon/100")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.horizon is not None and not 0.0 <= self.burn_in < self.horizon:
@@ -304,7 +304,7 @@ def _jump_action(problem, cuts, triggers, sampler, acc, rng, x, x_new, wc):
         xs = x_new[sub]
         near = np.full(sub.size, lo) if lo == hi else _cluster_node(cuts, xs, lo, hi)
         u = sampler.sample(near, rng.random(sub.size))
-        target = xs + eval2(problem.gen_b.displacement, xs, u)
+        target = jump_targets(problem.gen_b, xs, u)
         acc.singular(sub, xs, u, wc)
         acc.jump(sub, xs, target)
         x_new[sub] = target
@@ -403,6 +403,8 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     alpha = problem.criterion.alpha if disc else 0.0
     horizon = math.log(1.0 / DISCOUNT_CUTOFF) / alpha if disc else cfg.horizon
     n_steps = int(round(horizon / cfg.dt))
+    if n_steps < 1:
+        raise ValueError(f"dt {cfg.dt!r} leaves no step in a horizon of {horizon!r}")
     dt = cfg.dt
     sqdt = math.sqrt(dt)
     burn_steps = int(round(cfg.burn_in / dt)) if not disc else 0  # disc counts all

@@ -144,7 +144,7 @@ def _group_reference(p, big_s, levels, cfg):
     """One group's estimates, one cycle at a time: the stream and tests
     _band_cycles specifies, with no crossing-probability floor."""
     n, dt = cfg.n_paths, cfg.dt
-    drift = -float(p.gen_a.drift(np.zeros(1), np.zeros(1))[0]) * dt
+    drift = -float(eval2(p.gen_a.drift, 0.0, 0.0)) * dt
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     x, c, at = [big_s] * n, [0.0] * n, [0] * n  # at: highest uncrossed level
     cost = [[0.0] * n for _ in levels]

@@ -288,6 +288,33 @@ def test_missing_problem_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error kind=")
 
 
+SMALL = ("--n-state", "21", "--n-control", "5", "--basis", "8")
+# Inputs that once crashed with a traceback or ran to a silently wrong
+# result; each must exit 4 with one error line.
+BAD_INPUTS = {
+    "no_section_header": ("x_lo = -6\n" + INVENTORY_INI, "solve", ()),
+    "duplicate_option": (INVENTORY_INI.replace("x_hi = 4", "x_hi = 4\nx_hi = 5"),
+                         "solve", ()),
+    "non_numeric_x_lo": (INVENTORY_INI.replace("x_lo = -6", "x_lo = abc"), "solve", ()),
+    "infinite_u_hi": (INVENTORY_INI.replace("u_hi = 8", "u_hi = inf"), "solve", ()),
+    "nan_alpha": ("finite-fuel", "solve", ("--alpha", "nan")),
+    "infinite_dt": ("finite-fuel", "verify", ("--dt", "inf")),
+    "infinite_horizon": ("inventory", "verify", ("--horizon", "inf", "--burn-in", "0")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_4_with_one_error_line(tmp_path, capsys, case):
+    problem, mode, extra = BAD_INPUTS[case]
+    if "\n" in problem:
+        (tmp_path / "bad.ini").write_text(problem)
+        problem = str(tmp_path / "bad.ini")
+    code, _ = run(tmp_path, *SMALL, *extra, problem=problem, mode=mode)
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err.startswith("error kind=") and err.count("\n") == 1, err
+
+
 def test_bad_flag_exit(tmp_path, capsys):
     assert main(["--problem", "inventory", "--mode", "fly"]) == 4
 

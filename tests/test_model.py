@@ -67,6 +67,18 @@ def test_criterion_validation():
     Criterion(kind=LONG_TERM_AVERAGE)
 
 
+@pytest.mark.parametrize("alpha, nu0", [
+    (np.nan, ((0.0, 1.0),)),
+    (np.inf, ((0.0, 1.0),)),
+    (1.0, ((np.nan, 1.0),)),
+    (1.0, ((0.0, np.nan),)),
+    (1.0, ((0.0, 1.5), (0.2, -0.5))),  # mass 1, one probability negative
+])
+def test_criterion_rejects_non_finite_and_negative_inputs(alpha, nu0):
+    with pytest.raises(ValueError):
+        Criterion(kind=DISCOUNTED, alpha=alpha, nu0=nu0)
+
+
 def test_budget_cap_validation():
     zero = lambda x, u: np.zeros_like(x)
     with pytest.raises(ValueError):
@@ -80,6 +92,11 @@ def test_state_control_validation():
         StateSpace(1.0, 1.0)
     with pytest.raises(ValueError):
         ControlSpace(2.0, 1.0)
+    for lo, hi in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="infinite"):
+            StateSpace(lo, hi)
+        with pytest.raises(ValueError, match="infinite"):
+            ControlSpace(lo, hi)
 
 
 def test_validate_conditions_builtins_pass():
@@ -142,8 +159,8 @@ def _eval2_broadcasting(fn, x, u):
     return out
 
 
-@pytest.mark.parametrize("case", ["scalar_fn", "zero_d", "column_u", "int_fn",
-                                  "identity", "int_inputs", "list_inputs"])
+@pytest.mark.parametrize("case", ["scalar_fn", "zero_d", "column_u", "partial_shape",
+                                  "int_fn", "identity", "int_inputs", "list_inputs"])
 def test_eval2_same_value_shape_dtype_and_aliasing(case):
     x = np.linspace(-1.0, 1.0, 5)
     u = np.linspace(0.0, 2.0, 5)
@@ -154,6 +171,9 @@ def test_eval2_same_value_shape_dtype_and_aliasing(case):
         x, u = np.float64(0.5), 1.5
     elif case == "column_u":
         u = u[:, None]
+    elif case == "partial_shape":
+        u = u[:, None]
+        fn = lambda x, u: x
     elif case == "int_fn":
         fn = lambda x, u: np.ones(np.shape(x), dtype=int)
     elif case == "identity":
@@ -170,6 +190,25 @@ def test_eval2_same_value_shape_dtype_and_aliasing(case):
     for arg in (x, u):
         if isinstance(arg, np.ndarray):
             assert np.shares_memory(got, arg) == np.shares_memory(want, arg)
+
+
+@pytest.mark.parametrize("fn", [lambda x, u: 1j, lambda x, u: x * 1j,
+                                lambda x, u: None])
+def test_eval2_rejects_complex_and_none_results(fn):
+    with pytest.raises(TypeError):
+        eval2(fn, np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("admissible, want", [
+    (None, [[True] * 3] * 2),
+    (lambda x, u: False, [[False] * 3] * 2),
+    (lambda x, u: u > 0.5, [[False] * 3, [True] * 3]),
+])
+def test_admits_gives_a_bool_array_of_full_shape(admissible, want):
+    x, u = np.zeros(3), np.array([[0.0], [1.0]])
+    got = ControlSpace(0.0, 1.0, admissible).admits(x, u)
+    assert got.dtype == bool and got.flags.writeable
+    assert got.tolist() == want
 
 
 def _counted(fn, calls, name):

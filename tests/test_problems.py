@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from sclp.basis import BasisFamily
-from sclp.discretize import assemble_lta_lp, build_grid
+from sclp.discretize import assemble_discounted_lp, assemble_lta_lp, build_grid
 from sclp.model import DISCOUNTED, GRADIENT, JUMP, LONG_TERM_AVERAGE
+from sclp.policy import MeasurePair, marginals_and_kernels
 from sclp.problems import (ProblemFileError, finite_fuel_problem,
                            inventory_problem, load_problem, parse_function)
 from sclp.simplex import solve
+from sclp.verify import SimConfig, simulate
 
 INVENTORY_INI = """\
 [problem]
@@ -140,3 +144,68 @@ def test_load_errors(tmp_path):
                                          "admissible = sometimes"))
     with pytest.raises(ProblemFileError, match="admissible"):
         load_problem(str(bad))
+
+
+# Files that configparser itself rejects: no section header, a duplicate
+# option.
+MALFORMED_INI = {
+    "no_header": "x_lo = -6\n" + INVENTORY_INI,
+    "duplicate_option": INVENTORY_INI.replace("x_hi = 4", "x_hi = 4\nx_hi = 5"),
+}
+
+# A number that does not parse, named by its [section] key.
+NON_NUMERIC_INI = {
+    "[state] x_lo": INVENTORY_INI.replace("x_lo = -6", "x_lo = abc"),
+    "[control] u_hi": INVENTORY_INI.replace("u_hi = 8", "u_hi = 8%"),
+    "[control] admissible": FUEL_INI.replace("abs_equals 1", "abs_equals one"),
+    "[criterion] alpha": FUEL_INI.replace("alpha = 1.0", "alpha = fast"),
+    "[budget.fuel] cap": FUEL_INI.replace("cap = 1.0", "cap = 1.0.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INI))
+def test_malformed_file_raises_problem_file_error(tmp_path, name):
+    path = tmp_path / "bad.ini"
+    path.write_text(MALFORMED_INI[name])
+    with pytest.raises(ProblemFileError, match="malformed problem file"):
+        load_problem(str(path))
+
+
+@pytest.mark.parametrize("key", sorted(NON_NUMERIC_INI))
+def test_non_numeric_value_names_its_key(tmp_path, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(NON_NUMERIC_INI[key])
+    with pytest.raises(ProblemFileError, match=f"^{re.escape(key)}: not a number"):
+        load_problem(str(path))
+
+
+def test_percent_sign_is_read_verbatim(tmp_path):
+    # No configparser interpolation: '%' is an ordinary character.
+    path = tmp_path / "pct.ini"
+    path.write_text(INVENTORY_INI.replace("name = file-inventory", "name = 100% stock"))
+    assert load_problem(str(path)).name == "100% stock"
+
+
+@pytest.mark.parametrize("text, builtin", [(INVENTORY_INI, inventory_problem),
+                                           (FUEL_INI, finite_fuel_problem)],
+                         ids=["inventory", "finite-fuel"])
+def test_file_copies_assemble_and_simulate_as_the_builtins(tmp_path, text, builtin):
+    path = tmp_path / "copy.ini"
+    path.write_text(text)
+    lps, reports = [], []
+    for p in (load_problem(str(path)), builtin()):
+        grid = build_grid(p, 21, 5 if p.gen_b.kind == JUMP else 2)
+        basis = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 8)
+        if p.criterion.kind == DISCOUNTED:
+            lp = assemble_discounted_lp(p, grid, basis)
+            cfg = SimConfig(dt=0.05, horizon=None, n_paths=16, seed=4)
+        else:
+            lp = assemble_lta_lp(p, grid, basis)
+            cfg = SimConfig(dt=0.02, horizon=4.0, n_paths=16, seed=4)
+        sol = solve(lp)
+        policy = marginals_and_kernels(grid, MeasurePair.from_solution(grid, sol.weights))
+        lps.append(lp)
+        reports.append(simulate(p, policy, cfg, basis=basis).to_csv())
+    for field in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
+        assert np.array_equal(getattr(lps[0], field), getattr(lps[1], field)), field
+    assert reports[0] == reports[1]

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from sclp import simplex
-from sclp.discretize import DiscreteLP, _first_copies
+from sclp.basis import BasisFamily
+from sclp.discretize import DiscreteLP, _first_copies, assemble_lta_lp, build_grid
+from sclp.problems import inventory_problem
 from sclp.simplex import (INFEASIBLE, NUMERICAL, OPTIMAL, UNBOUNDED, solve)
 
 
@@ -144,6 +146,10 @@ def test_certificate_accepts_the_optimum():
     ([0.5, 0.5, 0.0], [0.5], [-1.0], "reduced cost below"),
     # y_eq = y_ub = -1 is dual feasible but proves only -1.5 <= -0.5.
     ([0.5, 0.5, 0.0], [-1.0], [-1.0], "duality gap"),
+    # A NaN fails the first test it enters.
+    ([np.nan, 0.5, 0.0], [0.0], [-1.0], "equality residual"),
+    ([0.5, 0.5, 0.0], [0.0], [np.nan], "inequality dual of the wrong sign"),
+    ([0.5, 0.5, 0.0], [np.nan], [-1.0], "reduced cost below"),
 ])
 def test_certificate_rejects_doctored_solutions(x, y_eq, y_ub, failure):
     lp = certified_lp()
@@ -174,6 +180,20 @@ def test_certificate_allows_roundoff_in_zero_duals():
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("field, value", [("c", np.nan), ("a_eq", np.nan),
+                                          ("b_eq", np.inf)])
+def test_non_finite_lp_raises(field, value):
+    # Inventory 21x5/8.  The simplex used to return "optimal" at a NaN cost
+    # (objective nan) or matrix entry (1.6792), and fail in a ratio-test
+    # argmax at an infinite right-hand side.
+    p = inventory_problem()
+    basis = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 8)
+    lp = assemble_lta_lp(p, build_grid(p, 21, 5), basis)
+    getattr(lp, field).flat[3] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(lp)
 
 
 def test_failed_certificate_is_numerical(monkeypatch):

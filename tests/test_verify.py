@@ -114,6 +114,24 @@ def test_sim_config_validation():
         simulate(p, idle_policy(p), cfg)
 
 
+@pytest.mark.parametrize("dt, horizon", [(math.inf, None), (math.nan, None),
+                                         (0.01, math.inf), (0.01, math.nan)])
+def test_sim_config_rejects_non_finite_dt_and_horizon(dt, horizon):
+    with pytest.raises(ValueError):
+        SimConfig(dt=dt, horizon=horizon, n_paths=4, seed=0)
+
+
+def test_simulation_without_a_step_raises():
+    # A discounted run lasts log(1 / DISCOUNT_CUTOFF) / alpha = 18.4: a
+    # step of 50 rounds it to no step at all.
+    p = make_problem(drift=ZERO, diffusion=ONE, c0=ONE, c1=ZERO)
+    p = ProblemSpec(state=p.state, control=p.control, gen_a=p.gen_a, gen_b=p.gen_b,
+                    costs=p.costs, criterion=Criterion(kind=DISCOUNTED, alpha=1.0,
+                                                       nu0=((0.0, 1.0),)))
+    with pytest.raises(ValueError, match="no step"):
+        simulate(p, idle_policy(p), SimConfig(dt=50.0, horizon=None, n_paths=4, seed=0))
+
+
 def test_band_policy_validation():
     with pytest.raises(ValueError):
         BandPolicy(1.0, 1.0)
