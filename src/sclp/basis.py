@@ -13,6 +13,12 @@ knot cell is found once, and only the at most four splines nonzero there
 that cell selects.  A spline's own value, d1 and d2 are its row of that
 evaluation, so BasisFamily.evaluate, which computes all members at many
 points at once, matches them bit for bit.
+
+PathSums accumulates weighted values and derivatives of every member along
+simulated paths (the martingale residuals).  It also touches only each
+point's four splines, but reads their pieces from _TAU, the same cubics
+written in the point's offset inside its knot cell, so its sums agree with
+evaluation to round-off rather than bit for bit.
 """
 from __future__ import annotations
 
@@ -76,6 +82,17 @@ _PIECES = (
      lambda s: 3.0 * s - 8.0,
      lambda s: 4.0 - s),
 )
+
+# The same pieces as cubics in tau = s - p, the offset of a point inside its
+# knot cell: _PIECES[order][p](p + tau) is the sum over q of
+# _TAU[order, q, p] * tau ** q.  Simulation accumulates with this table;
+# evaluation keeps _PIECES, whose last digits the LPs are pinned to.
+_TAU = np.array([
+    [[0, 1, 4, 1], [0, 3, 0, -3], [0, 3, -6, 3], [1, -3, 3, -1]],
+    [[0, 3, 0, -3], [0, 6, -12, 6], [3, -9, 9, -3], [0, 0, 0, 0]],
+    [[0, 6, -12, 6], [6, -18, 18, -6], [0, 0, 0, 0], [0, 0, 0, 0]],
+]) / 6.0
+_P4 = np.arange(4)[:, None]  # the pieces p, as a column
 
 
 class _SplineRun:
@@ -234,3 +251,85 @@ class BasisFamily:
         run = _SplineRun(x_lo, (x_hi - x_lo) / (n + 3), n)
         splines = tuple(run.member(j, f"bspl{j:03d}") for j in range(n))
         return BasisFamily(splines + (constant_one(),))
+
+
+class PathSums:
+    """Per-path sums of w0 f(x) + w1 f'(x) + w2 f''(x) for every member f.
+
+    PathSums(family, n_paths) starts every sum at 0.  A spline run keeps its
+    sums in one (n_paths, n + 6) array, column j + 3 for spline j.  A point
+    adds only to the four splines nonzero in its knot cell, each piece a
+    cubic in the point's offset tau inside the cell (_TAU), and a point
+    outside the run's knot span adds nothing.  Columns beyond the run's
+    splines, and those of splines the family lacks, take the pieces that
+    fall there and are never read.  Other members add their own value, d1
+    and d2 to their own rows.  The splines' sums agree with
+    BasisFamily.evaluate to round-off, not bit for bit.
+    """
+
+    def __init__(self, family: BasisFamily, n_paths: int):
+        self._functions = family.functions
+        self._others, runs = family._layout
+        self._other_sums = np.zeros((len(self._others), n_paths))
+        self._paths = np.arange(n_paths)
+        # Each run with its rows, its sums, and where path i's column 3 lies
+        # in them, flattened.
+        self._runs = [(run, rows, np.zeros((n_paths, run.t0.size + 6)),
+                       self._paths * (run.t0.size + 6) + 3) for run, rows in runs]
+        self._tables = {}
+
+    def _table(self, run: _SplineRun, orders: tuple) -> np.ndarray:
+        """_TAU for orders, scaled by 1 / h**order, as a (4, 4 len(orders)) matrix.
+
+        Column q len(orders) + i weighs tau**q in order orders[i]; row p is
+        the piece p.
+        """
+        key = (run, orders)
+        if key not in self._tables:
+            scaled = np.stack([_TAU[o] / run.h ** o for o in orders], axis=1)
+            self._tables[key] = np.ascontiguousarray(scaled.reshape(-1, 4).T)
+        return self._tables[key]
+
+    def add(self, x, weights: dict, paths=None) -> None:
+        """Add the sum over orders of weights[order] * f^(order)(x) to each f.
+
+        weights maps derivative orders (0, 1, 2) to one weight per point or
+        one for all.  Point i adds to path paths[i]; by default, point i to
+        path i.  A path may take several points.
+        """
+        x = np.asarray(x, dtype=float)
+        at_paths = self._paths if paths is None else np.asarray(paths)
+        for i, k in enumerate(self._others):
+            f = self._functions[k]
+            terms = sum(w * (f.value, f.d1, f.d2)[order](x) for order, w in weights.items())
+            np.add.at(self._other_sums[i], at_paths, terms)
+        orders = tuple(weights)
+        for run, _, sums, offset in self._runs:
+            u = (x - run.t0[0]) / run.h
+            cell = np.floor(u)
+            tau = u - cell
+            # cols[q, i] = weights[orders[i]] * tau**q.
+            cols = np.empty((4, len(orders), x.size))
+            for c, w in zip(cols[0], weights.values()):
+                c[...] = w
+            for q in range(1, 4):
+                np.multiply(cols[q - 1], tau, out=cols[q])
+            at = offset if paths is None else offset[at_paths]
+            last = run.t0.size + 2  # the run's last knot cell
+            if x.size and (cell.min() < 0 or cell.max() > last):
+                keep = ((cell >= 0) & (cell <= last)).nonzero()[0]
+                cols, cell, at = cols[..., keep], cell[keep], at[keep]
+            # v[p] is the term of spline cell - p, in column cell - p + 3.
+            v = self._table(run, orders) @ cols.reshape(4 * len(orders), -1)
+            first = cell.astype(np.intp)
+            first += at
+            np.add.at(sums.reshape(-1), (first - _P4).ravel(), v.ravel())
+
+    def rows(self) -> np.ndarray:
+        """The sums, one row of n_paths per member, in family order."""
+        out = np.empty((len(self._functions), self._paths.size))
+        out[self._others] = self._other_sums
+        for _, rows, sums, _ in self._runs:
+            j = (rows >= 0).nonzero()[0]
+            out[rows[j]] = sums[:, j + 3].T
+        return out

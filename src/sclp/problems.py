@@ -41,6 +41,7 @@ criterion section.  Budgets are optional ``[budget.<name>]`` sections with
 from __future__ import annotations
 
 import configparser
+import math
 
 import numpy as np
 
@@ -106,11 +107,15 @@ BUILTIN_PROBLEMS = {
 }
 
 
-def _float(text: str, where: str) -> float:
+def _float(text: str, where: str, infinite: bool = False) -> float:
+    """text as a finite float (or an infinite one, if infinite), never NaN."""
     try:
-        return float(text)
+        v = float(text)
     except ValueError as exc:
         raise ProblemFileError(f"{where}: not a number: {text!r}") from exc
+    if math.isnan(v) or (math.isinf(v) and not infinite):
+        raise ProblemFileError(f"{where}: not a finite number: {text!r}")
+    return v
 
 
 def _floats(parts, spec, n):
@@ -118,6 +123,17 @@ def _floats(parts, spec, n):
         raise ProblemFileError(
             f"function {spec!r}: expected {n} numeric arguments, got {len(parts)}")
     return [_float(p, f"function {spec!r}") for p in parts]
+
+
+def _pairs(parts, where, infinite=False):
+    """x:v pairs of exactly two finite fields (v may be infinite, if infinite)."""
+    pairs = []
+    for part in parts:
+        fields = part.split(":")
+        if len(fields) != 2:
+            raise ProblemFileError(f"{where}: malformed x:v pair {part!r}")
+        pairs.append((_float(fields[0], where), _float(fields[1], where, infinite)))
+    return pairs
 
 
 def parse_function(spec: str):
@@ -148,11 +164,8 @@ def parse_function(spec: str):
     if kind == "tabulated":
         if len(args) < 2:
             raise ProblemFileError(f"function {spec!r}: need at least 2 x:v pairs")
-        try:
-            pts = sorted((float(a.split(":")[0]), float(a.split(":")[1]))
-                         for a in args)
-        except (ValueError, IndexError) as exc:
-            raise ProblemFileError(f"function {spec!r}: malformed x:v pair") from exc
+        # An infinite value loads, so that validate can report it.
+        pts = sorted(_pairs(args, f"function {spec!r}", infinite=True))
         xs = np.array([p[0] for p in pts])
         vs = np.array([p[1] for p in pts])
         if np.any(np.diff(xs) <= 0):
@@ -168,7 +181,7 @@ def _parse_admissible(spec: str):
     if len(parts) == 2 and parts[0] == "abs_equals":
         v = _float(parts[1], "[control] admissible")
         return lambda x, u: np.abs(np.abs(u) - v) <= 1e-12
-    raise ProblemFileError(f"unknown admissible rule: {spec!r}")
+    raise ProblemFileError(f"[control] admissible: unknown admissible rule: {spec!r}")
 
 
 def _get(cp, section, key, default=None):
@@ -181,6 +194,15 @@ def _get(cp, section, key, default=None):
 
 def _number(cp, section, key) -> float:
     return _float(_get(cp, section, key), f"[{section}] {key}")
+
+
+def _function(cp, section, key, default=None):
+    """parse_function of [section] key; its errors name the key."""
+    spec = _get(cp, section, key, default)
+    try:
+        return parse_function(spec)
+    except ProblemFileError as exc:
+        raise ProblemFileError(f"[{section}] {key}: {exc}") from exc
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -199,30 +221,30 @@ def load_problem(path: str) -> ProblemSpec:
     control = ControlSpace(
         _number(cp, "control", "u_lo"), _number(cp, "control", "u_hi"),
         admissible=_parse_admissible(_get(cp, "control", "admissible", default="all")))
-    gen_a = GeneratorA(drift=parse_function(_get(cp, "dynamics", "drift")),
-                       diffusion=parse_function(_get(cp, "dynamics", "diffusion")))
+    gen_a = GeneratorA(drift=_function(cp, "dynamics", "drift"),
+                       diffusion=_function(cp, "dynamics", "diffusion"))
 
     kind = _get(cp, "singular", "kind")
     if kind == JUMP:
         gen_b = GeneratorB(kind=JUMP,
-                           displacement=parse_function(_get(cp, "singular", "displacement")))
+                           displacement=_function(cp, "singular", "displacement"))
     elif kind == GRADIENT:
         gen_b = GeneratorB(kind=GRADIENT,
-                           direction=parse_function(_get(cp, "singular", "direction")))
+                           direction=_function(cp, "singular", "direction"))
     else:
-        raise ProblemFileError(f"unknown singular kind: {kind!r}")
+        raise ProblemFileError(f"[singular] kind: unknown singular kind: {kind!r}")
 
     budgets = []
     for section in cp.sections():
         if not section.startswith("budget."):
             continue
         budgets.append(Budget(
-            g=parse_function(_get(cp, section, "g", default="constant 0")),
-            h=parse_function(_get(cp, section, "h")),
+            g=_function(cp, section, "g", default="constant 0"),
+            h=_function(cp, section, "h"),
             cap=_number(cp, section, "cap"),
             name=section.split(".", 1)[1]))
-    costs = CostSpec(c0=parse_function(_get(cp, "costs", "c0")),
-                     c1=parse_function(_get(cp, "costs", "c1")),
+    costs = CostSpec(c0=_function(cp, "costs", "c0"),
+                     c1=_function(cp, "costs", "c1"),
                      budgets=tuple(budgets))
 
     ckind = _get(cp, "criterion", "kind")
@@ -230,15 +252,10 @@ def load_problem(path: str) -> ProblemSpec:
         criterion = Criterion(kind=LONG_TERM_AVERAGE)
     elif ckind == DISCOUNTED:
         alpha = _number(cp, "criterion", "alpha")
-        nu_spec = _get(cp, "criterion", "nu0")
-        try:
-            nu0 = tuple((float(a.split(":")[0]), float(a.split(":")[1]))
-                        for a in nu_spec.split())
-        except (ValueError, IndexError) as exc:
-            raise ProblemFileError(f"malformed nu0: {nu_spec!r}") from exc
+        nu0 = tuple(_pairs(_get(cp, "criterion", "nu0").split(), "[criterion] nu0"))
         criterion = Criterion(kind=DISCOUNTED, alpha=alpha, nu0=nu0)
     else:
-        raise ProblemFileError(f"unknown criterion kind: {ckind!r}")
+        raise ProblemFileError(f"[criterion] kind: unknown criterion kind: {ckind!r}")
 
     return ProblemSpec(state=state, control=control, gen_a=gen_a, gen_b=gen_b,
                        costs=costs, criterion=criterion, name=name)

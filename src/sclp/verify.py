@@ -36,6 +36,7 @@ from functools import partial
 
 import numpy as np
 
+from .basis import PathSums
 from .discretize import nearest_node, node_cuts
 from .model import DISCOUNTED, JUMP, ProblemSpec, eval2, jump_targets
 from .policy import FeedbackPolicy
@@ -198,7 +199,8 @@ class _Accumulators:
     Running and singular cost, discount-weighted budget usage (held to its
     cap only in mean, never per path) and, when a basis is given, the
     martingale residuals f(X_T) - f(X_0) - sum of (Af) dt and of Bf over
-    the singular actions, one row per test function.
+    the singular actions, per test function (PathSums: each term goes to
+    the 4 splines nonzero at its point).
     """
 
     def __init__(self, problem: ProblemSpec, basis, x0: np.ndarray, dt: float):
@@ -210,11 +212,10 @@ class _Accumulators:
         self.sing_cost = np.zeros(n_paths)
         budgets = self.costs.budgets
         self.bud_acc = np.zeros((len(budgets), n_paths))
-        self.basis = basis
+        self.mart = None
         if basis is not None:
-            self.mart = np.zeros((len(basis), n_paths))
-            (self.f0,) = basis.evaluate(x0, (0,))
-            self.step_rows = (np.empty_like(self.mart), np.empty_like(self.mart))
+            self.mart = PathSums(basis, n_paths)
+            self.mart.add(x0, {0: -1.0})
 
     def running(self, x, u, w: float, counted: bool):
         """Running cost c0 dt and budget usage g dt of a counted step."""
@@ -228,14 +229,8 @@ class _Accumulators:
 
     def generator(self, x, drift, sig):
         """Take (Af) dt = (f' drift + f'' sig^2 / 2) dt off every residual."""
-        if self.basis is None:
-            return
-        d1, d2 = self.basis.evaluate(x, (1, 2), out=self.step_rows)
-        d2 *= 0.5 * sig * sig
-        d1 *= drift
-        d2 += d1
-        d2 *= self.dt
-        self.mart -= d2
+        if self.mart is not None:
+            self.mart.add(x, {1: drift * -self.dt, 2: sig * sig * (-0.5 * self.dt)})
 
     def singular(self, sub, xs, u, wc: float, dxi=None):
         """Cost c1 and budget usage h of singular actions on the paths sub.
@@ -253,27 +248,19 @@ class _Accumulators:
 
     def jump(self, sub, xs, target):
         """Take Bf = f(target) - f(xs) of a jump off the residuals of sub."""
-        if self.basis is None:
-            return
-        (df,) = self.basis.evaluate(target, (0,))
-        df -= self.basis.evaluate(xs, (0,))[0]
-        self.mart[:, sub] -= df
+        if self.mart is not None:
+            self.mart.add(np.concatenate([target, xs]),
+                          {0: np.repeat([-1.0, 1.0], sub.size)}, np.tile(sub, 2))
 
     def push(self, sub, xm, u, dxi):
         """Take Bf = f'(xm) gamma(xm, u) dxi of a push off the residuals of sub."""
-        if self.basis is None:
-            return
-        (df,) = self.basis.evaluate(xm, (1,))
-        df *= eval2(self.direction, xm, u)
-        df *= dxi
-        self.mart[:, sub] -= df
+        if self.mart is not None:
+            self.mart.add(xm, {1: -eval2(self.direction, xm, u) * dxi}, sub)
 
     def finish(self, x):
-        """Add f(X_T) - f(X_0) to the residuals."""
-        if self.basis is not None:
-            (f1,) = self.basis.evaluate(x, (0,))
-            f1 -= self.f0
-            self.mart += f1
+        """Add f(X_T) to the residuals."""
+        if self.mart is not None:
+            self.mart.add(x, {0: 1.0})
 
 
 def _euler_step(problem: ProblemSpec, acc: _Accumulators, rng, x, u,
@@ -324,7 +311,7 @@ def _gradient_action(problem, barriers, sampler, acc, rng, x, x_new, wc):
             continue
         u = sampler.sample(np.full(sub.size, outer), rng.random(sub.size))
         xs = x_new[sub]
-        gam = eval2(problem.gen_b.direction, np.full(sub.size, edge), u)
+        gam = eval2(problem.gen_b.direction, edge, u)
         gam = np.where(np.abs(gam) < 1e-12, np.copysign(1e-12, -side), gam)
         dxi = np.abs(xs - edge) / np.abs(gam)
         acc.singular(sub, xs, u, wc, dxi)
@@ -454,7 +441,7 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         stat_tv = 0.5 * float(np.abs(p_emp - p_ref).sum())
     residuals = [] if basis is None else [
         Estimate(f"mart[{name}]", float(row.mean()), _half_width(row), cfg.n_paths)
-        for name, row in zip(basis.names, acc.mart)]
+        for name, row in zip(basis.names, acc.mart.rows())]
 
     return VerificationReport(
         cost=cost, budgets=budgets, martingale_residuals=residuals,

@@ -179,6 +179,50 @@ def test_non_numeric_value_names_its_key(tmp_path, key):
         load_problem(str(path))
 
 
+def test_tabulated_pair_with_extra_fields_raises():
+    with pytest.raises(ProblemFileError, match="malformed x:v pair '-1:0:7'"):
+        parse_function("tabulated -1:0:7 2:3")
+
+
+def test_nu0_pair_with_extra_fields_names_its_key(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text(FUEL_INI.replace("nu0 = 0:1.0", "nu0 = 0:1.0:2"))
+    with pytest.raises(ProblemFileError,
+                       match=r"^\[criterion\] nu0: malformed x:v pair '0:1.0:2'"):
+        load_problem(str(path))
+
+
+def test_catalog_arguments_must_be_finite():
+    for spec in ("constant nan", "constant inf", "linear 1 -inf 0",
+                 "quadratic 0 0 0 nan 1", "piecewise_linear 0 1e400 1",
+                 "abs_control nan 1", "tabulated nan:0 1:1", "tabulated 0:nan 1:1"):
+        with pytest.raises(ProblemFileError, match="not a finite number"):
+            parse_function(spec)
+    # An infinite tabulated value loads: validate reports it.
+    tab = parse_function("tabulated -6:1 2:1 2.001:inf 4:inf")
+    assert tab(np.array([0.0, 3.0]), np.zeros(2)).tolist() == [1.0, np.inf]
+
+
+# A value that parses but is not finite, named by its [section] key.
+NON_FINITE_INI = {
+    "[dynamics] diffusion": INVENTORY_INI.replace("diffusion = constant 1",
+                                                  "diffusion = constant nan"),
+    "[costs] c1": INVENTORY_INI.replace("c1 = linear 1 0 0.5", "c1 = linear 1 0 inf"),
+    "[state] x_hi": INVENTORY_INI.replace("x_hi = 4", "x_hi = inf"),
+    "[control] admissible": FUEL_INI.replace("abs_equals 1", "abs_equals nan"),
+    "[criterion] nu0": FUEL_INI.replace("nu0 = 0:1.0", "nu0 = 0:inf"),
+    "[budget.fuel] h": FUEL_INI.replace("abs_control 0 1", "abs_control 0 -inf"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(NON_FINITE_INI))
+def test_non_finite_value_names_its_key(tmp_path, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(NON_FINITE_INI[key])
+    with pytest.raises(ProblemFileError, match=f"^{re.escape(key)}: .*not a finite number"):
+        load_problem(str(path))
+
+
 def test_percent_sign_is_read_verbatim(tmp_path):
     # No configparser interpolation: '%' is an ordinary character.
     path = tmp_path / "pct.ini"

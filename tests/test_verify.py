@@ -284,8 +284,20 @@ def test_family_residuals_match_per_member_evaluation(kind):
         cfg = SimConfig(dt=0.02, horizon=10.0, n_paths=32, seed=2)
     fast = simulate(p, pol, cfg, basis=b)
     slow = simulate(p, pol, cfg, basis=_wrapped(b))
-    assert fast.to_csv() == slow.to_csv()
+    # The splines' residuals are summed on their 4 local pieces, from the
+    # tau table, so they agree with per-member evaluation to round-off;
+    # every other line is byte-equal.
+    fast_lines, slow_lines = fast.to_csv().splitlines(), slow.to_csv().splitlines()
+    assert ([ln for ln in fast_lines if not ln.startswith("mart[")]
+            == [ln for ln in slow_lines if not ln.startswith("mart[")])
     assert len(fast.martingale_residuals) == len(b)
+    for f, s in zip(fast.martingale_residuals, slow.martingale_residuals):
+        assert f.name == s.name and f.n == s.n
+        for a, z in ((f.value, s.value), (f.half_width, s.half_width)):
+            assert abs(a - z) <= 1e-12, (f, s)
+            assert (a == 0.0) == (z == 0.0), (f, s)
+    assert fast.martingale_residuals[-1].name == "mart[1]"
+    assert fast.martingale_residuals[-1].value == 0.0
     # Singular actions happened, so their martingale updates were exercised.
     if kind == "jump":
         assert fast.cost.value > 0
@@ -466,12 +478,12 @@ PINNED = {
         (
             "name,estimate,half_width,n\n"
             "discounted_cost,3.631025656953241,0.5446364828016829,16\n"
-            "mart[bspl000],0.002414786455793779,0.001050313475388483,16\n"
-            "mart[bspl001],0.09160415908162847,0.29868641144065355,16\n"
-            "mart[bspl002],-0.3458741380420785,1.099101296880076,16\n"
-            "mart[bspl003],0.10608155187161553,1.0501655204277784,16\n"
-            "mart[bspl004],-0.32811511827799633,1.7016495926731248,16\n"
-            "mart[bspl005],0.3052164516710496,0.5181311318812719,16\n"
+            "mart[bspl000],0.0024147864557935057,0.0010503134753884734,16\n"
+            "mart[bspl001],0.09160415908162353,0.29868641144065255,16\n"
+            "mart[bspl002],-0.34587413804208045,1.0991012968800762,16\n"
+            "mart[bspl003],0.10608155187161125,1.0501655204277784,16\n"
+            "mart[bspl004],-0.3281151182779955,1.7016495926731252,16\n"
+            "mart[bspl005],0.30521645167104905,0.5181311318812719,16\n"
             "mart[1],0.0,0.0,16\n"
         ),
         (None, 0, 29472, 6387, False, 0),
@@ -481,11 +493,11 @@ PINNED = {
             "name,estimate,half_width,n\n"
             "discounted_cost,0.32591937943310384,0.06864291477964186,16\n"
             "budget_fuel,0.5494821674740578,0.13157284200172514,16\n"
-            "mart[bspl000],0.00041462408240009564,0.00013798572209136581,16\n"
-            "mart[bspl001],-0.03812979901066159,0.22671836710972396,16\n"
-            "mart[bspl002],-0.2347611121862217,0.40205165666374454,16\n"
-            "mart[bspl003],0.23661801130928564,0.5155967451960703,16\n"
-            "mart[bspl004],0.03585827580519532,0.06696955891765764,16\n"
+            "mart[bspl000],0.0004146240824000849,0.0001379857220913655,16\n"
+            "mart[bspl001],-0.03812979901066202,0.22671836710972385,16\n"
+            "mart[bspl002],-0.23476111218622212,0.4020516566637452,16\n"
+            "mart[bspl003],0.23661801130928695,0.5155967451960706,16\n"
+            "mart[bspl004],0.03585827580519535,0.06696955891765763,16\n"
             "mart[bspl005],0.0,0.0,16\n"
             "mart[1],0.0,0.0,16\n"
         ),
@@ -496,11 +508,11 @@ PINNED = {
             "name,estimate,half_width,n\n"
             "lta_cost,1.7473157210720283,0.3282456468277711,16\n"
             "mart[bspl000],0.0,0.0,16\n"
-            "mart[bspl001],0.007374631102112674,0.012850522077933942,16\n"
-            "mart[bspl002],-0.16199825037683496,0.24819380250516476,16\n"
-            "mart[bspl003],-0.20866721712648348,0.3853553568503109,16\n"
-            "mart[bspl004],0.37431986322705524,0.5141353917827649,16\n"
-            "mart[bspl005],0.027027357598312943,0.3290049107154353,16\n"
+            "mart[bspl001],0.007374631102112585,0.012850522077933973,16\n"
+            "mart[bspl002],-0.16199825037683346,0.2481938025051655,16\n"
+            "mart[bspl003],-0.20866721712648706,0.38535535685031064,16\n"
+            "mart[bspl004],0.37431986322705485,0.5141353917827646,16\n"
+            "mart[bspl005],0.02702735759831256,0.3290049107154351,16\n"
             "mart[1],0.0,0.0,16\n"
         ),
         (0.3882008519673867, 0, 6400, 1601, False, 0),
@@ -510,11 +522,11 @@ PINNED = {
             "name,estimate,half_width,n\n"
             "lta_cost,1.7461017627062623,0.14919148105970487,16\n"
             "mart[bspl000],0.0,0.0,16\n"
-            "mart[bspl001],0.018979467397239554,0.04572206989202061,16\n"
-            "mart[bspl002],-0.24345326009456286,0.3918881716212377,16\n"
-            "mart[bspl003],-0.18158936259158148,0.4977549773479786,16\n"
-            "mart[bspl004],0.1813790624273456,0.4549002692477303,16\n"
-            "mart[bspl005],0.21096249274688422,0.37483471605442176,16\n"
+            "mart[bspl001],0.018979467397239522,0.04572206989202075,16\n"
+            "mart[bspl002],-0.24345326009456186,0.39188817162123746,16\n"
+            "mart[bspl003],-0.18158936259158456,0.49775497734797813,16\n"
+            "mart[bspl004],0.18137906242734592,0.45490026924773025,16\n"
+            "mart[bspl005],0.21096249274688408,0.3748347160544216,16\n"
             "mart[1],0.0,0.0,16\n"
         ),
         (0.38954013768167245, 0, 3200, 751, False, 0),
