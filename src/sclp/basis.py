@@ -92,7 +92,6 @@ _TAU = np.array([
     [[0, 3, 0, -3], [0, 6, -12, 6], [3, -9, 9, -3], [0, 0, 0, 0]],
     [[0, 6, -12, 6], [6, -18, 18, -6], [0, 0, 0, 0], [0, 0, 0, 0]],
 ]) / 6.0
-_P4 = np.arange(4)[:, None]  # the pieces p, as a column
 
 
 class _SplineRun:
@@ -207,27 +206,18 @@ class BasisFamily:
             others.append(k)
         return others, list(runs.items())
 
-    def evaluate(self, x, orders=(0, 1, 2), out=None) -> tuple[np.ndarray, ...]:
+    def evaluate(self, x, orders=(0, 1, 2)) -> tuple[np.ndarray, ...]:
         """Every member's value (order 0), f' (order 1) or f'' (order 2) at x.
 
         Returns one (len(self), x.size) array per requested order, in the
         order requested; row k equals functions[k].value / d1 / d2 at the
         flattened x, bit for bit.  The cubic B-spline members of one run are
-        evaluated together; other members use their own methods.  out, if
-        given, holds one array per order to overwrite (a loop that evaluates
-        every step can reuse them).
+        evaluated together; other members use their own methods.
         """
         if any(o not in (0, 1, 2) for o in orders):
             raise ValueError(f"derivative orders must be 0, 1 or 2, got {orders!r}")
         x = np.asarray(x, dtype=float).reshape(-1)
-        shape = (len(self), x.size)
-        if out is None:
-            out = tuple(np.zeros(shape) for _ in orders)
-        elif len(out) != len(orders) or any(a.shape != shape for a in out):
-            raise ValueError(f"out must hold {len(orders)} arrays of shape {shape}")
-        else:
-            for arr in out:
-                arr.fill(0.0)
+        out = tuple(np.zeros((len(self), x.size)) for _ in orders)
         others, runs = self._layout
         for k in others:
             f = self.functions[k]
@@ -253,6 +243,11 @@ class BasisFamily:
         return BasisFamily(splines + (constant_one(),))
 
 
+# Points PathSums buffers before it reduces them.  A call of at least half
+# as many points is reduced on its own.
+_BLOCK = 2048
+
+
 class PathSums:
     """Per-path sums of w0 f(x) + w1 f'(x) + w2 f''(x) for every member f.
 
@@ -265,6 +260,12 @@ class PathSums:
     fall there and are never read.  Other members add their own value, d1
     and d2 to their own rows.  The splines' sums agree with
     BasisFamily.evaluate to round-off, not bit for bit.
+
+    Calls are buffered and reduced in blocks of at most _BLOCK points; a
+    call of at least half that many is reduced on its own.  Every sum takes
+    its terms point by point in the order added, a point's four spline
+    terms in a row, and a point's terms do not depend on the other points
+    of its block, so the sums do not depend on where blocks end.
     """
 
     def __init__(self, family: BasisFamily, n_paths: int):
@@ -272,23 +273,20 @@ class PathSums:
         self._others, runs = family._layout
         self._other_sums = np.zeros((len(self._others), n_paths))
         self._paths = np.arange(n_paths)
-        # Each run with its rows, its sums, and where path i's column 3 lies
-        # in them, flattened.
+        # Each run with its rows, its sums, where path i's column 3 lies in
+        # them (flattened), and its _TAU table: row 3 q + order weighs
+        # tau**q in that order, column p is the piece p.
         self._runs = [(run, rows, np.zeros((n_paths, run.t0.size + 6)),
-                       self._paths * (run.t0.size + 6) + 3) for run, rows in runs]
-        self._tables = {}
-
-    def _table(self, run: _SplineRun, orders: tuple) -> np.ndarray:
-        """_TAU for orders, scaled by 1 / h**order, as a (4, 4 len(orders)) matrix.
-
-        Column q len(orders) + i weighs tau**q in order orders[i]; row p is
-        the piece p.
-        """
-        key = (run, orders)
-        if key not in self._tables:
-            scaled = np.stack([_TAU[o] / run.h ** o for o in orders], axis=1)
-            self._tables[key] = np.ascontiguousarray(scaled.reshape(-1, 4).T)
-        return self._tables[key]
+                       self._paths * (run.t0.size + 6) + 3,
+                       np.stack([_TAU[o] / run.h ** o for o in range(3)], axis=1).reshape(12, 4))
+                      for run, rows in runs]
+        # The buffer: points, their paths, one weight per order (0 where a
+        # call has no term of that order) and the orders the calls weighed.
+        self._x = np.empty(_BLOCK)
+        self._at = np.empty(_BLOCK, dtype=np.intp)
+        self._w = np.empty((3, _BLOCK))
+        self._orders = set()
+        self._n = 0
 
     def add(self, x, weights: dict, paths=None) -> None:
         """Add the sum over orders of weights[order] * f^(order)(x) to each f.
@@ -298,38 +296,76 @@ class PathSums:
         path i.  A path may take several points.
         """
         x = np.asarray(x, dtype=float)
-        at_paths = self._paths if paths is None else np.asarray(paths)
+        m = x.size
+        at = self._paths[:m] if paths is None else np.asarray(paths)
+        if 2 * m >= self._x.size:
+            self._flush()
+            cols = np.empty((4, 3, m))
+            for order in range(3):
+                cols[0, order] = weights.get(order, 0.0)
+            self._reduce(x, at, cols, weights)
+            return
+        if self._n + m > self._x.size:
+            self._flush()
+        n, end = self._n, self._n + m
+        self._x[n:end] = x
+        self._at[n:end] = at
+        for order in range(3):
+            self._w[order, n:end] = weights.get(order, 0.0)
+        self._orders.update(weights)
+        self._n = end
+
+    def _flush(self) -> None:
+        n, self._n = self._n, 0
+        if n:
+            cols = np.empty((4, 3, n))
+            cols[0] = self._w[:, :n]
+            self._reduce(self._x[:n], self._at[:n], cols, self._orders)
+        self._orders = set()
+
+    def _reduce(self, x, at, cols, orders) -> None:
+        """Add the terms of points x on paths at.
+
+        cols is a (4, 3, x.size) array whose row 0 holds the weights of
+        each order, 0 outside orders (whose terms would add only zeros to
+        the other members); rows 1-3 are overwritten.
+        """
+        w = cols[0]
+        used = [o for o in range(3) if o in orders]
         for i, k in enumerate(self._others):
             f = self._functions[k]
-            terms = sum(w * (f.value, f.d1, f.d2)[order](x) for order, w in weights.items())
-            np.add.at(self._other_sums[i], at_paths, terms)
-        orders = tuple(weights)
-        for run, _, sums, offset in self._runs:
+            terms = sum(w[o] * (f.value, f.d1, f.d2)[o](x) for o in used)
+            np.add.at(self._other_sums[i], at, terms)
+        for run, _, sums, offset, table in self._runs:
             u = (x - run.t0[0]) / run.h
             cell = np.floor(u)
             tau = u - cell
-            # cols[q, i] = weights[orders[i]] * tau**q.
-            cols = np.empty((4, len(orders), x.size))
-            for c, w in zip(cols[0], weights.values()):
-                c[...] = w
+            # cols[q, order] = w[order] * tau**q.
             for q in range(1, 4):
                 np.multiply(cols[q - 1], tau, out=cols[q])
-            at = offset if paths is None else offset[at_paths]
+            kept, first = cols, offset[at]
             last = run.t0.size + 2  # the run's last knot cell
-            if x.size and (cell.min() < 0 or cell.max() > last):
+            if cell.min() < 0 or cell.max() > last:
                 keep = ((cell >= 0) & (cell <= last)).nonzero()[0]
-                cols, cell, at = cols[..., keep], cell[keep], at[keep]
-            # v[p] is the term of spline cell - p, in column cell - p + 3.
-            v = self._table(run, orders) @ cols.reshape(4 * len(orders), -1)
-            first = cell.astype(np.intp)
-            first += at
-            np.add.at(sums.reshape(-1), (first - _P4).ravel(), v.ravel())
+                kept, cell, first = cols[..., keep], cell[keep], first[keep]
+            # v[i, p] is point i's term of spline cell - p, in column cell - p + 3.
+            lhs = kept.reshape(12, -1).T
+            if lhs.shape[0] == 1:  # matmul would take gemv, which rounds unlike gemm
+                v = (np.concatenate([lhs, lhs]) @ table)[:1]
+            else:
+                v = lhs @ table
+            first += cell.astype(np.intp)
+            at_cells = np.empty(v.shape, dtype=np.intp)
+            for p in range(4):
+                np.subtract(first, p, out=at_cells[:, p])
+            np.add.at(sums.reshape(-1), at_cells.ravel(), v.ravel())
 
     def rows(self) -> np.ndarray:
         """The sums, one row of n_paths per member, in family order."""
+        self._flush()
         out = np.empty((len(self._functions), self._paths.size))
         out[self._others] = self._other_sums
-        for _, rows, sums, _ in self._runs:
+        for _, rows, sums, _, _ in self._runs:
             j = (rows >= 0).nonzero()[0]
             out[rows[j]] = sums[:, j + 3].T
         return out

@@ -247,10 +247,13 @@ class _Accumulators:
             self.bud_acc[i][sub] += wc * hv
 
     def jump(self, sub, xs, target):
-        """Take Bf = f(target) - f(xs) of a jump off the residuals of sub."""
+        """Take Bf = f(target) - f(xs) of a jump off the residuals of sub.
+
+        The points go in time order: the path leaves xs, then lands on target.
+        """
         if self.mart is not None:
-            self.mart.add(np.concatenate([target, xs]),
-                          {0: np.repeat([-1.0, 1.0], sub.size)}, np.tile(sub, 2))
+            self.mart.add(np.concatenate([xs, target]),
+                          {0: np.repeat([1.0, -1.0], sub.size)}, np.tile(sub, 2))
 
     def push(self, sub, xm, u, dxi):
         """Take Bf = f'(xm) gamma(xm, u) dxi of a push off the residuals of sub."""
@@ -298,25 +301,30 @@ def _jump_action(problem, cuts, triggers, sampler, acc, rng, x, x_new, wc):
 
 
 def _gradient_action(problem, barriers, sampler, acc, rng, x, x_new, wc):
-    """Reflect the paths that stepped past a cluster's edge.
+    """Reflect the paths that stepped past a barrier's edge, in one pass.
 
-    Each is pushed back to the edge along gamma(edge, u), with u drawn from
-    eta1 at the cluster's outer node; the push size is |x - edge| / |gamma|.
-    x (the state before the step) plays no part in reflection.
+    barriers holds the arrays (edge, outer node, side) of at most two
+    barriers, whose paths are disjoint: the up edge lies at or below the
+    down edge.  The paths past each edge are taken in barrier order, and
+    one uniform per path, drawn in that order, picks u from eta1 at its
+    barrier's outer node.  Each is pushed back to its edge along
+    gamma(edge, u); the push size is |x - edge| / max(|gamma|, 1e-12).  x
+    (the state before the step) plays no part in reflection.
     """
-    for edge, outer, side in barriers:
-        over = x_new > edge if side < 0 else x_new < edge
-        sub = over.nonzero()[0]
-        if not sub.size:
-            continue
-        u = sampler.sample(np.full(sub.size, outer), rng.random(sub.size))
-        xs = x_new[sub]
-        gam = eval2(problem.gen_b.direction, edge, u)
-        gam = np.where(np.abs(gam) < 1e-12, np.copysign(1e-12, -side), gam)
-        dxi = np.abs(xs - edge) / np.abs(gam)
-        acc.singular(sub, xs, u, wc, dxi)
-        acc.push(sub, 0.5 * (xs + edge), u, dxi)
-        x_new[sub] = edge
+    edges, outers, sides = barriers
+    subs = [(x_new > e if s < 0 else x_new < e).nonzero()[0] for e, s in zip(edges, sides)]
+    sub = np.concatenate(subs)
+    if not sub.size:
+        return
+    which = np.repeat(np.arange(len(subs)), [s.size for s in subs])
+    u = sampler.sample(outers[which], rng.random(sub.size))
+    xs = x_new[sub]
+    edge = edges[which]
+    gam = np.maximum(np.abs(eval2(problem.gen_b.direction, edge, u)), 1e-12)
+    dxi = np.abs(xs - edge) / gam
+    acc.singular(sub, xs, u, wc, dxi)
+    acc.push(sub, 0.5 * (xs + edge), u, dxi)
+    x_new[sub] = edge
 
 
 def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
@@ -360,7 +368,10 @@ def _singular_action(problem: ProblemSpec, policy: FeedbackPolicy, clusters, cut
         triggers = [(float(nodes[hi]), lo, hi) for lo, hi in clusters]
         return partial(_jump_action, problem, cuts, triggers, sampler) if triggers else None
     barriers = _gradient_barriers(problem, policy, clusters)
-    return partial(_gradient_action, problem, barriers, sampler) if barriers else None
+    if not barriers:
+        return None
+    arrays = tuple(np.array(column) for column in zip(*barriers))
+    return partial(_gradient_action, problem, arrays, sampler)
 
 
 def _initial_states(problem: ProblemSpec, policy: FeedbackPolicy, rng, n_paths):

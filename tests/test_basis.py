@@ -144,11 +144,5 @@ def test_family_evaluate_orders_separately():
     assert np.array_equal(only_d2, d2)
     assert np.array_equal(d1_again, d1) and np.array_equal(v_again, v)
     assert fam.evaluate(np.zeros(0), (0,))[0].shape == (len(fam), 0)
-    # Reused output arrays are overwritten, whatever they held.
-    out = (np.full((len(fam), x.size), np.nan), np.full((len(fam), x.size), 7.0))
-    got = fam.evaluate(x, (2, 0), out=out)
-    assert got[0] is out[0] and np.array_equal(out[0], d2) and np.array_equal(out[1], v)
-    with pytest.raises(ValueError, match="shape"):
-        fam.evaluate(x, (0,), out=(np.zeros((len(fam), 3)),))
     with pytest.raises(ValueError, match="orders"):
         fam.evaluate(x, (3,))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -363,6 +364,39 @@ def test_finite_fuel_report_keeps_every_path_acting(tmp_path, seed):
                     problem="finite-fuel", mode="report")
     assert code == 0
     assert "truncation_events: 0 of " in (out / "report.txt").read_text()
+
+
+# sha256 of every line of a small finite-fuel report but its martingale
+# residuals and its config header: cost, budget, counts and verdicts.
+SMALL_FUEL_REPORT_SHA256 = [
+    "918f52c39c1d6e152dcd69b769ba53ad0773eec5a5c4a00858f4454e10e42a19",
+    "8757aac531288191e2873a5cc4136c306867428a0e8dfc587e56919fa08ed042",
+    "aa87073904397daef49598677f91faafd86136c6e454e4819b33a9910205d8dc",
+    "1631cd487c59bcbbb6c3c2bbd109a7e0521e96f7476d10c5e3d21f6a9c348065",
+    "81a0964d6f0c07eff602c8e78624c72d5c0bfee9d9e4069537bab79a55fbe180",
+    "43f987d4bbe20c6d902d50f2d3edd56fc857abe632ca154be8c7461a41abc4ef",
+    "2927eddd2449292fb333d4e98b88e4750c76a8c7359169c09c92eb07a1e4b003",
+    "55be4c6b91c60d084817c8be213bc472306b6dcaafc5f4114fc30afe22ff09b0",
+    "f51dac3739b83d7eb4be38b84ed1157d10146f0a9a8a5bbe9e138ed41c30034d",
+    "2f7469cbef0d990c9d0648f076589d4f9a2d7fdf99f9210a4c1b1ee730e57ae6",
+    "4a6f334522c35bbc183daa1a2b642768c5e41ca70309dd1e37262e07041cf02e",
+    "886e6426cdfa05f4766531c991470562098a8a0fa2f8526fe7cec5c05d4fadd7",
+    "ae49ab081d05246ba4555fb5fde79b849c6bce6d4bf01ff16f3171b6fd2778e5",
+    "a89fa48ae3fb48092f4d4b87379e368b9d220ad0a13888e1b60a78e4aed676ac",
+    "0b178ac70d22b2176611e3efc11254bcc5716d51e9a16beef56c000f5fa4c301",
+    "9da5bbbf6a497c951251ba528496d27a5cfd27b7af073369d0425e7034301b11",
+    "d90219b3b85f42e25f67ae56f8bcdaa09bdc9faa5926ef17ff6670e7928ada90",
+]
+
+
+def test_finite_fuel_report_lines_pinned(tmp_path):
+    code, out = run(tmp_path, "--n-state", "21", "--n-control", "5", "--basis", "8",
+                    "--paths", "16", "--dt", "0.02", "--seed", "2",
+                    problem="finite-fuel", mode="report")
+    assert code == 0
+    lines = [ln for ln in (out / "report.txt").read_text().splitlines()
+             if not ln.startswith(("mart[", "# config"))]
+    assert [hashlib.sha256(ln.encode()).hexdigest() for ln in lines] == SMALL_FUEL_REPORT_SHA256
 
 
 def config_keys(path):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from sclp import basis
 from sclp.basis import _PIECES, _TAU, BasisFamily, C2Function, PathSums, constant_one
 from sclp.discretize import assemble_discounted_lp, assemble_lta_lp
 from sclp.problems import finite_fuel_problem, inventory_problem
@@ -94,3 +95,78 @@ def test_non_spline_members_are_summed_as_in_the_dense_run():
     assert [f.name for f in fast[-2:]] == ["mart[bump]", "mart[1]"]
     assert fast[-2:] == slow[-2:]
     assert fast[-2].value != 0.0 and fast[-1].value == 0.0
+
+
+def _bump():
+    return C2Function(lambda x: np.exp(-x * x), lambda x: -2.0 * x * np.exp(-x * x),
+                      lambda x: (4.0 * x * x - 2.0) * np.exp(-x * x), name="bump")
+
+
+def _calls(n_paths, n_steps=40, seed=8):
+    """add calls in simulate's pattern, on points of [-3, 3] (a run on
+    [-2, 2] leaves a third of them off its span): the start, per step a
+    generator call on every path, pushes on 0, 1 or more paths and jumps
+    that put two points on a path, then the finish."""
+    rng = np.random.default_rng(seed)
+    calls = [(rng.uniform(-1.0, 1.0, n_paths), {0: -1.0}, None)]
+    for _ in range(n_steps):
+        calls.append((rng.uniform(-3.0, 3.0, n_paths),
+                      {1: rng.normal(size=n_paths), 2: rng.normal(size=n_paths)}, None))
+        sub = np.flatnonzero(rng.random(n_paths) < 0.15)
+        calls.append((rng.uniform(-3.0, 3.0, sub.size), {1: rng.normal(size=sub.size)}, sub))
+        sub = np.flatnonzero(rng.random(n_paths) < 0.15)
+        calls.append((rng.uniform(-3.0, 3.0, 2 * sub.size),
+                      {0: np.repeat([1.0, -1.0], sub.size)}, np.tile(sub, 2)))
+    calls.append((rng.uniform(-3.0, 3.0, n_paths), {0: 1.0}, None))
+    return calls
+
+
+def _summed(fam, calls, n_paths):
+    sums = PathSums(fam, n_paths)
+    for x, weights, paths in calls:
+        sums.add(x, weights, paths)
+    return sums.rows()
+
+
+def _mixed_family():
+    """A run on [-2, 2], a second run of other spacing, a bump and 1."""
+    fam = BasisFamily.cubic_on_interval(-2.0, 2.0, 7)
+    other = BasisFamily.cubic_on_interval(-1.0, 2.5, 4)
+    return BasisFamily(fam.functions[:-1] + other.functions[:-1] + (_bump(), constant_one()))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_rows_do_not_depend_on_the_buffer_size(monkeypatch, block):
+    # With 1 point every call, one-point pushes too, is reduced on its own;
+    # with 7 the 9-path calls are, and the smaller ones share blocks.
+    fam = _mixed_family()
+    calls = _calls(9)
+    want = _summed(fam, calls, 9)
+    monkeypatch.setattr(basis, "_BLOCK", block)
+    assert _summed(fam, calls, 9).tobytes() == want.tobytes()
+
+
+def test_one_point_per_call_gives_the_same_rows():
+    fam = _mixed_family()
+    calls = _calls(9)
+    split = []
+    for x, weights, paths in calls:
+        at = np.arange(x.size) if paths is None else paths
+        for i in range(x.size):
+            split.append((x[i:i + 1], {o: np.broadcast_to(w, x.shape)[i:i + 1]
+                                       for o, w in weights.items()}, at[i:i + 1]))
+    assert _summed(fam, split, 9).tobytes() == _summed(fam, calls, 9).tobytes()
+
+
+def test_calls_past_the_buffer_and_blocks_off_the_span_match_dense(monkeypatch):
+    # With a buffer of 7 points the 9-path and 20-point calls exceed it, and
+    # the blocks of pushes and jumps hold points off the run's span.
+    monkeypatch.setattr(basis, "_BLOCK", 7)
+    fam = _mixed_family()
+    rng = np.random.default_rng(5)
+    calls = _calls(9) + [(rng.uniform(-3.0, 3.0, 20), {0: rng.normal(size=20)},
+                          rng.integers(0, 9, 20))]
+    want = np.zeros((len(fam), 9))
+    for x, weights, paths in calls:
+        want += _dense_sums(fam, x, weights, np.arange(x.size) if paths is None else paths, 9)
+    assert np.max(np.abs(_summed(fam, calls, 9) - want)) <= 1e-12
