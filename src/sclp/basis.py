@@ -7,18 +7,20 @@ explicit constant element so the span contains f = 1 (which generates the
 mass condition in the rescaled discounted form).
 
 Every cubic B-spline is a member of a run of splines on one uniform knot
-lattice, and splines are evaluated only through their run: each point's
-knot cell is found once, and only the at most four splines nonzero there
-(de Boor, A Practical Guide to Splines) are computed, each on the piece
-that cell selects.  A spline's own value, d1 and d2 are its row of that
-evaluation, so BasisFamily.evaluate, which computes all members at many
-points at once, matches them bit for bit.
+lattice, and splines are evaluated only through their run.  A family's
+splines fall into ranges, consecutive members that are consecutive splines
+of one run, and each range is evaluated at once: each point's knot cell is
+found once, and only the at most four splines nonzero there (de Boor, A
+Practical Guide to Splines) are computed, each on the piece that cell
+selects.  A spline on its own is a range of one, with the same arithmetic
+per point, so BasisFamily.evaluate, which computes all members at many
+points at once, matches each member's value, d1 and d2 bit for bit.
 
 PathSums accumulates weighted values and derivatives of every member along
-simulated paths (the martingale residuals).  It also touches only each
-point's four splines, but reads their pieces from _TAU, the same cubics
-written in the point's offset inside its knot cell, so its sums agree with
-evaluation to round-off rather than bit for bit.
+simulated paths (the martingale residuals), range by range.  It also
+touches only each point's four splines, but reads their pieces from _TAU,
+the same cubics written in the point's offset inside its knot cell, so its
+sums agree with evaluation to round-off rather than bit for bit.
 """
 from __future__ import annotations
 
@@ -101,10 +103,11 @@ class _SplineRun:
     """
 
     def __init__(self, t0: float, h: float, n: int):
-        if h <= 0:
-            raise ValueError("knot spacing must be positive")
+        t0, h = float(t0), float(h)
+        if not (np.isfinite(t0) and 0 < h < np.inf and np.isfinite(t0 + (n + 3) * h)):
+            raise ValueError("knots must be finite and their spacing positive")
         self.t0 = t0 + np.arange(n) * h  # first knot of each spline
-        self.h = float(h)
+        self.h = h
 
     def member(self, j: int, name: str | None = None) -> "CubicBSpline":
         """Spline j as a CubicBSpline view of this run."""
@@ -112,39 +115,31 @@ class _SplineRun:
         f._join(self, j, name)
         return f
 
-    def evaluate(self, x: np.ndarray, orders, out, rows: np.ndarray) -> None:
-        """Write the splines at x into zeroed out arrays, one per order.
+    def evaluate(self, x: np.ndarray, orders, out, lo: int, hi: int, row: int) -> None:
+        """Write splines lo..hi at x into zeroed out arrays, one per order.
 
-        Spline j goes to row rows[j]; splines with rows[j] < 0 are skipped,
-        and only points inside the support of some written spline are
-        computed.  A point lies in knot cell floor((x - t0[0]) / h), where
-        spline cell - p takes its piece p (p = 0..3).
+        Spline j goes to row row + j - lo, and only points inside the support
+        of one of them, knot cells lo..hi + 3, are computed.  A point lies in
+        knot cell floor((x - t0[0]) / h), where spline cell - p takes its
+        piece p (p = 0..3).
         """
-        present = np.flatnonzero(rows >= 0)
-        lo, hi = present[0], present[-1]
         cell = np.floor((x - self.t0[0]) / self.h)
         cols = np.flatnonzero((cell >= lo) & (cell <= hi + 3))
         if cols.size == 0:
             return
         first = cell[cols].astype(np.intp)
-        whole = present.size == hi - lo + 1
         fmin, fmax = first.min(), first.max()
         for p in range(4):
             j, c = first - p, cols
-            if not (whole and lo <= fmin - p and fmax - p <= hi):
-                # Some point's spline cell - p is not written: keep the others.
-                # With whole, every spline in [lo, hi] has a row.
+            if fmin - p < lo or fmax - p > hi:  # keep the points whose spline is written
                 on = (j >= lo) & (j <= hi)
-                if not whole:
-                    on[on] = rows[j[on]] >= 0
                 j, c = j[on], c[on]
             s = (x[c] - self.t0[j]) / self.h
-            r = rows[j]
             for order, arr in zip(orders, out):
                 v = _PIECES[order][p](s)
                 if order:
                     v = v / self.h ** order
-                arr[r, c] = v
+                arr[row - lo + j, c] = v
 
 
 class CubicBSpline(C2Function):
@@ -155,13 +150,11 @@ class CubicBSpline(C2Function):
     """
 
     def __init__(self, t0: float, h: float, name: str | None = None):
-        self._join(_SplineRun(float(t0), h, 1), 0, name)
+        self._join(_SplineRun(t0, h, 1), 0, name)
 
     def _join(self, run: _SplineRun, j: int, name: str | None) -> None:
         self.run, self.j = run, j
         self.t0, self.h = float(run.t0[j]), run.h
-        self._rows = np.full(run.t0.size, -1, dtype=np.intp)  # itself, in row 0
-        self._rows[j] = 0
         super().__init__(partial(self._row, 0), partial(self._row, 1),
                          partial(self._row, 2),
                          name=name or f"B[{self.t0:.6g},{self.t0 + 4 * self.h:.6g}]")
@@ -172,7 +165,7 @@ class CubicBSpline(C2Function):
 
     def _row(self, order: int, x: np.ndarray) -> np.ndarray:
         out = (np.zeros((1, x.size)),)
-        self.run.evaluate(x.reshape(-1), (order,), out, self._rows)
+        self.run.evaluate(x.reshape(-1), (order,), out, self.j, self.j, 0)
         return out[0].reshape(x.shape)
 
 
@@ -190,21 +183,22 @@ class BasisFamily:
         return tuple(f.name for f in self.functions)
 
     @cached_property
-    def _layout(self) -> tuple[list[int], list[tuple[_SplineRun, np.ndarray]]]:
-        """(members evaluated one by one, each spline run with its rows).
+    def _layout(self) -> tuple[list[int], list[list]]:
+        """(members evaluated one by one, spline ranges [run, lo, hi, row]).
 
-        A run's rows[j] is the member index of its spline j, -1 where the
-        family lacks that spline.
+        Members row .. row + hi - lo are splines lo .. hi of run, in order.
+        A spline that does not extend the last range opens a new one.
         """
-        others, runs = [], {}
+        others, ranges = [], []
         for k, f in enumerate(self.functions):
-            if isinstance(f, CubicBSpline):
-                rows = runs.setdefault(f.run, np.full(f.run.t0.size, -1, dtype=np.intp))
-                if rows[f.j] < 0:  # a repeated spline is evaluated on its own
-                    rows[f.j] = k
-                    continue
-            others.append(k)
-        return others, list(runs.items())
+            prev = self.functions[k - 1] if k else None
+            if not isinstance(f, CubicBSpline):
+                others.append(k)
+            elif isinstance(prev, CubicBSpline) and prev.run is f.run and prev.j == f.j - 1:
+                ranges[-1][2] = f.j  # prev ends the last range
+            else:
+                ranges.append([f.run, f.j, f.j, k])
+        return others, ranges
 
     def evaluate(self, x, orders=(0, 1, 2)) -> tuple[np.ndarray, ...]:
         """Every member's value (order 0), f' (order 1) or f'' (order 2) at x.
@@ -218,13 +212,13 @@ class BasisFamily:
             raise ValueError(f"derivative orders must be 0, 1 or 2, got {orders!r}")
         x = np.asarray(x, dtype=float).reshape(-1)
         out = tuple(np.zeros((len(self), x.size)) for _ in orders)
-        others, runs = self._layout
+        others, ranges = self._layout
         for k in others:
             f = self.functions[k]
             for order, rows in zip(orders, out):
                 rows[k] = (f.value, f.d1, f.d2)[order](x)
-        for run, rows in runs:
-            run.evaluate(x, orders, out, rows)
+        for run, lo, hi, row in ranges:
+            run.evaluate(x, orders, out, lo, hi, row)
         return out
 
     @staticmethod
@@ -236,55 +230,57 @@ class BasisFamily:
         """
         if n < 1:
             raise ValueError("need at least one spline element")
-        if not x_lo < x_hi:
-            raise ValueError("x_lo must be below x_hi")
-        run = _SplineRun(x_lo, (x_hi - x_lo) / (n + 3), n)
+        if not -np.inf < x_lo < x_hi < np.inf:
+            raise ValueError("need finite x_lo below x_hi")
+        run = _SplineRun(x_lo, (float(x_hi) - float(x_lo)) / (n + 3), n)
         splines = tuple(run.member(j, f"bspl{j:03d}") for j in range(n))
         return BasisFamily(splines + (constant_one(),))
 
 
-# Points PathSums buffers before it reduces them.  A call of at least half
-# as many points is reduced on its own.
+# Points PathSums buffers before it reduces them.
 _BLOCK = 2048
 
 
 class PathSums:
     """Per-path sums of w0 f(x) + w1 f'(x) + w2 f''(x) for every member f.
 
-    PathSums(family, n_paths) starts every sum at 0.  A spline run keeps its
-    sums in one (n_paths, n + 6) array, column j + 3 for spline j.  A point
-    adds only to the four splines nonzero in its knot cell, each piece a
-    cubic in the point's offset tau inside the cell (_TAU), and a point
-    outside the run's knot span adds nothing.  Columns beyond the run's
-    splines, and those of splines the family lacks, take the pieces that
-    fall there and are never read.  Other members add their own value, d1
-    and d2 to their own rows.  The splines' sums agree with
-    BasisFamily.evaluate to round-off, not bit for bit.
+    PathSums(family, n_paths) starts every sum at 0.  Each range of the
+    family, splines lo..hi of one run (BasisFamily._layout), keeps its sums
+    in one (n_paths, hi - lo + 7) array, column j - lo + 3 for spline j.  A
+    point adds only to the four splines nonzero in its knot cell, each piece
+    a cubic in the point's offset tau inside the cell (_TAU), and a point
+    outside cells lo..hi + 3 adds nothing to the range.  The three columns
+    on each side of the range's splines take the pieces that fall there and
+    are never read.  Other members add their own value, d1 and d2 to their
+    own rows.  The splines' sums agree with BasisFamily.evaluate to
+    round-off, not bit for bit.
 
-    Calls are buffered and reduced in blocks of at most _BLOCK points; a
-    call of at least half that many is reduced on its own.  Every sum takes
-    its terms point by point in the order added, a point's four spline
-    terms in a row, and a point's terms do not depend on the other points
-    of its block, so the sums do not depend on where blocks end.
+    Calls are buffered and reduced in blocks of _BLOCK points, as soon as
+    the buffer is full; a call that fills it goes on in the next block.
+    Every sum takes its terms point by point in the order added, a point's
+    four spline terms in a row, and a point's terms do not depend on the
+    other points of its block, so the sums do not depend on where blocks
+    end.
     """
 
     def __init__(self, family: BasisFamily, n_paths: int):
         self._functions = family.functions
-        self._others, runs = family._layout
+        self._others, ranges = family._layout
         self._other_sums = np.zeros((len(self._others), n_paths))
         self._paths = np.arange(n_paths)
-        # Each run with its rows, its sums, where path i's column 3 lies in
-        # them (flattened), and its _TAU table: row 3 q + order weighs
-        # tau**q in that order, column p is the piece p.
-        self._runs = [(run, rows, np.zeros((n_paths, run.t0.size + 6)),
-                       self._paths * (run.t0.size + 6) + 3,
-                       np.stack([_TAU[o] / run.h ** o for o in range(3)], axis=1).reshape(12, 4))
-                      for run, rows in runs]
-        # The buffer: points, their paths, one weight per order (0 where a
-        # call has no term of that order) and the orders the calls weighed.
+        # Each range with its sums, where path i's column of knot cell lo
+        # lies in them (flattened), and its run's _TAU table: row 3 q + order
+        # weighs tau**q in that order, column p is the piece p.
+        self._ranges = [(run, lo, hi, row, np.zeros((n_paths, hi - lo + 7)),
+                         self._paths * (hi - lo + 7) + 3 - lo,
+                         np.stack([_TAU[o] / run.h ** o for o in range(3)], axis=1).reshape(12, 4))
+                        for run, lo, hi, row in ranges]
+        # The buffer: points, their paths and the reduction's columns, whose
+        # row 0 holds one weight per order (0 where a call has no term of
+        # that order); and the orders the calls weighed.
         self._x = np.empty(_BLOCK)
         self._at = np.empty(_BLOCK, dtype=np.intp)
-        self._w = np.empty((3, _BLOCK))
+        self._cols = np.empty((4, 3, _BLOCK))
         self._orders = set()
         self._n = 0
 
@@ -296,47 +292,38 @@ class PathSums:
         path i.  A path may take several points.
         """
         x = np.asarray(x, dtype=float)
-        m = x.size
-        at = self._paths[:m] if paths is None else np.asarray(paths)
-        if 2 * m >= self._x.size:
-            self._flush()
-            cols = np.empty((4, 3, m))
-            for order in range(3):
-                cols[0, order] = weights.get(order, 0.0)
-            self._reduce(x, at, cols, weights)
+        at = self._paths[:x.size] if paths is None else np.asarray(paths)
+        m = self._x.size - self._n
+        if x.size > m:  # fill the buffer, which reduces it, then add the rest
+            for part in (slice(m), slice(m, None)):
+                self.add(x[part], {o: w[part] if np.ndim(w) else w for o, w in weights.items()},
+                         at[part])
             return
-        if self._n + m > self._x.size:
-            self._flush()
-        n, end = self._n, self._n + m
+        n, end = self._n, self._n + x.size
         self._x[n:end] = x
         self._at[n:end] = at
         for order in range(3):
-            self._w[order, n:end] = weights.get(order, 0.0)
+            self._cols[0, order, n:end] = weights.get(order, 0.0)
         self._orders.update(weights)
         self._n = end
+        if end == self._x.size:
+            self._flush()
 
     def _flush(self) -> None:
+        """Add the buffered points' terms to the sums and empty the buffer."""
         n, self._n = self._n, 0
-        if n:
-            cols = np.empty((4, 3, n))
-            cols[0] = self._w[:, :n]
-            self._reduce(self._x[:n], self._at[:n], cols, self._orders)
-        self._orders = set()
-
-    def _reduce(self, x, at, cols, orders) -> None:
-        """Add the terms of points x on paths at.
-
-        cols is a (4, 3, x.size) array whose row 0 holds the weights of
-        each order, 0 outside orders (whose terms would add only zeros to
-        the other members); rows 1-3 are overwritten.
-        """
+        orders, self._orders = self._orders, set()
+        if not n:
+            return
+        x, at, cols = self._x[:n], self._at[:n], self._cols[..., :n]
+        # Orders no call weighed would add only zeros to the other members.
         w = cols[0]
         used = [o for o in range(3) if o in orders]
         for i, k in enumerate(self._others):
             f = self._functions[k]
             terms = sum(w[o] * (f.value, f.d1, f.d2)[o](x) for o in used)
             np.add.at(self._other_sums[i], at, terms)
-        for run, _, sums, offset, table in self._runs:
+        for run, lo, hi, _, sums, offset, table in self._ranges:
             u = (x - run.t0[0]) / run.h
             cell = np.floor(u)
             tau = u - cell
@@ -344,11 +331,10 @@ class PathSums:
             for q in range(1, 4):
                 np.multiply(cols[q - 1], tau, out=cols[q])
             kept, first = cols, offset[at]
-            last = run.t0.size + 2  # the run's last knot cell
-            if cell.min() < 0 or cell.max() > last:
-                keep = ((cell >= 0) & (cell <= last)).nonzero()[0]
+            if cell.min() < lo or cell.max() > hi + 3:
+                keep = ((cell >= lo) & (cell <= hi + 3)).nonzero()[0]
                 kept, cell, first = cols[..., keep], cell[keep], first[keep]
-            # v[i, p] is point i's term of spline cell - p, in column cell - p + 3.
+            # v[i, p] is point i's term of spline cell - p, in column cell - lo + 3 - p.
             lhs = kept.reshape(12, -1).T
             if lhs.shape[0] == 1:  # matmul would take gemv, which rounds unlike gemm
                 v = (np.concatenate([lhs, lhs]) @ table)[:1]
@@ -365,7 +351,6 @@ class PathSums:
         self._flush()
         out = np.empty((len(self._functions), self._paths.size))
         out[self._others] = self._other_sums
-        for _, rows, sums, _, _ in self._runs:
-            j = (rows >= 0).nonzero()[0]
-            out[rows[j]] = sums[:, j + 3].T
+        for _, lo, hi, row, sums, _, _ in self._ranges:
+            out[row:row + hi - lo + 1] = sums[:, 3:hi - lo + 4].T
         return out

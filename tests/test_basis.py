@@ -91,6 +91,15 @@ def test_family_validation():
         BasisFamily.cubic_on_interval(1.0, 0.0, 4)
     with pytest.raises(ValueError):
         CubicBSpline(0.0, -1.0)
+    # Non-finite knots: a NaN end or spacing, an infinite one, and finite
+    # ends whose spacing or last knot overflows.
+    for t0, h in ((0.0, np.nan), (np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf), (1e308, 1e308)):
+        with pytest.raises(ValueError):
+            CubicBSpline(t0, h)
+    for x_lo, x_hi in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan),
+                       (-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))):
+        with pytest.raises(ValueError):
+            BasisFamily.cubic_on_interval(x_lo, x_hi, 5)
 
 
 def _assert_rows_match_members(fam, x):

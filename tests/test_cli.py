@@ -399,6 +399,52 @@ def test_finite_fuel_report_lines_pinned(tmp_path):
     assert [hashlib.sha256(ln.encode()).hexdigest() for ln in lines] == SMALL_FUEL_REPORT_SHA256
 
 
+# sha256 of every line of a small inventory (jump) report but its config
+# header, martingale residuals included.
+SMALL_INVENTORY_REPORT_SHA256 = [
+    "918f52c39c1d6e152dcd69b769ba53ad0773eec5a5c4a00858f4454e10e42a19",
+    "d4972c2d9164e0122021f7539b20e8368a150fdf667aa120300cac865623c9fd",
+    "aa87073904397daef49598677f91faafd86136c6e454e4819b33a9910205d8dc",
+    "1631cd487c59bcbbb6c3c2bbd109a7e0521e96f7476d10c5e3d21f6a9c348065",
+    "81a0964d6f0c07eff602c8e78624c72d5c0bfee9d9e4069537bab79a55fbe180",
+    "43f987d4bbe20c6d902d50f2d3edd56fc857abe632ca154be8c7461a41abc4ef",
+    "2927eddd2449292fb333d4e98b88e4750c76a8c7359169c09c92eb07a1e4b003",
+    "b99f8a1fe691dca9ef7acaa7df0afed19198b375ec2ec38f531d5d163f7fcad6",
+    "f51dac3739b83d7eb4be38b84ed1157d10146f0a9a8a5bbe9e138ed41c30034d",
+    "445ed6633d5cddda4e60a3c161e19f7c318fd39ca87d408c35bab7c47032b724",
+    "446c1049cf2d12f3daf96387acf3893cdcf2b62dde977a189f5ffb4e5aa493f4",
+    "8d75119842112a8c2b59df07163d04fb3f7179eb1db1606484427bed31905139",
+    "f615594a886a3fbda0444aa0ac6e4b5886dc51dbf0f40abc94c95ec0f6c9943a",
+    "1fdd8b09b1741939b1c9c09a4cfb32139e05e8fd5a257b3890a6bbfc1772fb88",
+    "d08e4fc5cc127deb9b1552721ef1712eb8f519bfb281e9dea992ec0fe1091a37",
+    "3b1eeb62f5a2ecf79b7fe69337b930cc7924fff1ca1efda4c7191be3e35d4893",
+    "29d0e609610113f57a0dbe9ad86c32a6cc8b9cb9bc864c8296dd1182b3b82440",
+    "50da94d0a900278256158efe9f3a9171a3af627a32afdfb8b728e4baa2dab430",
+    "a4d5bb7254f4fef6cf453eb49b33491ea97e6056dbb903db5f59a7f588a8ca7d",
+    "31d71e2520ded37ccf42b0e8b68b67ac57601e922b184dec9b0fee3472a38a1a",
+    "e89b2b114f4425b97a602c17fba245697ce003577d7f44bf2b282ccc638fc485",
+    "a4eb276dd1c3ad84619c25126e400b551d3030a8b37a82050b6bcb36a46cae16",
+    "81370934e1432f46777b1f8805c075fd4f284da25dfe24f367ff6fc2eb8f4ec4",
+    "8ac458325e68be8e3dd39cd1d6d7e32999d02a96ef13b5deeee7167fecc8180a",
+    "72e1239b51e897d7bf734b9d9567e83c5595acafe494571e5e32fc5b50ae83f0",
+    "6d2ffd5c3b1e0e4ba8764505c7bc15a5d0eb1b8548f07eab8bc067c27783008b",
+    "2ba770c50cf673d246677ebb8d8b973404aafea1c4ae57989cf300bd3e3eb2d6",
+    "0416967fe8ba3048749a336ea707226559090a852f9dd0011b496f545aaaa301",
+    "d90219b3b85f42e25f67ae56f8bcdaa09bdc9faa5926ef17ff6670e7928ada90",
+]
+
+
+def test_inventory_report_lines_pinned(tmp_path):
+    ini = tmp_path / "inventory.ini"
+    ini.write_text(INVENTORY_INI)
+    code, out = run(tmp_path, *SMALL, "--paths", "16", "--dt", "0.02", "--horizon", "4",
+                    "--burn-in", "1", "--seed", "2", problem=str(ini), mode="report")
+    assert code == 0
+    lines = [ln for ln in (out / "report.txt").read_text().splitlines()
+             if not ln.startswith("# config")]
+    assert [hashlib.sha256(ln.encode()).hexdigest() for ln in lines] == SMALL_INVENTORY_REPORT_SHA256
+
+
 def config_keys(path):
     return set(json.loads(path.read_text().splitlines()[0].split("# config ")[1]))
 

@@ -170,3 +170,22 @@ def test_calls_past_the_buffer_and_blocks_off_the_span_match_dense(monkeypatch):
     for x, weights, paths in calls:
         want += _dense_sums(fam, x, weights, np.arange(x.size) if paths is None else paths, 9)
     assert np.max(np.abs(_summed(fam, calls, 9) - want)) <= 1e-12
+
+
+def test_irregular_families_sum_as_the_plain_family():
+    # Reversed, with a gap and the constant between splines, with a repeated
+    # member, and with a second run inside the first: each row is the plain
+    # family's row of the same member, byte for byte.
+    plain = BasisFamily.cubic_on_interval(-2.0, 2.0, 7)
+    other = BasisFamily.cubic_on_interval(-1.0, 2.5, 4)
+    calls = _calls(9)
+    want = {}
+    for fam in (plain, other):
+        for f, row in zip(fam.functions[:-1], _summed(fam, calls, 9)):
+            want[id(f)] = row.tobytes()
+    s, one, o = plain.functions[:-1], plain.functions[-1], other.functions[:-1]
+    want[id(one)] = _summed(plain, calls, 9)[-1].tobytes()
+    for members in (s[::-1] + (one,), s[1:3] + (one,) + s[4:6], s[2:5] + (s[3],) + s[5:],
+                    s[:3] + o[1:] + (one,) + s[3:]):
+        rows = _summed(BasisFamily(members), calls, 9)
+        assert [r.tobytes() for r in rows] == [want[id(f)] for f in members]
