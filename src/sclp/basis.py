@@ -7,20 +7,22 @@ explicit constant element so the span contains f = 1 (which generates the
 mass condition in the rescaled discounted form).
 
 Every cubic B-spline is a member of a run of splines on one uniform knot
-lattice, and splines are evaluated only through their run.  A family's
-splines fall into ranges, consecutive members that are consecutive splines
-of one run, and each range is evaluated at once: each point's knot cell is
-found once, and only the at most four splines nonzero there (de Boor, A
-Practical Guide to Splines) are computed, each on the piece that cell
-selects.  A spline on its own is a range of one, with the same arithmetic
-per point, so BasisFamily.evaluate, which computes all members at many
-points at once, matches each member's value, d1 and d2 bit for bit.
+lattice, and splines are evaluated only through their run, the one place
+that knows the lattice (_SplineRun.locate).  A family's splines fall into
+ranges, consecutive members that are consecutive splines of one run, and
+each range is evaluated at once: each point's knot cell is found once, and
+only the at most four splines nonzero there (de Boor, A Practical Guide to
+Splines) are computed, each on the piece that cell selects.  A spline on
+its own is a range of one, with the same arithmetic per point, so
+BasisFamily.evaluate, which computes all members at many points at once,
+matches each member's value, d1 and d2 bit for bit.
 
 PathSums accumulates weighted values and derivatives of every member along
 simulated paths (the martingale residuals), range by range.  It also
-touches only each point's four splines, but reads their pieces from _TAU,
-the same cubics written in the point's offset inside its knot cell, so its
-sums agree with evaluation to round-off rather than bit for bit.
+touches only each point's four splines, found by locate, but reads their
+pieces from _TAU, the same cubics written in the point's offset inside its
+knot cell, so its sums agree with evaluation to round-off rather than bit
+for bit.
 """
 from __future__ import annotations
 
@@ -99,15 +101,18 @@ _TAU = np.array([
 class _SplineRun:
     """n uniform cubic B-splines, spline j on knots t0 + (j + i) h, i = 0..4.
 
-    The one unit in which cubic B-splines are evaluated.
+    The one unit in which cubic B-splines are evaluated, and the one that
+    knows their knot lattice.
     """
 
     def __init__(self, t0: float, h: float, n: int):
         t0, h = float(t0), float(h)
         if not (np.isfinite(t0) and 0 < h < np.inf and np.isfinite(t0 + (n + 3) * h)):
             raise ValueError("knots must be finite and their spacing positive")
-        self.t0 = t0 + np.arange(n) * h  # first knot of each spline
+        self.t0 = t0  # first knot; spline j's is t0 + j * h
         self.h = h
+        # _TAU in units of x: row 3 q + order weighs tau**q, column p is piece p.
+        self.tau_table = np.stack([_TAU[o] / h ** o for o in range(3)], axis=1).reshape(12, 4)
 
     def member(self, j: int, name: str | None = None) -> "CubicBSpline":
         """Spline j as a CubicBSpline view of this run."""
@@ -115,26 +120,33 @@ class _SplineRun:
         f._join(self, j, name)
         return f
 
+    def locate(self, x: np.ndarray, lo: int, hi: int):
+        """(indices, cells, offsets) of the points of x in knot cells lo..hi + 3.
+
+        A point lies in knot cell floor(u), u = (x - t0) / h, at offset
+        tau = u - cell inside it; spline cell - p takes its piece p there
+        (p = 0..3), so cells lo..hi + 3 are the support of splines lo..hi.
+        """
+        u = (x - self.t0) / self.h
+        cell = np.floor(u)
+        tau = u - cell
+        if x.size and cell.min() >= lo and cell.max() <= hi + 3:  # no copies needed
+            return np.arange(x.size), cell.astype(np.intp), tau
+        at = ((cell >= lo) & (cell <= hi + 3)).nonzero()[0]
+        return at, cell[at].astype(np.intp), tau[at]
+
     def evaluate(self, x: np.ndarray, orders, out, lo: int, hi: int, row: int) -> None:
         """Write splines lo..hi at x into zeroed out arrays, one per order.
 
-        Spline j goes to row row + j - lo, and only points inside the support
-        of one of them, knot cells lo..hi + 3, are computed.  A point lies in
-        knot cell floor((x - t0[0]) / h), where spline cell - p takes its
-        piece p (p = 0..3).
+        Spline j goes to row row + j - lo, and only the points that locate
+        finds are computed.
         """
-        cell = np.floor((x - self.t0[0]) / self.h)
-        cols = np.flatnonzero((cell >= lo) & (cell <= hi + 3))
-        if cols.size == 0:
-            return
-        first = cell[cols].astype(np.intp)
-        fmin, fmax = first.min(), first.max()
+        cols, first, _ = self.locate(x, lo, hi)
         for p in range(4):
-            j, c = first - p, cols
-            if fmin - p < lo or fmax - p > hi:  # keep the points whose spline is written
-                on = (j >= lo) & (j <= hi)
-                j, c = j[on], c[on]
-            s = (x[c] - self.t0[j]) / self.h
+            j = first - p
+            on = (j >= lo) & (j <= hi)  # the points whose spline is written
+            j, c = j[on], cols[on]
+            s = (x[c] - (self.t0 + j * self.h)) / self.h
             for order, arr in zip(orders, out):
                 v = _PIECES[order][p](s)
                 if order:
@@ -154,7 +166,7 @@ class CubicBSpline(C2Function):
 
     def _join(self, run: _SplineRun, j: int, name: str | None) -> None:
         self.run, self.j = run, j
-        self.t0, self.h = float(run.t0[j]), run.h
+        self.t0, self.h = run.t0 + j * run.h, run.h
         super().__init__(partial(self._row, 0), partial(self._row, 1),
                          partial(self._row, 2),
                          name=name or f"B[{self.t0:.6g},{self.t0 + 4 * self.h:.6g}]")
@@ -248,12 +260,12 @@ class PathSums:
     family, splines lo..hi of one run (BasisFamily._layout), keeps its sums
     in one (n_paths, hi - lo + 7) array, column j - lo + 3 for spline j.  A
     point adds only to the four splines nonzero in its knot cell, each piece
-    a cubic in the point's offset tau inside the cell (_TAU), and a point
-    outside cells lo..hi + 3 adds nothing to the range.  The three columns
-    on each side of the range's splines take the pieces that fall there and
-    are never read.  Other members add their own value, d1 and d2 to their
-    own rows.  The splines' sums agree with BasisFamily.evaluate to
-    round-off, not bit for bit.
+    a cubic in the point's offset tau inside the cell (the run's tau_table),
+    and a point that the run does not locate in cells lo..hi + 3 adds
+    nothing to the range.  The three columns on each side of the range's
+    splines take the pieces that fall there and are never read.  Other
+    members add their own value, d1 and d2 to their own rows.  The splines'
+    sums agree with BasisFamily.evaluate to round-off, not bit for bit.
 
     Calls are buffered and reduced in blocks of _BLOCK points, as soon as
     the buffer is full; a call that fills it goes on in the next block.
@@ -268,12 +280,10 @@ class PathSums:
         self._others, ranges = family._layout
         self._other_sums = np.zeros((len(self._others), n_paths))
         self._paths = np.arange(n_paths)
-        # Each range with its sums, where path i's column of knot cell lo
-        # lies in them (flattened), and its run's _TAU table: row 3 q + order
-        # weighs tau**q in that order, column p is the piece p.
+        # Each range with its sums, and where path i's column of knot cell lo
+        # lies in them (flattened).
         self._ranges = [(run, lo, hi, row, np.zeros((n_paths, hi - lo + 7)),
-                         self._paths * (hi - lo + 7) + 3 - lo,
-                         np.stack([_TAU[o] / run.h ** o for o in range(3)], axis=1).reshape(12, 4))
+                         self._paths * (hi - lo + 7) + 3 - lo)
                         for run, lo, hi, row in ranges]
         # The buffer: points, their paths and the reduction's columns, whose
         # row 0 holds one weight per order (0 where a call has no term of
@@ -323,24 +333,22 @@ class PathSums:
             f = self._functions[k]
             terms = sum(w[o] * (f.value, f.d1, f.d2)[o](x) for o in used)
             np.add.at(self._other_sums[i], at, terms)
-        for run, lo, hi, _, sums, offset, table in self._ranges:
-            u = (x - run.t0[0]) / run.h
-            cell = np.floor(u)
-            tau = u - cell
-            # cols[q, order] = w[order] * tau**q.
-            for q in range(1, 4):
-                np.multiply(cols[q - 1], tau, out=cols[q])
+        for run, lo, hi, _, sums, offset in self._ranges:
+            inside, cell, tau = run.locate(x, lo, hi)
             kept, first = cols, offset[at]
-            if cell.min() < lo or cell.max() > hi + 3:
-                keep = ((cell >= lo) & (cell <= hi + 3)).nonzero()[0]
-                kept, cell, first = cols[..., keep], cell[keep], first[keep]
+            if inside.size < n:
+                # take, unlike cols[..., inside], keeps the points C-contiguous.
+                kept, first = np.take(cols, inside, axis=2), first[inside]
+            # kept[q, order] = w[order] * tau**q.
+            for q in range(1, 4):
+                np.multiply(kept[q - 1], tau, out=kept[q])
             # v[i, p] is point i's term of spline cell - p, in column cell - lo + 3 - p.
             lhs = kept.reshape(12, -1).T
             if lhs.shape[0] == 1:  # matmul would take gemv, which rounds unlike gemm
-                v = (np.concatenate([lhs, lhs]) @ table)[:1]
+                v = (np.concatenate([lhs, lhs]) @ run.tau_table)[:1]
             else:
-                v = lhs @ table
-            first += cell.astype(np.intp)
+                v = lhs @ run.tau_table
+            first += cell
             at_cells = np.empty(v.shape, dtype=np.intp)
             for p in range(4):
                 np.subtract(first, p, out=at_cells[:, p])
@@ -351,6 +359,6 @@ class PathSums:
         self._flush()
         out = np.empty((len(self._functions), self._paths.size))
         out[self._others] = self._other_sums
-        for _, lo, hi, row, sums, _, _ in self._ranges:
+        for _, lo, hi, row, sums, _ in self._ranges:
             out[row:row + hi - lo + 1] = sums[:, 3:hi - lo + 4].T
         return out

@@ -223,6 +223,12 @@ def _band_oracle(args, problem, digest) -> int:
     return EXIT_OK
 
 
+def _agreement(value: float, half_width: float, lp_value: float) -> str:
+    """'pass' when |value - LP| <= max(5% of |LP|, half_width), else 'FAIL'."""
+    ok = abs(value - lp_value) <= max(0.05 * abs(lp_value), half_width)
+    return "pass" if ok else "FAIL"
+
+
 def _pipeline(args, problem, digest) -> int:
     """solve -> policy -> verify -> report; each mode stops after its stage."""
     grid, basis, lp = _assemble(problem, args)
@@ -262,9 +268,8 @@ def _pipeline(args, problem, digest) -> int:
     lines += [ln + "\n" for ln in vreport.lines()]
     lines.append("## lp\n" + solve_line + "\n")
     lines.append("## simulation\n" + report.to_text())
-    sim_ok = abs(report.cost.value - sol.objective) <= max(
-        0.05 * abs(sol.objective), report.cost.half_width)
-    lines.append(f"lp_vs_simulation_agree: {'pass' if sim_ok else 'FAIL'}\n")
+    agree = _agreement(report.cost.value, report.cost.half_width, sol.objective)
+    lines.append(f"lp_vs_simulation_agree: {agree}\n")
     if problem.gen_b.kind == JUMP and problem.criterion.kind != DISCOUNTED:
         try:
             res = band_search(problem, *_default_band_grids(problem), cfg)
@@ -273,9 +278,8 @@ def _pipeline(args, problem, digest) -> int:
         else:
             lines.append(f"## band oracle\nbest s={res.best.s!r} S={res.best.big_s!r} "
                          f"cost={res.cost!r} +/- {res.half_width!r}\n")
-            orc_ok = abs(res.cost - sol.objective) <= max(
-                0.05 * abs(sol.objective), res.half_width)
-            lines.append(f"lp_vs_oracle_agree: {'pass' if orc_ok else 'FAIL'}\n")
+            agree = _agreement(res.cost, res.half_width, sol.objective)
+            lines.append(f"lp_vs_oracle_agree: {agree}\n")
     lines.append(f"boundary_mass_10pct: {boundary_mass_diagnostic(policy)!r}\n")
     _write(args, "report.txt", _config_header(args, digest) + "".join(lines))
     return EXIT_OK

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisFamily
-from .model import DISCOUNTED, JUMP, ProblemSpec, eval2, jump_targets
+from .model import DISCOUNTED, JUMP, ProblemSpec, StateSpace, eval2, jump_targets
 
 log = logging.getLogger(__name__)
 
@@ -173,20 +173,17 @@ def _at_states(basis: BasisFamily, x: np.ndarray, orders):
     return basis.evaluate(ux, orders), inv
 
 
-def _adjoint_rows(problem: ProblemSpec, grid: Grid, basis: BasisFamily) -> np.ndarray:
-    """(len(basis), n0 + n1) adjoint coefficients: Af on mu0 atoms, Bf on mu1 atoms.
+def generator_rows(problem: ProblemSpec, grid: Grid, basis: BasisFamily,
+                   state: StateSpace | None = None) -> np.ndarray:
+    """(len(basis), n0 + n1) rows: Af on the mu0 atoms, then Bf on the mu1 atoms.
 
     Bit for bit what A f and B f give member by member
-    (tests/generator_reference.py), with the same DomainError checks on
-    atoms and jump targets.  Rows are filled one at a time so that no
-    temporary is larger than a row.
+    (tests/generator_reference.py).  Jump targets must lie in state when
+    one is given (else DomainError); the atoms are not checked.  Rows are
+    filled one at a time so that no temporary is larger than a row.
     """
-    if len(basis) < 2:
-        raise ValueError("basis must contain at least 2 elements")
-    st = problem.state
     x0, u0 = grid.mu0_atoms[:, 0], grid.mu0_atoms[:, 1]
     x1, u1 = grid.mu1_atoms[:, 0], grid.mu1_atoms[:, 1]
-    st.require(x0)
     rows = np.empty((len(basis), grid.n0 + grid.n1))
     a, b = rows[:, :grid.n0], rows[:, grid.n0:]
     # Af = sigma^2 / 2 * f'' + drift * f'
@@ -196,22 +193,28 @@ def _adjoint_rows(problem: ProblemSpec, grid: Grid, basis: BasisFamily) -> np.nd
     (d1, d2), i0 = _at_states(basis, x0, (1, 2))
     for k in range(len(basis)):
         a[k] = half_var * d2[k, i0] + drift * d1[k, i0]
-    if grid.n1:
-        st.require(x1)
-        if problem.gen_b.kind == JUMP:
-            # Bf = f(x + displacement) - f(x)
-            target = jump_targets(problem.gen_b, x1, u1, state=st)
-            (vt,), it = _at_states(basis, target, (0,))
-            (vx,), ix = _at_states(basis, x1, (0,))
-            for k in range(len(basis)):
-                b[k] = vt[k, it] - vx[k, ix]
-        else:
-            # Bf = direction * f'
-            direction = eval2(problem.gen_b.direction, x1, u1)
-            (d1,), i1 = _at_states(basis, x1, (1,))
-            for k in range(len(basis)):
-                b[k] = direction * d1[k, i1]
+    if grid.n1 and problem.gen_b.kind == JUMP:
+        # Bf = f(x + displacement) - f(x)
+        target = jump_targets(problem.gen_b, x1, u1, state=state)
+        (vt,), it = _at_states(basis, target, (0,))
+        (vx,), ix = _at_states(basis, x1, (0,))
+        for k in range(len(basis)):
+            b[k] = vt[k, it] - vx[k, ix]
+    elif grid.n1:
+        # Bf = direction * f'
+        direction = eval2(problem.gen_b.direction, x1, u1)
+        (d1,), i1 = _at_states(basis, x1, (1,))
+        for k in range(len(basis)):
+            b[k] = direction * d1[k, i1]
     return rows
+
+
+def _adjoint_rows(problem: ProblemSpec, grid: Grid, basis: BasisFamily) -> np.ndarray:
+    """generator_rows; atoms or jump targets off the state interval raise DomainError."""
+    if len(basis) < 2:
+        raise ValueError("basis must contain at least 2 elements")
+    problem.state.require(np.concatenate([grid.mu0_atoms[:, 0], grid.mu1_atoms[:, 0]]))
+    return generator_rows(problem, grid, basis, state=problem.state)
 
 
 def _budget_rows(problem: ProblemSpec, grid: Grid, rhs_scale: float):

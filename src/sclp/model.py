@@ -253,6 +253,7 @@ def validate_conditions(problem: ProblemSpec, grid) -> ValidationReport:
     only for a grid without mu0 atoms.
     """
     from .basis import BasisFamily, C2Function, constant_one
+    from .discretize import generator_rows
 
     if grid.mu0_atoms.shape[0] == 0:
         raise ValueError("grid has no mu0 atoms")
@@ -282,28 +283,18 @@ def validate_conditions(problem: ProblemSpec, grid) -> ValidationReport:
         msgs.append("neither c1 nor any singular budget function is bounded away "
                     "from 0 on the mu1 atoms")
 
-    # Generators on the probes 1, x and x^2 as one family, with the
-    # arithmetic of the generator rows (discretize._adjoint_rows): the unit
-    # must map to exactly 0, x and x^2 to finite values; inf * 0 or inf - inf
-    # fails them without a warning.
+    # The generator rows (discretize.generator_rows) of the probes 1, x and
+    # x^2: the unit must map to exactly 0, x and x^2 to finite values;
+    # inf * 0 or inf - inf fails them without a warning.
     probes = BasisFamily((
         constant_one(),
         C2Function(lambda x: x, np.ones_like, np.zeros_like, name="x"),
         C2Function(lambda x: x ** 2, lambda x: 2.0 * x,
                    lambda x: np.full_like(x, 2.0), name="x^2")))
-    sig = eval2(problem.gen_a.diffusion, x0, u0)
-    d1, d2 = probes.evaluate(x0, (1, 2))
     with np.errstate(invalid="ignore", over="ignore"):
-        gen = [0.5 * sig * sig * d2 + eval2(problem.gen_a.drift, x0, u0) * d1]
-        if x1.size and problem.gen_b.kind == JUMP:
-            targets = jump_targets(problem.gen_b, x1, u1)
-            (v,) = probes.evaluate(np.concatenate([targets, x1]), (0,))
-            gen.append(v[:, :x1.size] - v[:, x1.size:])
-        elif x1.size:
-            (d1,) = probes.evaluate(x1, (1,))
-            gen.append(eval2(problem.gen_b.direction, x1, u1) * d1)
-    unit_ok = all(bool(np.all(g[0] == 0.0)) for g in gen)
-    finite = all(bool(np.all(np.isfinite(g[1:]))) for g in gen)
+        gen = generator_rows(problem, grid, probes)
+    unit_ok = bool(np.all(gen[0] == 0.0))
+    finite = bool(np.all(np.isfinite(gen[1:])))
     if not finite:
         msgs.append("a generator evaluation is non-finite on the grid")
 

@@ -177,9 +177,9 @@ def _bridge_map(covered: np.ndarray) -> np.ndarray:
 def _cluster_node(cuts: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """nearest_node(nodes[lo:hi + 1], x) + lo, from cuts = node_cuts(nodes).
 
-    Clamping the global nearest node into the slice gives the same index.
+    The slice's cuts are cuts[lo:hi]; a one-node slice has none.
     """
-    return np.minimum(np.maximum(cuts.searchsorted(x), lo), hi)
+    return cuts[lo:hi].searchsorted(x) + lo
 
 
 def _support_clusters(policy: FeedbackPolicy):
@@ -292,8 +292,7 @@ def _jump_action(problem, cuts, triggers, sampler, acc, rng, x, x_new, wc):
         if not sub.size:
             continue
         xs = x_new[sub]
-        near = np.full(sub.size, lo) if lo == hi else _cluster_node(cuts, xs, lo, hi)
-        u = sampler.sample(near, rng.random(sub.size))
+        u = sampler.sample(_cluster_node(cuts, xs, lo, hi), rng.random(sub.size))
         target = jump_targets(problem.gen_b, xs, u)
         acc.singular(sub, xs, u, wc)
         acc.jump(sub, xs, target)
@@ -553,19 +552,14 @@ class _LiveGroup:
 
 def _band_estimate(cycle_cost: np.ndarray, t_acc: np.ndarray) -> OracleEstimate:
     """Renewal-reward reduction of one band's n cycles, in cycle order."""
-    n = cycle_cost.size
     rate = float(cycle_cost.sum() / t_acc.sum())
-    centered = cycle_cost - rate * t_acc
-    if n >= 2:
-        half = 1.96 * float(centered.std(ddof=1)) / math.sqrt(n) / float(t_acc.mean())
-    else:
-        half = float("nan")
+    mean_length = float(t_acc.mean())
     return OracleEstimate(
-        cost=rate, half_width=half,
-        mean_cycle_length=float(t_acc.mean()),
+        cost=rate, half_width=_half_width(cycle_cost - rate * t_acc) / mean_length,
+        mean_cycle_length=mean_length,
         cycle_length_half_width=_half_width(t_acc),
         mean_cycle_cost=float(cycle_cost.mean()),
-        n_cycles=n,
+        n_cycles=cycle_cost.size,
     )
 
 

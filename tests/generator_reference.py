@@ -1,8 +1,9 @@
 """Reference generators for the tests: A f and B f at (x, u), member by member.
 
-The LP's adjoint rows (discretize._adjoint_rows) and validate_conditions'
-probes evaluate the generators on a whole basis family at once; these
-evaluate them on one test function, the plain way, to check them against.
+One row builder, discretize.generator_rows, evaluates the generators on a
+whole basis family at once, for the LP's adjoint rows and for
+validate_conditions' probes; these evaluate them on one test function, the
+plain way, to check it against.
 """
 import numpy as np
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sclp.basis import _PIECES, BasisFamily, C2Function, CubicBSpline, constant_one
+from sclp.basis import (_PIECES, BasisFamily, C2Function, CubicBSpline, _SplineRun,
+                        constant_one)
 
 
 def test_constant_one():
@@ -155,3 +156,31 @@ def test_family_evaluate_orders_separately():
     assert fam.evaluate(np.zeros(0), (0,))[0].shape == (len(fam), 0)
     with pytest.raises(ValueError, match="orders"):
         fam.evaluate(x, (3,))
+
+
+def test_locate_on_and_beside_knots():
+    # Knots -6, -5.5, ..., 4: the 17 splines cover cells 0..19, and x_hi = 4
+    # is knot 20, in cell n + 3 = 20.
+    run = _SplineRun(-6.0, 0.5, 17)
+    knots = -6.0 + 0.5 * np.arange(21)
+    x = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                        [-7.0, 5.0]])
+    u = (x + 6.0) / 0.5
+    for lo, hi in ((0, 16), (5, 7), (16, 16)):
+        at, cell, tau = run.locate(x, lo, hi)
+        want = np.flatnonzero((np.floor(u) >= lo) & (np.floor(u) <= hi + 3))
+        assert at.tolist() == want.tolist()
+        assert cell.dtype == np.intp and cell.tolist() == np.floor(u[at]).tolist()
+        assert tau.tobytes() == (u[at] - np.floor(u[at])).tobytes()
+    at, cell, _ = run.locate(x, 0, 16)
+    on_knot = dict(zip(at.tolist(), cell.tolist()))
+    assert [on_knot.get(k) for k in range(21)] == list(range(20)) + [None]  # x_hi is out
+    assert 21 not in on_knot  # just below the first knot
+    assert on_knot[22] == 0 and on_knot[42] == 0  # below knot 1, above knot 0
+    assert on_knot[61] == 19 and 62 not in on_knot  # above knot 19 and x_hi
+    assert 63 not in on_knot and 64 not in on_knot  # -7 and 5
+    assert [a.size for a in run.locate(np.array([np.nan, -1.0]), 0, 16)] == [1, 1, 1]
+    # Spline j's first knot is t0 + j h, as locate's cells place it.
+    f = run.member(3)
+    assert f.support == (-4.5, -2.5)
+    assert run.locate(np.array([-4.5]), 3, 3)[1].tolist() == [3]

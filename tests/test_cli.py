@@ -449,7 +449,6 @@ def config_keys(path):
     return set(json.loads(path.read_text().splitlines()[0].split("# config ")[1]))
 
 
-SMALL = ("--n-state", "21", "--n-control", "5", "--basis", "8")
 SHORT = ("--paths", "8", "--dt", "0.02", "--horizon", "4", "--burn-in", "1")
 ONE_BAND = ("--paths", "8", "--dt", "0.02", "--band-s", "-1", "--band-S", "0.5")
 FUEL = ("--n-state", "21", "--n-control", "2", "--basis", "8", "--paths", "8",

@@ -11,7 +11,7 @@ from sclp.basis import BasisFamily, constant_one
 from sclp.discretize import (NORMALIZED, RESCALED, Grid, GridError,
                              _first_copies, assemble_discounted_lp,
                              assemble_lta_lp, build_grid, constraint_residual,
-                             nearest_node, node_cuts)
+                             generator_rows, nearest_node, node_cuts)
 from sclp.model import (Budget, CostSpec, Criterion, DISCOUNTED, ControlSpace,
                         DomainError, GeneratorA, ProblemSpec)
 from sclp.problems import finite_fuel_problem, inventory_problem
@@ -211,6 +211,27 @@ def test_discounted_adjoint_rows_match_generator_evaluations(form):
             a, rhs = a - alpha * f.value(x0), -fbar
         assert np.array_equal(lp.a_eq[r], np.concatenate([a, bb]))
         assert lp.b_eq[r] == rhs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["inventory", "fuel"]), st.data())
+def test_generator_rows_off_the_state_nodes(name, data):
+    # Atoms anywhere in the state interval and the control box, jumps that
+    # leave the interval included: member by member, bit for bit.
+    p = inventory_problem() if name == "inventory" else finite_fuel_problem()
+    unit = st.floats(0.0, 1.0)
+    n0, n1 = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
+    box = np.array([[p.state.x_lo, p.control.u_lo], [p.state.x_hi, p.control.u_hi]])
+    atoms = [box[0] + (box[1] - box[0]) * np.array(data.draw(st.lists(
+        st.tuples(unit, unit), min_size=k, max_size=k))).reshape(k, 2) for k in (n0, n1)]
+    g = Grid(mu0_atoms=atoms[0], mu1_atoms=atoms[1], state_nodes=np.unique(atoms[0][:, 0]))
+    b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 12)
+    rows = generator_rows(p, g, b)
+    assert rows.shape == (13, n0 + n1)
+    for f, row in zip(b.functions, rows):
+        want = np.concatenate([eval_Af(p.gen_a, f, atoms[0][:, 0], atoms[0][:, 1]),
+                               eval_Bf(p.gen_b, f, atoms[1][:, 0], atoms[1][:, 1])])
+        assert row.tobytes() == want.tobytes()
 
 
 def test_jump_target_outside_interval_rejected():
