@@ -205,6 +205,14 @@ def _function(cp, section, key, default=None):
         raise ProblemFileError(f"[{section}] {key}: {exc}") from exc
 
 
+def _model(section, make, *args, **kwargs):
+    """make(*args, **kwargs); a value the model rejects names [section]."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ProblemFileError(f"[{section}] {exc}") from exc
+
+
 def load_problem(path: str) -> ProblemSpec:
     """Load a ProblemSpec from an INI problem file (see module docstring)."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -217,9 +225,11 @@ def load_problem(path: str) -> ProblemSpec:
         raise ProblemFileError(f"cannot read problem file: {path}")
 
     name = _get(cp, "problem", "name", default="problem")
-    state = StateSpace(_number(cp, "state", "x_lo"), _number(cp, "state", "x_hi"))
-    control = ControlSpace(
-        _number(cp, "control", "u_lo"), _number(cp, "control", "u_hi"),
+    state = _model("state", StateSpace, _number(cp, "state", "x_lo"),
+                   _number(cp, "state", "x_hi"))
+    control = _model(
+        "control", ControlSpace, _number(cp, "control", "u_lo"),
+        _number(cp, "control", "u_hi"),
         admissible=_parse_admissible(_get(cp, "control", "admissible", default="all")))
     gen_a = GeneratorA(drift=_function(cp, "dynamics", "drift"),
                        diffusion=_function(cp, "dynamics", "diffusion"))
@@ -238,7 +248,8 @@ def load_problem(path: str) -> ProblemSpec:
     for section in cp.sections():
         if not section.startswith("budget."):
             continue
-        budgets.append(Budget(
+        budgets.append(_model(
+            section, Budget,
             g=_function(cp, section, "g", default="constant 0"),
             h=_function(cp, section, "h"),
             cap=_number(cp, section, "cap"),
@@ -253,7 +264,7 @@ def load_problem(path: str) -> ProblemSpec:
     elif ckind == DISCOUNTED:
         alpha = _number(cp, "criterion", "alpha")
         nu0 = tuple(_pairs(_get(cp, "criterion", "nu0").split(), "[criterion] nu0"))
-        criterion = Criterion(kind=DISCOUNTED, alpha=alpha, nu0=nu0)
+        criterion = _model("criterion", Criterion, kind=DISCOUNTED, alpha=alpha, nu0=nu0)
     else:
         raise ProblemFileError(f"[criterion] kind: unknown criterion kind: {ckind!r}")
 

@@ -1,20 +1,25 @@
 """Monte Carlo verification of extracted policies.
 
-simulate() runs the controlled diffusion under a feedback policy with
-committed singular-action semantics.  Each step is one shared Euler step
-(_euler_step) under a control drawn from the policy's eta0 kernel, then the
-singular action of the problem's kind: jump problems act when the state
-crosses into the singular support from above (_jump_action, band
-behaviour); gradient problems reflect at the two support clusters around
-the mu0 mode (_gradient_action).  Per-path cost, budget and martingale sums
-live in _Accumulators.  Budgets hold in mean, as the LP's budget rows do:
-singular action never stops on a path.  simulate() reports cost and budget
-estimates with confidence intervals, martingale residuals for the supplied
-test functions, and (long-term average) a stationarity distance.  For a fixed
-seed the random draws come in a fixed order: the nu0 draw of the initial
-states (discounted), then per step one eta0 uniform per path (only when
-some eta0 row holds more than one control), the normals, and one uniform
-per acting path and cluster.
+simulate() runs the controlled diffusion in closed loop under an extracted
+policy.  _ClosedLoop(problem, policy) decides once what the policy does: the
+node cuts and the mu0 mode; the eta0 table, in which a node without an eta0
+row reads the row of its nearest covered node (a bridged step); the eta1
+table and the mu1 support clusters; the start states (nu0 draws when
+discounted, else the mode); and one singular action, or none.  Jump problems
+jump when a path crosses down to a cluster's top node (band behaviour);
+gradient problems reflect at the two barriers around the mode.  Each step is
+one shared Euler step (_euler_step) under a control drawn from eta0, then
+that action.  Per-path cost, budget and martingale sums live in
+_Accumulators.  Budgets hold in mean, as the LP's budget rows do: singular
+action never stops on a path.  simulate() reports cost and budget estimates
+with confidence intervals, martingale residuals for the supplied test
+functions, and (long-term average) a stationarity distance.  For a fixed
+seed the random draws come in a fixed order: the nu0 draw of the start
+states (discounted), then per step one eta0 uniform per path (only when some
+eta0 row holds more than one control), the normals, and the action's
+uniforms.  A jump draws one per acting path, cluster by cluster; reflection
+draws one set over both barriers, one per acting path, the lower barrier's
+paths first.
 
 band_policy_oracle() is an independent renewal-reward estimator for
 inventory-shaped problems under an (s, S) ordering band; band_search()
@@ -32,14 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .basis import PathSums
 from .discretize import nearest_node, node_cuts
 from .model import DISCOUNTED, JUMP, ProblemSpec, eval2, jump_targets
-from .policy import FeedbackPolicy
+from .policy import FeedbackPolicy, Kernel
 
 DISCOUNT_CUTOFF = 1e-8
 
@@ -146,13 +150,11 @@ class _KernelSampler:
         kmax = max((u.size for u, _ in kernel.rows.values()), default=1)
         self.uval = np.zeros((n_nodes, kmax))
         self.cdf = np.ones((n_nodes, kmax))
-        self.covered = np.zeros(n_nodes, dtype=bool)
         for i, (u, p) in kernel.rows.items():
             self.uval[i, :u.size] = u
             self.uval[i, u.size:] = u[-1]
             self.cdf[i, :p.size] = np.cumsum(p)
             self.cdf[i, p.size:] = 1.0
-            self.covered[i] = True
 
     def sample(self, node_idx: np.ndarray, r: np.ndarray | None) -> np.ndarray:
         """Controls at node_idx for the uniforms r (None when no row has two)."""
@@ -166,31 +168,12 @@ class _KernelSampler:
         return self.uval[node_idx, choice]
 
 
-def _bridge_map(covered: np.ndarray) -> np.ndarray:
-    """Map every node index to the nearest covered node index."""
-    idxs = np.flatnonzero(covered)
-    if idxs.size == 0:
-        raise ValueError("kernel covers no state node")
-    return idxs[nearest_node(idxs, np.arange(covered.size))]
-
-
 def _cluster_node(cuts: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """nearest_node(nodes[lo:hi + 1], x) + lo, from cuts = node_cuts(nodes).
 
     The slice's cuts are cuts[lo:hi]; a one-node slice has none.
     """
     return cuts[lo:hi].searchsorted(x) + lo
-
-
-def _support_clusters(policy: FeedbackPolicy):
-    """Index clusters of the mu1 support (adjacent nodes with an eta1 row)."""
-    clusters: list[tuple[int, int]] = []
-    for i in sorted(policy.eta1.rows):
-        if clusters and i == clusters[-1][1] + 1:
-            clusters[-1] = (clusters[-1][0], i)
-        else:
-            clusters.append((i, i))
-    return clusters
 
 
 class _Accumulators:
@@ -277,56 +260,7 @@ def _euler_step(problem: ProblemSpec, acc: _Accumulators, rng, x, u,
     return x + drift * acc.dt + sig * sqdt * z
 
 
-def _jump_action(problem, cuts, triggers, sampler, acc, rng, x, x_new, wc):
-    """Jump the paths that crossed down to a cluster's top node this step.
-
-    A path crosses the trigger level when it steps from above it to at or
-    below it; on the first step (x is None) every path at or below it acts.
-    Its jump is drawn from eta1 at its nearest node of the cluster.
-    """
-    for trig, lo, hi in triggers:
-        crossed = x_new <= trig
-        if x is not None:
-            crossed &= x > trig
-        sub = crossed.nonzero()[0]
-        if not sub.size:
-            continue
-        xs = x_new[sub]
-        u = sampler.sample(_cluster_node(cuts, xs, lo, hi), rng.random(sub.size))
-        target = jump_targets(problem.gen_b, xs, u)
-        acc.singular(sub, xs, u, wc)
-        acc.jump(sub, xs, target)
-        x_new[sub] = target
-
-
-def _gradient_action(problem, barriers, sampler, acc, rng, x, x_new, wc):
-    """Reflect the paths that stepped past a barrier's edge, in one pass.
-
-    barriers holds the arrays (edge, outer node, side) of at most two
-    barriers, whose paths are disjoint: the up edge lies at or below the
-    down edge.  The paths past each edge are taken in barrier order, and
-    one uniform per path, drawn in that order, picks u from eta1 at its
-    barrier's outer node.  Each is pushed back to its edge along
-    gamma(edge, u); the push size is |x - edge| / max(|gamma|, 1e-12).  x
-    (the state before the step) plays no part in reflection.
-    """
-    edges, outers, sides = barriers
-    subs = [(x_new > e if s < 0 else x_new < e).nonzero()[0] for e, s in zip(edges, sides)]
-    sub = np.concatenate(subs)
-    if not sub.size:
-        return
-    which = np.repeat(np.arange(len(subs)), [s.size for s in subs])
-    u = sampler.sample(outers[which], rng.random(sub.size))
-    xs = x_new[sub]
-    edge = edges[which]
-    gam = np.maximum(np.abs(eval2(problem.gen_b.direction, edge, u)), 1e-12)
-    dxi = np.abs(xs - edge) / gam
-    acc.singular(sub, xs, u, wc, dxi)
-    acc.push(sub, 0.5 * (xs + edge), u, dxi)
-    x_new[sub] = edge
-
-
-def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
+def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters, mode: float):
     """(edge value, outer node, side) of the two barriers around the mu0 mode.
 
     side -1 pushes down from the top, +1 pushes up from the bottom, as the
@@ -340,7 +274,6 @@ def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
     """
     nodes, eta1, mu1 = policy.state_nodes, policy.eta1, policy.mu1_marginal
     direction = problem.gen_b.direction
-    mode = nodes[int(np.argmax(policy.mu0_marginal))]
     barriers = []
     for lo, hi in clusters:
         w = mu1[lo:hi + 1]
@@ -354,33 +287,100 @@ def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters):
     return up[-1:] + down[:1]
 
 
-def _singular_action(problem: ProblemSpec, policy: FeedbackPolicy, clusters, cuts):
-    """The policy's singular action as action(acc, rng, x, x_new, wc), or None.
+class _ClosedLoop:
+    """The extracted policy as simulate runs it, decided once.
 
-    Jump problems act when a path crosses into the support from above (band
-    behaviour; cuts is node_cuts(policy.state_nodes)); gradient problems
-    reflect at the support edge.
+    cuts = node_cuts(state nodes); mode is the node of largest mu0 mass.
+    eta0 samples the absolutely continuous control: a node that is not
+    covered (has no eta0 row) reads the row of its nearest covered node,
+    ties to the left, and a step from it is a bridged step.  eta1 samples
+    the singular control; clusters are the runs of adjacent nodes with an
+    eta1 row.  act(acc, rng, x, x_new, wc) is the singular action, or None
+    when the policy has none: jump problems jump at the clusters' top nodes
+    (triggers), gradient problems reflect at the two barriers around the
+    mode.
     """
-    nodes = policy.state_nodes
-    sampler = _KernelSampler(policy.eta1, nodes.size)
-    if problem.gen_b.kind == JUMP:
-        triggers = [(float(nodes[hi]), lo, hi) for lo, hi in clusters]
-        return partial(_jump_action, problem, cuts, triggers, sampler) if triggers else None
-    barriers = _gradient_barriers(problem, policy, clusters)
-    if not barriers:
-        return None
-    arrays = tuple(np.array(column) for column in zip(*barriers))
-    return partial(_gradient_action, problem, arrays, sampler)
 
+    def __init__(self, problem: ProblemSpec, policy: FeedbackPolicy):
+        nodes = policy.state_nodes
+        self.problem = problem
+        self.cuts = node_cuts(nodes)
+        self.mode = float(nodes[int(np.argmax(policy.mu0_marginal))])
+        self.covered = np.zeros(nodes.size, dtype=bool)
+        self.covered[list(policy.eta0.rows)] = True
+        owners = np.flatnonzero(self.covered)
+        if not owners.size:
+            raise ValueError("kernel covers no state node")
+        bridge = owners[nearest_node(owners, np.arange(nodes.size))].tolist()
+        bridged = Kernel({i: policy.eta0.rows[j] for i, j in enumerate(bridge)})
+        self.eta0 = _KernelSampler(bridged, nodes.size)
+        self.eta1 = _KernelSampler(policy.eta1, nodes.size)
+        self.clusters: list[tuple[int, int]] = []
+        for i in sorted(policy.eta1.rows):
+            if self.clusters and i == self.clusters[-1][1] + 1:
+                self.clusters[-1] = (self.clusters[-1][0], i)
+            else:
+                self.clusters.append((i, i))
+        if problem.gen_b.kind == JUMP:
+            self.triggers = [(float(nodes[hi]), lo, hi) for lo, hi in self.clusters]
+            self.act = self._jump if self.triggers else None
+        else:
+            barriers = _gradient_barriers(problem, policy, self.clusters, self.mode)
+            self.barriers = tuple(np.array(column) for column in zip(*barriers))
+            self.act = self._reflect if barriers else None
 
-def _initial_states(problem: ProblemSpec, policy: FeedbackPolicy, rng, n_paths):
-    """nu0 draws (discounted), else every path at the mu0 mode."""
-    if problem.criterion.kind == DISCOUNTED:
-        pts = np.array([x for x, _ in problem.criterion.nu0])
-        probs = np.array([p for _, p in problem.criterion.nu0])
+    def start(self, rng, n_paths: int) -> np.ndarray:
+        """Start states: nu0 draws (discounted), else every path at the mode."""
+        criterion = self.problem.criterion
+        if criterion.kind != DISCOUNTED:
+            return np.full(n_paths, self.mode)
+        pts, probs = (np.array(column) for column in zip(*criterion.nu0))
         return rng.choice(pts, size=n_paths, p=probs / probs.sum())
-    nodes = policy.state_nodes
-    return np.full(n_paths, float(nodes[int(np.argmax(policy.mu0_marginal))]))
+
+    def _jump(self, acc, rng, x, x_new, wc):
+        """Jump the paths that crossed down to a cluster's top node this step.
+
+        A path crosses the trigger level when it steps from above it to at
+        or below it; on the first step x is math.inf, so every path at or
+        below it acts.  Its jump is drawn from eta1 at its nearest node of
+        the cluster.
+        """
+        for trig, lo, hi in self.triggers:
+            sub = ((x_new <= trig) & (x > trig)).nonzero()[0]
+            if not sub.size:
+                continue
+            xs = x_new[sub]
+            u = self.eta1.sample(_cluster_node(self.cuts, xs, lo, hi), rng.random(sub.size))
+            target = jump_targets(self.problem.gen_b, xs, u)
+            acc.singular(sub, xs, u, wc)
+            acc.jump(sub, xs, target)
+            x_new[sub] = target
+
+    def _reflect(self, acc, rng, x, x_new, wc):
+        """Reflect the paths that stepped past a barrier's edge, in one pass.
+
+        barriers holds the arrays (edge, outer node, side) of at most two
+        barriers, whose paths are disjoint: the up edge lies at or below the
+        down edge.  The paths past each edge are taken in barrier order, and
+        one uniform per path, drawn in that order, picks u from eta1 at its
+        barrier's outer node.  Each is pushed back to its edge along
+        gamma(edge, u); the push size is |x - edge| / max(|gamma|, 1e-12).
+        x (the state before the step) plays no part in reflection.
+        """
+        edges, outers, sides = self.barriers
+        subs = [(x_new > e if s < 0 else x_new < e).nonzero()[0] for e, s in zip(edges, sides)]
+        sub = np.concatenate(subs)
+        if not sub.size:
+            return
+        which = np.repeat(np.arange(len(subs)), [s.size for s in subs])
+        u = self.eta1.sample(outers[which], rng.random(sub.size))
+        xs = x_new[sub]
+        edge = edges[which]
+        gam = np.maximum(np.abs(eval2(self.problem.gen_b.direction, edge, u)), 1e-12)
+        dxi = np.abs(xs - edge) / gam
+        acc.singular(sub, xs, u, wc, dxi)
+        acc.push(sub, 0.5 * (xs + edge), u, dxi)
+        x_new[sub] = edge
 
 
 def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
@@ -392,7 +392,6 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     nodes = policy.state_nodes
-    cuts = node_cuts(nodes)
     x_lo, x_hi = policy.x_lo, policy.x_hi
     disc = problem.criterion.kind == DISCOUNTED
     if not disc and cfg.horizon is None:
@@ -406,15 +405,10 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     sqdt = math.sqrt(dt)
     burn_steps = int(round(cfg.burn_in / dt)) if not disc else 0  # disc counts all
 
-    # eta0, with each uncovered node's row borrowed from its nearest covered
-    # node (a bridged step).
-    eta0 = _KernelSampler(policy.eta0, nodes.size)
-    bridge = _bridge_map(eta0.covered)
-    eta0.uval, eta0.cdf = eta0.uval[bridge], eta0.cdf[bridge]
+    law = _ClosedLoop(problem, policy)
+    cuts, eta0, act = law.cuts, law.eta0, law.act
     relaxed = eta0.uval.shape[1] > 1
-    clusters = _support_clusters(policy)
-    action = _singular_action(problem, policy, clusters, cuts)
-    x = _initial_states(problem, policy, rng, cfg.n_paths)
+    x = law.start(rng, cfg.n_paths)
     acc = _Accumulators(problem, basis, x, dt)
     # Visits per node before burn-in (row 0) and in the window (row 1).
     visits = np.zeros((2, nodes.size), dtype=np.int64)
@@ -428,9 +422,9 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         visits[int(counted)] += np.bincount(node_idx, minlength=nodes.size)
         u = eta0.sample(node_idx, rng.random(x.size) if relaxed else None)
         x_new = _euler_step(problem, acc, rng, x, u, sqdt, w, counted)
-        if action is not None:
+        if act is not None:
             wc = math.exp(-alpha * (t + dt)) if counted else 0.0
-            action(acc, rng, x if k else None, x_new, wc)
+            act(acc, rng, x if k else math.inf, x_new, wc)
         if x_new.min() < x_lo or x_new.max() > x_hi:
             truncations += int((x_new < x_lo).sum()) + int((x_new > x_hi).sum())
             x_new = np.clip(x_new, x_lo, x_hi)
@@ -457,8 +451,8 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
         cost=cost, budgets=budgets, martingale_residuals=residuals,
         stationarity_distance=stat_tv,
         truncation_events=truncations, total_steps=total_steps,
-        bridged_steps=int(visits.sum(axis=0)[~eta0.covered].sum()),
-        multi_cluster_support=len(clusters) > 1,
+        bridged_steps=int(visits.sum(axis=0)[~law.covered].sum()),
+        multi_cluster_support=len(law.clusters) > 1,
         budget_exhausted_paths=exhausted,
         n_paths=cfg.n_paths,
     )

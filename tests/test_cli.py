@@ -300,6 +300,7 @@ BAD_INPUTS = {
     "infinite_u_hi": (INVENTORY_INI.replace("u_hi = 8", "u_hi = inf"), "solve", ()),
     "nan_diffusion": (INVENTORY_INI.replace("diffusion = constant 1",
                                             "diffusion = constant nan"), "solve", ()),
+    "x_lo_above_x_hi": (INVENTORY_INI.replace("x_lo = -6", "x_lo = 5"), "solve", ()),
     "nan_alpha": ("finite-fuel", "solve", ("--alpha", "nan")),
     "infinite_dt": ("finite-fuel", "verify", ("--dt", "inf")),
     "infinite_horizon": ("inventory", "verify", ("--horizon", "inf", "--burn-in", "0")),

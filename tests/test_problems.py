@@ -223,6 +223,30 @@ def test_non_finite_value_names_its_key(tmp_path, key):
         load_problem(str(path))
 
 
+# A value that parses but that the model rejects, named by its [section].
+MODEL_REJECTS_INI = {
+    "cap_zero": ("[budget.fuel]", "budget cap must be positive and finite, got 0.0",
+                 FUEL_INI.replace("cap = 1.0", "cap = 0")),
+    "x_lo_above_x_hi": ("[state]", "empty or infinite state interval",
+                        INVENTORY_INI.replace("x_lo = -6", "x_lo = 5")),
+    "u_lo_above_u_hi": ("[control]", "empty or infinite control interval",
+                        INVENTORY_INI.replace("u_lo = 0", "u_lo = 9")),
+    "alpha_zero": ("[criterion]", "requires a finite alpha > 0",
+                   FUEL_INI.replace("alpha = 1.0", "alpha = 0")),
+    "nu0_mass_half": ("[criterion]", "nu0 mass is 0.5",
+                      FUEL_INI.replace("nu0 = 0:1.0", "nu0 = 0:0.5")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_REJECTS_INI))
+def test_model_rejection_names_its_section(tmp_path, case):
+    section, message, text = MODEL_REJECTS_INI[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ProblemFileError, match=f"^{re.escape(section)} .*{re.escape(message)}"):
+        load_problem(str(path))
+
+
 def test_percent_sign_is_read_verbatim(tmp_path):
     # No configparser interpolation: '%' is an ordinary character.
     path = tmp_path / "pct.ini"

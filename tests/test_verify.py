@@ -13,8 +13,7 @@ from sclp.policy import FeedbackPolicy, Kernel, MeasurePair, marginals_and_kerne
 from sclp.problems import finite_fuel_problem, inventory_problem
 from sclp.simplex import solve
 from sclp.verify import (BandPolicy, SimConfig, SimulationError, _Accumulators,
-                         _bridge_map, _cluster_node, _gradient_barriers, _KernelSampler,
-                         _singular_action, _support_clusters, band_policy_oracle,
+                         _ClosedLoop, _cluster_node, _KernelSampler, band_policy_oracle,
                          band_search, simulate)
 
 
@@ -347,14 +346,14 @@ def test_finite_fuel_sandwich():
 def test_gradient_barriers_enclose_the_mu0_mode(kwargs, n_control, n_basis, want):
     p = finite_fuel_problem(**kwargs)
     pol, _ = _lp_policy(p, 41, n_control, n_basis, assemble_discounted_lp)
-    barriers = _gradient_barriers(p, pol, _support_clusters(pol))
+    barriers = list(zip(*_ClosedLoop(p, pol).barriers))
     assert [(o, s) for _, o, s in barriers] == [(o, s) for _, o, s in want]
     assert [e for e, _, _ in barriers] == pytest.approx([e for e, _, _ in want],
                                                         abs=1e-6)
 
 
 def _reflect_one_barrier_at_a_time(problem, barriers, sampler, acc, rng, x_new, wc):
-    """Reflection as it ran before the one-pass _gradient_action."""
+    """Reflection as it ran before both barriers were reflected in one pass."""
     for edge, outer, side in barriers:
         over = x_new > edge if side < 0 else x_new < edge
         sub = over.nonzero()[0]
@@ -379,8 +378,7 @@ def test_gradient_action_matches_one_barrier_at_a_time():
                     gen_b=p.gen_b, criterion=p.criterion,
                     costs=CostSpec(c0=p.costs.c0, budgets=p.costs.budgets,
                                    c1=lambda x, u: 0.5 + 0.25 * x))
-    clusters = _support_clusters(pol)
-    barriers = _gradient_barriers(p, pol, clusters)
+    barriers = list(zip(*_ClosedLoop(p, pol).barriers))
     (low, _, up), (high, _, down) = barriers
     assert (up, down) == (1, -1)
     rows = dict(pol.eta1.rows)
@@ -388,8 +386,8 @@ def test_gradient_action_matches_one_barrier_at_a_time():
         u0 = rows[outer][0][0]
         rows[outer] = (np.array([u0, 0.5 * u0, 0.0]), np.array([0.5, 0.3, 0.2]))
     pol.eta1 = Kernel(rows)
-    action = _singular_action(p, pol, clusters, node_cuts(pol.state_nodes))
-    sampler = _KernelSampler(pol.eta1, pol.state_nodes.size)
+    law = _ClosedLoop(p, pol)
+    assert list(zip(*law.barriers)) == barriers
     states = np.random.default_rng(3).normal(0.0, 0.6, (24, 64))
     states[8:12] = np.maximum(states[8:12], low)  # only the down barrier acts
     states[12:16] = np.minimum(states[12:16], high)  # only the up barrier acts
@@ -405,9 +403,9 @@ def test_gradient_action_matches_one_barrier_at_a_time():
         for k, x in enumerate(states):
             x_new = x.copy()
             if one_pass:
-                action(acc, rng, None, x_new, 0.9 ** k)
+                law.act(acc, rng, x, x_new, 0.9 ** k)
             else:
-                _reflect_one_barrier_at_a_time(p, barriers, sampler, acc, rng, x_new, 0.9 ** k)
+                _reflect_one_barrier_at_a_time(p, barriers, law.eta1, acc, rng, x_new, 0.9 ** k)
             ends.append(x_new)
         runs.append((np.array(ends), acc.sing_cost, acc.bud_acc, acc.mart.rows(),
                      rng.bit_generator.state))
@@ -450,6 +448,38 @@ def test_node_without_mu0_mass_borrows_the_nearest_eta0_control():
     # 100 steps: 12 whole cycles (12 jumps, no running cost) and 4 steps.
     assert rep.cost.value == 12.0 / 12.5
     assert rep.bridged_steps == 2 * 12 * 2
+    assert rep.truncation_events == 0
+
+
+def test_eta0_kernel_without_rows_raises():
+    p = make_problem(drift=ZERO, diffusion=ZERO, c0=ZERO, c1=ZERO)
+    pol = FeedbackPolicy(np.linspace(-2.0, 2.0, 9), np.full(9, 1.0 / 9), np.zeros(9),
+                         eta0=Kernel(), eta1=Kernel())
+    with pytest.raises(ValueError, match="^kernel covers no state node$"):
+        simulate(p, pol, SimConfig(dt=0.01, horizon=5.0, n_paths=4, seed=0))
+
+
+@pytest.mark.parametrize("x0, jumps", [(-1.5, True), (-1.0, True),
+                                       (np.nextafter(-1.0, 0.0), False), (0.5, False)])
+def test_first_step_jumps_at_or_below_the_trigger(x0, jumps):
+    # Frozen dynamics under u = 0 and a trigger at node 2 (x = -1) with a
+    # jump of 1: a path that starts at or below the trigger jumps on step 0,
+    # once, and one that starts above it never does.
+    alpha, dt = 2.0, 0.125
+    p = make_problem(drift=ZERO, diffusion=ZERO, c0=ZERO, c1=ONE)
+    p = ProblemSpec(state=p.state, control=p.control, gen_a=p.gen_a, gen_b=p.gen_b,
+                    costs=p.costs, name=p.name,
+                    criterion=Criterion(kind=DISCOUNTED, alpha=alpha, nu0=((x0, 1.0),)))
+    nodes = np.linspace(-2.0, 2.0, 9)
+    mu1 = np.zeros(9)
+    mu1[2] = 1.0
+    point = lambda u: (np.array([u]), np.array([1.0]))
+    pol = FeedbackPolicy(nodes, np.full(9, 1.0 / 9), mu1,
+                         eta0=Kernel({i: point(0.0) for i in range(9)}),
+                         eta1=Kernel({2: point(1.0)}))
+    rep = simulate(p, pol, SimConfig(dt=dt, horizon=None, n_paths=4, seed=0))
+    assert rep.cost.value == pytest.approx(math.exp(-alpha * dt) if jumps else 0.0, abs=1e-15)
+    assert rep.cost.half_width == 0.0
     assert rep.truncation_events == 0
 
 
@@ -650,10 +680,12 @@ def test_bridge_map_ties_borrow_the_left_row():
     # Node 2 is two indices from covered nodes 0 and 4; nodes 5 and 6 are not tied.
     rows = {0: (np.array([1.0]), np.array([1.0])), 4: (np.array([2.0]), np.array([1.0])),
             7: (np.array([3.0]), np.array([1.0]))}
-    eta0 = _KernelSampler(Kernel(rows), 8)
-    bridge = _bridge_map(eta0.covered)
-    assert bridge.tolist() == [0, 0, 0, 4, 4, 4, 7, 7]
-    assert eta0.uval[bridge, 0].tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]
+    p = make_problem(drift=ZERO, diffusion=ZERO, c0=ZERO, c1=ZERO)
+    pol = FeedbackPolicy(np.linspace(-2.0, 2.0, 8), np.full(8, 0.125), np.zeros(8),
+                         eta0=Kernel(rows), eta1=Kernel())
+    law = _ClosedLoop(p, pol)
+    assert np.flatnonzero(law.covered).tolist() == [0, 4, 7]
+    assert law.eta0.uval[:, 0].tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]
 
 
 def test_cluster_node_equals_nearest_node_on_the_slice():
