@@ -22,8 +22,8 @@ from .problems import (BUILTIN_PROBLEMS, ProblemFileError, finite_fuel_problem,
 from .simplex import (INFEASIBLE, ITER_LIMIT, NUMERICAL, OPTIMAL, UNBOUNDED,
                       LPSolution, SingularBasisError, export_mps, parse_mps,
                       solve)
-from .verify import (BandPolicy, OracleEstimate, SimConfig, SimulationError,
-                     VerificationReport, band_policy_oracle, band_search,
-                     simulate)
+from .verify import (BandCost, BandPolicy, OracleEstimate, SimConfig,
+                     SimulationError, VerificationReport, band_policy_oracle,
+                     band_search, exact_band_cost, exact_optimal_band, simulate)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .policy import (MeasurePair, boundary_mass_diagnostic, extract_strict,
 from .problems import BUILTIN_PROBLEMS, ProblemFileError, load_problem
 from .simplex import SingularBasisError, export_mps, parse_mps, solve
 from .verify import (BandPolicy, OracleNotApplicable, SimConfig, SimulationError,
-                     band_policy_oracle, band_search, simulate)
+                     band_policy_oracle, band_search, exact_optimal_band, simulate)
 
 MODES = ("validate", "solve", "policy", "verify", "band-oracle",
          "export-mps", "report")
@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the discount rate of a discounted problem")
     p.add_argument("--max-iter", type=int, default=50000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paths", type=int, default=200)
+    p.add_argument("--paths", type=int, default=200,
+                   help="simulated paths (verify, report); regenerative cycles "
+                        "per band (band-oracle)")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--horizon", type=float, default=200.0)
     p.add_argument("--burn-in", type=float, default=None,
@@ -177,12 +179,16 @@ def _sim_config(args, lta) -> SimConfig:
                      seed=args.seed, burn_in=args.burn_in)
 
 
-def _default_band_grids(problem):
+def _band_box(problem):
+    """The (s, S) ranges of the report's band oracle and of band-oracle's grid."""
     lo, hi = problem.state.x_lo, problem.state.x_hi
     w = hi - lo
-    s_grid = np.linspace(lo + 0.05 * w, lo + 0.55 * w, 8)
-    big_grid = np.linspace(lo + 0.30 * w, hi - 0.05 * w, 8)
-    return s_grid, big_grid
+    return (lo + 0.05 * w, lo + 0.55 * w), (lo + 0.30 * w, hi - 0.05 * w)
+
+
+def _default_band_grids(problem):
+    """8 reorder levels and 8 order-up-to levels spanning _band_box."""
+    return tuple(np.linspace(a, b, 8) for a, b in _band_box(problem))
 
 
 def _validate(args, problem, digest) -> int:
@@ -272,13 +278,13 @@ def _pipeline(args, problem, digest) -> int:
     lines.append(f"lp_vs_simulation_agree: {agree}\n")
     if problem.gen_b.kind == JUMP and problem.criterion.kind != DISCOUNTED:
         try:
-            res = band_search(problem, *_default_band_grids(problem), cfg)
+            best = exact_optimal_band(problem, *_band_box(problem))
         except OracleNotApplicable as exc:
             lines.append(f"## band oracle\nnot applicable: {exc}\n")
         else:
-            lines.append(f"## band oracle\nbest s={res.best.s!r} S={res.best.big_s!r} "
-                         f"cost={res.cost!r} +/- {res.half_width!r}\n")
-            agree = _agreement(res.cost, res.half_width, sol.objective)
+            lines.append(f"## band oracle\nbest s={best.band.s!r} S={best.band.big_s!r} "
+                         f"cost={best.cost!r} +/- {best.half_width!r}\n")
+            agree = _agreement(best.cost, best.half_width, sol.objective)
             lines.append(f"lp_vs_oracle_agree: {agree}\n")
     lines.append(f"boundary_mass_10pct: {boundary_mass_diagnostic(policy)!r}\n")
     _write(args, "report.txt", _config_header(args, digest) + "".join(lines))

@@ -35,7 +35,7 @@ Example file::
     kind = lta
 
 Discounted problems add ``alpha = ...`` and ``nu0 = x1:p1 x2:p2`` to the
-criterion section.  Budgets are optional ``[budget.<name>]`` sections with
+criterion section; the nu0 points must lie in the state interval.  Budgets are optional ``[budget.<name>]`` sections with
 ``g``, ``h`` and ``cap`` keys.
 """
 from __future__ import annotations
@@ -264,6 +264,10 @@ def load_problem(path: str) -> ProblemSpec:
     elif ckind == DISCOUNTED:
         alpha = _number(cp, "criterion", "alpha")
         nu0 = tuple(_pairs(_get(cp, "criterion", "nu0").split(), "[criterion] nu0"))
+        off = [x for x, _ in nu0 if not state.contains(x)]
+        if off:
+            raise ProblemFileError(f"[criterion] nu0: point {off[0]!r} lies outside "
+                                   f"the state interval [{state.x_lo}, {state.x_hi}]")
         criterion = _model("criterion", Criterion, kind=DISCOUNTED, alpha=alpha, nu0=nu0)
     else:
         raise ProblemFileError(f"[criterion] kind: unknown criterion kind: {ckind!r}")

@@ -32,9 +32,15 @@ cycles are live at once.  Each group draws from its own generator, so its
 estimates do not depend on which groups share the loop, and a one-level
 group is band_policy_oracle's run.  band_search groups its pairs by S: the
 bands of one S share their paths.
+
+exact_band_cost() gives the same bands' long-run average costs without
+Monte Carlo, from the renewal-reward ODE solved on one mesh
+(_RenewalMesh), with a quadrature error estimate; exact_optimal_band()
+finds the cheapest band on that mesh's nodes.  The report uses the latter.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -520,6 +526,8 @@ def _inventory_shape(problem: ProblemSpec):
     if mu_d <= 0:
         raise OracleNotApplicable("band oracle requires strictly negative drift "
                                   "(cycles may not terminate otherwise)")
+    if problem.costs.budgets:
+        raise OracleNotApplicable("band oracle ignores budget constraints")
     return mu_d
 
 
@@ -749,3 +757,196 @@ def band_search(problem: ProblemSpec, s_grid, S_grid,
     best = min(table, key=lambda row: row[2])
     return BandSearchResult(best=BandPolicy(best[0], best[1]), cost=best[2],
                             half_width=best[3], table=table)
+
+
+# 4-point Gauss-Legendre nodes and weights on [-1, 1].
+_GAUSS_X = np.array([-0.8611363115940526, -0.33998104358485626,
+                     0.33998104358485626, 0.8611363115940526])
+_GAUSS_W = np.array([0.34785484513745357, 0.6521451548625464,
+                     0.6521451548625464, 0.34785484513745357])
+# The renewal mesh's step h is the state interval's width over this.
+_MESH_CELLS = 2000
+# The tail above the highest band damps the error of its start value by at
+# least exp(-_TAIL_DECAY), in at most _TAIL_CELLS cells of theta dx at most
+# _TAIL_THETA_DX.  Wider cells cost more quadrature error where theta varies.
+_TAIL_DECAY = 30.0
+_TAIL_THETA_DX = 0.1
+_TAIL_CELLS = 1000
+
+
+@dataclass(frozen=True)
+class BandCost:
+    """Long-run average cost of an (s, S) band from the renewal-reward ODE.
+
+    cost is the value on the mesh of step h/2; half_width is its distance
+    to the value on the mesh of step h, the quadrature error estimate.
+    """
+
+    band: BandPolicy
+    cost: float
+    half_width: float
+
+
+class _RenewalMesh:
+    """The renewal-reward ODE of an inventory-shaped problem, solved on a mesh.
+
+    Between orders the state is a diffusion with drift -mu_d and volatility
+    sigma(x) = diffusion(x, 0), started at S and stopped at s.  By
+    renewal-reward (Bather 1966; Harrison, Sellke and Taylor 1983) a band
+    costs C(s, S) = mu_d (V(S) - V(s) + c1(s, S - s)) / (S - s), where
+    V' = w solves
+
+        w' = theta w - 2 c0 / sigma^2,   theta = 2 mu_d / sigma^2,
+
+    with c0 = c0(x, 0), and w does not grow like exp(int theta).  The mesh
+    runs through the given points, in cells of at most h between them, and
+    on through a tail of growing cells above the highest point until
+    int theta over the tail reaches _TAIL_DECAY.  w starts at the top at
+    the balance theta w = 2 c0 / sigma^2 and is integrated downward, where
+    the ODE damps errors.  Each cell takes one exponential-integrator step
+    with theta at its Gauss-Legendre mean and c0 at its Gauss-Legendre
+    points, and adds (w(b) - w(a) + int f) / theta to V.  V is solved on the
+    mesh and on the mesh with every cell halved.
+    """
+
+    def __init__(self, problem: ProblemSpec, points, h: float):
+        self.problem = problem
+        self.mu_d = _inventory_shape(problem)
+        pts = np.unique(np.asarray(points, dtype=float))
+        gaps = np.diff(pts)
+        counts = np.maximum(np.ceil(gaps / h), 1).astype(np.int64)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        cell = np.repeat(np.arange(gaps.size), counts)
+        k = np.arange(starts[-1]) - starts[cell]
+        self.points, self.point_nodes = pts, starts
+        self.nodes = np.append(pts[cell] + gaps[cell] * (k / counts[cell]), pts[-1])
+        coarse = self._with_tail(self.nodes)
+        fine = np.empty(2 * coarse.size - 1)
+        fine[::2] = coarse
+        fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+        n = self.nodes.size
+        self.v_coarse = self._primitive(coarse)[:n]
+        self.v_fine = self._primitive(fine)[:2 * n - 1:2]
+
+    def _theta(self, x):
+        sig2 = eval2(self.problem.gen_a.diffusion, x, 0.0) ** 2
+        if not np.all((sig2 > 0.0) & (sig2 < math.inf)):
+            raise OracleNotApplicable(
+                "band oracle requires a positive finite diffusion above s")
+        return 2.0 * self.mu_d / sig2
+
+    def _with_tail(self, nodes: np.ndarray) -> np.ndarray:
+        """nodes, then cells that grow by 10% while theta dx <= _TAIL_THETA_DX."""
+        edges, width, decay = [float(nodes[-1])], float(nodes[-1] - nodes[-2]), 0.0
+        while decay < _TAIL_DECAY:
+            if len(edges) > _TAIL_CELLS:
+                raise OracleNotApplicable("band oracle requires the diffusion to damp "
+                                          "the renewal ODE above the bands")
+            theta = float(self._theta(edges[-1]))
+            width = min(1.1 * width, _TAIL_THETA_DX / theta)
+            edges.append(edges[-1] + width)
+            decay += theta * width
+        return np.concatenate([nodes, edges[1:]])
+
+    def _primitive(self, mesh: np.ndarray) -> np.ndarray:
+        """V at the mesh nodes, V(mesh[0]) = 0."""
+        a, half = mesh[:-1, None], 0.5 * np.diff(mesh)[:, None]
+        z = a + half * (1.0 + _GAUSS_X)
+        theta_z = self._theta(z)
+        f = eval2(self.problem.costs.c0, z, 0.0) * (theta_z / self.mu_d)
+        theta = 0.5 * (theta_z @ _GAUSS_W)
+        int_f = (half * f) @ _GAUSS_W
+        int_fe = (half * f * np.exp(-theta[:, None] * (z - a))) @ _GAUSS_W
+        damp = np.exp(-theta * (2.0 * half[:, 0]))
+        top = float(eval2(self.problem.costs.c0, mesh[-1], 0.0)) / self.mu_d
+        w = np.fromiter(itertools.accumulate(
+            zip(damp[::-1].tolist(), int_fe[::-1].tolist()),
+            lambda w_b, step: step[0] * w_b + step[1], initial=top),
+            float, mesh.size)[::-1]
+        v = np.concatenate([[0.0], np.cumsum((w[1:] - w[:-1] + int_f) / theta)])
+        if not np.all(np.isfinite(v)):
+            raise OracleNotApplicable(
+                "band oracle requires a finite running cost above s")
+        return v
+
+    def costs(self, i, j) -> tuple[np.ndarray, np.ndarray]:
+        """(cost, half_width) of the bands (nodes[i], nodes[j]), i < j."""
+        s, big_s = self.nodes[i], self.nodes[j]
+        order = eval2(self.problem.costs.c1, s, big_s - s)
+        rate = self.mu_d / (big_s - s)
+        fine = rate * (self.v_fine[j] - self.v_fine[i] + order)
+        coarse = rate * (self.v_coarse[j] - self.v_coarse[i] + order)
+        return fine, np.abs(fine - coarse)
+
+
+def _mesh_step(problem: ProblemSpec) -> float:
+    return (problem.state.x_hi - problem.state.x_lo) / _MESH_CELLS
+
+
+def exact_band_cost(problem: ProblemSpec, bands) -> list[BandCost]:
+    """Long-run average cost of each (s, S) band from the renewal-reward ODE.
+
+    Applies where band_policy_oracle does (else OracleNotApplicable), and to
+    the same process, whose cycles are not held to the state interval.
+    Every band's s and S are nodes of one mesh (_RenewalMesh).
+    """
+    bands = list(bands)
+    x_lo, x_hi = problem.state.x_lo, problem.state.x_hi
+    if not bands:
+        raise ValueError("no bands")
+    for band in bands:
+        if not x_lo <= band.s < band.big_s <= x_hi:
+            raise ValueError("band levels must lie inside the state interval")
+    mesh = _RenewalMesh(problem, [v for b in bands for v in (b.s, b.big_s)],
+                        _mesh_step(problem))
+    node = dict(zip(mesh.points.tolist(), mesh.point_nodes.tolist()))
+    i = np.array([node[b.s] for b in bands])
+    j = np.array([node[b.big_s] for b in bands])
+    cost, half = mesh.costs(i, j)
+    return [BandCost(b, float(c), float(e)) for b, c, e in zip(bands, cost, half)]
+
+
+def exact_optimal_band(problem: ProblemSpec, s_range, S_range) -> BandCost:
+    """The cheapest band with s in s_range and S in S_range, on mesh nodes.
+
+    One mesh of step at most h runs from the lowest s to the highest S
+    (_RenewalMesh).  A scan of the node pairs at a stride of 1/32 of the
+    mesh finds a start, and windows of 5 x 5 pairs at half the stride each
+    time zoom in on it, then move at stride 1 until no neighbour is cheaper.  A window's ties go to
+    its lowest s, then its lowest S.  The mesh step limits how close the
+    band comes to the continuous optimum; its cost has the quadrature error
+    estimate of exact_band_cost.
+    """
+    (s_lo, s_hi), (big_lo, big_hi) = map(float, s_range), map(float, S_range)
+    if not (problem.state.x_lo <= s_lo <= s_hi and big_lo <= big_hi <= problem.state.x_hi
+            and s_lo < big_hi):
+        raise ValueError("band ranges must lie inside the state interval and "
+                         "admit some s < S")
+    mesh = _RenewalMesh(problem, [s_lo, big_hi], _mesh_step(problem))
+    nodes = mesh.nodes
+    i_hi = int(nodes.searchsorted(s_hi, "right")) - 1
+    j_lo, j_hi = int(nodes.searchsorted(big_lo)), nodes.size - 1
+
+    def cheapest(ii, jj):
+        i, j = np.meshgrid(ii, jj, indexing="ij")
+        ok = i < j
+        cost = np.full(i.shape, math.inf)
+        cost[ok] = mesh.costs(i[ok], j[ok])[0]
+        k = np.unravel_index(int(np.argmin(cost)), cost.shape)
+        return int(i[k]), int(j[k])
+
+    stride = max(nodes.size // 32, 1)
+    best = cheapest(np.append(np.arange(0, i_hi, stride), i_hi),
+                    np.append(np.arange(j_lo, j_hi, stride), j_hi))
+    window = np.arange(-2, 3)
+    while True:
+        stride = max(stride // 2, 1)
+        i, j = best
+        nxt = cheapest(np.unique(np.clip(i + stride * window, 0, i_hi)),
+                       np.unique(np.clip(j + stride * window, j_lo, j_hi)))
+        if stride == 1 and nxt == best:
+            break
+        best = nxt
+    i, j = best
+    cost, half = mesh.costs(i, j)
+    return BandCost(BandPolicy(float(nodes[i]), float(nodes[j])), float(cost), float(half))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sclp.cli import main
+from test_problems import FUEL_INI
 
 INFEASIBLE_INI = """\
 [problem]
@@ -304,6 +305,8 @@ BAD_INPUTS = {
     "nan_alpha": ("finite-fuel", "solve", ("--alpha", "nan")),
     "infinite_dt": ("finite-fuel", "verify", ("--dt", "inf")),
     "infinite_horizon": ("inventory", "verify", ("--horizon", "inf", "--burn-in", "0")),
+    "nu0_outside_state_interval": (FUEL_INI.replace("nu0 = 0:1.0", "nu0 = 9:1.0"),
+                                   "solve", ()),
 }
 
 
@@ -401,7 +404,9 @@ def test_finite_fuel_report_lines_pinned(tmp_path):
 
 
 # sha256 of every line of a small inventory (jump) report but its config
-# header, martingale residuals included.
+# header, martingale residuals included.  The band oracle's two lines hold
+# the exact optimal band; the 21x5/8 LP reads 1.67920, 7.4% below its
+# 1.81367, so lp_vs_oracle_agree reads FAIL.
 SMALL_INVENTORY_REPORT_SHA256 = [
     "918f52c39c1d6e152dcd69b769ba53ad0773eec5a5c4a00858f4454e10e42a19",
     "d4972c2d9164e0122021f7539b20e8368a150fdf667aa120300cac865623c9fd",
@@ -429,8 +434,8 @@ SMALL_INVENTORY_REPORT_SHA256 = [
     "8ac458325e68be8e3dd39cd1d6d7e32999d02a96ef13b5deeee7167fecc8180a",
     "72e1239b51e897d7bf734b9d9567e83c5595acafe494571e5e32fc5b50ae83f0",
     "6d2ffd5c3b1e0e4ba8764505c7bc15a5d0eb1b8548f07eab8bc067c27783008b",
-    "2ba770c50cf673d246677ebb8d8b973404aafea1c4ae57989cf300bd3e3eb2d6",
-    "0416967fe8ba3048749a336ea707226559090a852f9dd0011b496f545aaaa301",
+    "180c3b41da4402555c21a42284efa3ab5481e0d86de3da73f8d085a363c135e6",
+    "73dbf53afccfa02dabaf9c019217fbf7bbd24954743d6cfcce76e264daae269c",
     "d90219b3b85f42e25f67ae56f8bcdaa09bdc9faa5926ef17ff6670e7928ada90",
 ]
 
@@ -531,6 +536,26 @@ def test_report_without_band_oracle(tmp_path):
     assert "lp_vs_simulation_agree" in text
 
 
+def test_report_band_oracle_ignores_budgeted_problems(tmp_path):
+    # Capping the order rate at 0.4 excludes the unconstrained optimum's
+    # band, which orders at rate 0.53: the band oracle, blind to budgets,
+    # must not apply.
+    from sclp import BandPolicy, SimConfig, band_policy_oracle, load_problem
+    from sclp.verify import OracleNotApplicable
+    ini = tmp_path / "capped.ini"
+    ini.write_text(INVENTORY_INI + "[budget.orders]\ng = constant 0\nh = constant 1\n"
+                                   "cap = 0.4\n")
+    code, out = run(tmp_path, *SMALL, *SHORT, problem=str(ini), mode="report")
+    assert code == 0
+    text = (out / "report.txt").read_text()
+    assert "## band oracle\nnot applicable: band oracle ignores budget constraints\n" \
+        in text
+    assert "lp_vs_oracle_agree" not in text
+    with pytest.raises(OracleNotApplicable, match="budget"):
+        band_policy_oracle(load_problem(str(ini)), BandPolicy(-1.0, 0.5),
+                           SimConfig(dt=0.02, horizon=None, n_paths=4, seed=0))
+
+
 # The names perfbench's traced runs rebind in sclp.cli to time each stage.
 PIPELINE_NAMES = ("build_grid", "assemble_lta_lp", "assemble_discounted_lp", "solve",
                   "constraint_residual", "marginals_and_kernels", "extract_strict",
@@ -556,7 +581,8 @@ def test_stages_call_the_names_cli_imports(tmp_path, monkeypatch):
             ("inventory", "report", SMALL + SHORT),
             ("inventory", "policy", SMALL),
             ("finite-fuel", "export-mps", FUEL),
-            ("inventory", "band-oracle", ONE_BAND)):
+            ("inventory", "band-oracle", ONE_BAND),
+            ("inventory", "band-oracle", ("--paths", "8", "--dt", "0.05"))):
         code, _ = run(tmp_path / mode, *extra, problem=problem, mode=mode)
         assert code == 0
     assert [name for name in PIPELINE_NAMES if not calls[name]] == []

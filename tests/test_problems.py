@@ -192,6 +192,15 @@ def test_nu0_pair_with_extra_fields_names_its_key(tmp_path):
         load_problem(str(path))
 
 
+def test_nu0_point_outside_the_state_interval_names_its_key(tmp_path):
+    # Caught on load, not at assembly as support off the state nodes.
+    path = tmp_path / "bad.ini"
+    path.write_text(FUEL_INI.replace("nu0 = 0:1.0", "nu0 = 0:0.5 9:0.5"))
+    with pytest.raises(ProblemFileError, match=r"^\[criterion\] nu0: point 9\.0 lies "
+                                               r"outside the state interval \[-4\.0, 4\.0\]$"):
+        load_problem(str(path))
+
+
 def test_catalog_arguments_must_be_finite():
     for spec in ("constant nan", "constant inf", "linear 1 -inf 0",
                  "quadratic 0 0 0 nan 1", "piecewise_linear 0 1e400 1",
