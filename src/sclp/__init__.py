@@ -3,8 +3,10 @@
 Pipeline: define a problem (model/problems), discretize the measure LP on
 an atom grid with a B-spline test basis (basis/discretize), solve it with a
 dense two-phase revised simplex (simplex), extract a feedback policy from
-the optimal weights (policy), and verify by Monte Carlo simulation plus an
-independent band-policy oracle (verify).  The cli module ties it together.
+the optimal weights (policy), and verify by Monte Carlo simulation plus
+band-policy oracles (verify): the exact long-run cost of (s, S) bands from
+the renewal-reward equation, which the report uses, and a Monte Carlo
+estimate.  The cli module ties it together.
 """
 from .basis import BasisFamily, C2Function, CubicBSpline, constant_one
 from .discretize import (NORMALIZED, RESCALED, DiscreteLP, Grid, GridError,

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import simplex
 from .basis import BasisFamily
-from .discretize import (NORMALIZED, RESCALED, GridError, assemble_discounted_lp,
-                         assemble_lta_lp, build_grid, constraint_residual)
+from .discretize import (GridError, assemble_discounted_lp, assemble_lta_lp,
+                         build_grid, constraint_residual)
 from .model import DISCOUNTED, JUMP, ProblemSpec, validate_conditions
 from .policy import (MeasurePair, boundary_mass_diagnostic, extract_strict,
                      marginals_and_kernels)
@@ -55,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-control", type=int, default=11)
     p.add_argument("--basis", type=int, default=12,
                    help="number of cubic B-spline test functions")
-    p.add_argument("--form", choices=(NORMALIZED, RESCALED), default=NORMALIZED,
-                   help="discounted LP form")
     p.add_argument("--alpha", type=float, default=None,
                    help="override the discount rate of a discounted problem")
     p.add_argument("--max-iter", type=int, default=50000)
@@ -134,7 +132,7 @@ def _assemble(problem, args):
     basis = BasisFamily.cubic_on_interval(problem.state.x_lo, problem.state.x_hi,
                                           args.basis)
     if problem.criterion.kind == DISCOUNTED:
-        lp = assemble_discounted_lp(problem, grid, basis, form=args.form)
+        lp = assemble_discounted_lp(problem, grid, basis)
     else:
         lp = assemble_lta_lp(problem, grid, basis)
     return grid, basis, lp

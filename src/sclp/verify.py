@@ -8,18 +8,21 @@ table and the mu1 support clusters; the start states (nu0 draws when
 discounted, else the mode); and one singular action, or none.  Jump problems
 jump when a path crosses down to a cluster's top node (band behaviour);
 gradient problems reflect at the two barriers around the mode.  Each step is
-one shared Euler step (_euler_step) under a control drawn from eta0, then
-that action.  Per-path cost, budget and martingale sums live in
-_Accumulators.  Budgets hold in mean, as the LP's budget rows do: singular
-action never stops on a path.  simulate() reports cost and budget estimates
-with confidence intervals, martingale residuals for the supplied test
-functions, and (long-term average) a stationarity distance.  For a fixed
-seed the random draws come in a fixed order: the nu0 draw of the start
-states (discounted), then per step one eta0 uniform per path (only when some
-eta0 row holds more than one control), the normals, and the action's
-uniforms.  A jump draws one per acting path, cluster by cluster; reflection
-draws one set over both barriers, one per acting path, the lower barrier's
-paths first.
+one Euler step under a control drawn from eta0, then that action.  The
+run's ledger, _Ledger(problem, cfg, basis, start states, nodes), decides
+the criterion's time weights once: its step count, its burn-in step, and
+the discount weights of each step's running charges and singular action.
+It holds the per-path cost, budget and martingale sums, and charges each
+event in one call (step, jump, push, finish).  Budgets hold in mean, as the
+LP's budget rows do: singular action never stops on a path.  simulate()
+reports cost and budget estimates with confidence intervals, martingale
+residuals for the supplied test functions, and (long-term average) a
+stationarity distance.  For a fixed seed the random draws come in a fixed
+order: the nu0 draw of the start states (discounted), then per step one
+eta0 uniform per path (only when some eta0 row holds more than one
+control), the normals, and the action's uniforms.  A jump draws one per
+acting path, cluster by cluster; reflection draws one set over both
+barriers, one per acting path, the lower barrier's paths first.
 
 band_policy_oracle() is an independent renewal-reward estimator for
 inventory-shaped problems under an (s, S) ordering band; band_search()
@@ -182,71 +185,115 @@ def _cluster_node(cuts: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarr
     return cuts[lo:hi].searchsorted(x) + lo
 
 
-class _Accumulators:
-    """Per-path sums of one run.
+class _Ledger:
+    """The per-path sums of one simulate run, and the time weights they take.
 
-    Running and singular cost, discount-weighted budget usage (held to its
-    cap only in mean, never per path) and, when a basis is given, the
-    martingale residuals f(X_T) - f(X_0) - sum of (Af) dt and of Bf over
-    the singular actions, per test function (PathSums: each term goes to
-    the 4 splines nonzero at its point).
+    The constructor decides the run once: its step count (the discount
+    cutoff's horizon, or cfg.horizon), its burn-in step (0 when
+    discounted), and what the estimates divide by: the window's whole
+    steps times dt, or 1 for discounted totals.  Step k's running charges
+    take the weight exp(-alpha k dt) and count only from the burn-in step
+    on; its singular action takes exp(-alpha (k dt + dt)) from then on,
+    and 0.0 before (alpha = 0 for a long-term average).  Each event is one
+    call: step charges c0 dt, g dt and (Af) dt and counts the node visits;
+    jump and push charge c1, h and Bf at the action weight that step set;
+    finish adds f(X_T).  Budgets are held to their caps only in mean, never
+    per path.  With a basis, the martingale residuals
+    f(X_T) - f(X_0) - sum of (Af) dt - sum of Bf are summed per test
+    function (PathSums: each term goes to the 4 splines nonzero at its
+    point).
     """
 
-    def __init__(self, problem: ProblemSpec, basis, x0: np.ndarray, dt: float):
-        n_paths = x0.size
+    def __init__(self, problem: ProblemSpec, cfg: SimConfig, basis,
+                 x0: np.ndarray, nodes: np.ndarray):
+        self.lta = problem.criterion.kind != DISCOUNTED
         self.costs = problem.costs
         self.direction = problem.gen_b.direction
-        self.dt = dt
+        dt = self.dt = cfg.dt
+        if self.lta:
+            if cfg.horizon is None:
+                raise ValueError("a long-term-average simulation needs a horizon")
+            self.alpha, horizon, burn_in = 0.0, cfg.horizon, cfg.burn_in
+        else:
+            self.alpha = problem.criterion.alpha
+            horizon, burn_in = math.log(1.0 / DISCOUNT_CUTOFF) / self.alpha, 0.0
+        self.n_steps = int(round(horizon / dt))
+        if self.n_steps < 1:
+            raise ValueError(f"dt {dt!r} leaves no step in a horizon of {horizon!r}")
+        self.burn_steps = int(round(burn_in / dt))
+        if self.burn_steps >= self.n_steps:
+            raise ValueError(f"burn_in {burn_in!r} leaves no step of dt {dt!r} "
+                             f"before the horizon {horizon!r}")
+        # Long-run averages divide by the window's length.  Discounted totals
+        # add the discount truncation's tail bound to their half-width.
+        self.denom, self.tail = (self.n_steps - self.burn_steps) * dt, 0.0
+        if not self.lta:
+            xx, uu = np.meshgrid(nodes, np.array([problem.control.u_lo,
+                                                  problem.control.u_hi]), indexing="ij")
+            c0max = float(eval2(self.costs.c0, xx, uu).max())
+            self.denom, self.tail = 1.0, c0max * DISCOUNT_CUTOFF / self.alpha
+        n_paths = x0.size
         self.run_cost = np.zeros(n_paths)
         self.sing_cost = np.zeros(n_paths)
-        budgets = self.costs.budgets
-        self.bud_acc = np.zeros((len(budgets), n_paths))
+        self.bud_acc = np.zeros((len(self.costs.budgets), n_paths))
+        # Visits per node before burn-in (row 0) and in the window (row 1).
+        self.n_nodes = nodes.size
+        self.visits = np.zeros((2, self.n_nodes), dtype=np.int64)
+        self.action_weight = 0.0
+        self.basis = basis
         self.mart = None
         if basis is not None:
             self.mart = PathSums(basis, n_paths)
             self.mart.add(x0, {0: -1.0})
 
-    def running(self, x, u, w: float, counted: bool):
-        """Running cost c0 dt and budget usage g dt of a counted step."""
-        if not counted:
-            return
-        dt = self.dt
-        c0 = eval2(self.costs.c0, x, u)
-        self.run_cost += w * c0 * dt
-        for i, bud in enumerate(self.costs.budgets):
-            self.bud_acc[i] += w * eval2(bud.g, x, u) * dt
+    def step(self, k, x, u, node_idx, drift, sig):
+        """Charge step k from x under control u, and set its action weight.
 
-    def generator(self, x, drift, sig):
-        """Take (Af) dt = (f' drift + f'' sig^2 / 2) dt off every residual."""
+        Counts the node visits, charges c0 dt and g dt (from the burn-in
+        step on) and takes (Af) dt = (f' drift + f'' sig^2 / 2) dt off
+        every residual.
+        """
+        counted = k >= self.burn_steps
+        self.visits[int(counted)] += np.bincount(node_idx, minlength=self.n_nodes)
+        dt, t = self.dt, k * self.dt
+        if counted:
+            w = math.exp(-self.alpha * t)
+            self.run_cost += w * eval2(self.costs.c0, x, u) * dt
+            for i, bud in enumerate(self.costs.budgets):
+                self.bud_acc[i] += w * eval2(bud.g, x, u) * dt
+            self.action_weight = math.exp(-self.alpha * (t + dt))
+        else:
+            self.action_weight = 0.0
         if self.mart is not None:
-            self.mart.add(x, {1: drift * -self.dt, 2: sig * sig * (-0.5 * self.dt)})
+            self.mart.add(x, {1: drift * -dt, 2: sig * sig * (-0.5 * dt)})
 
-    def singular(self, sub, xs, u, wc: float, dxi=None):
-        """Cost c1 and budget usage h of singular actions on the paths sub.
-
-        dxi is the size of a gradient push (None for a jump); wc is the
-        discount weight, 0 before burn-in.
-        """
-        c1 = wc * eval2(self.costs.c1, xs, u)
-        self.sing_cost[sub] += c1 if dxi is None else c1 * dxi
+    def _charge(self, sub, xs, u, size):
+        """c1 size and h size of singular actions on the paths sub."""
+        wc = self.action_weight
+        self.sing_cost[sub] += wc * eval2(self.costs.c1, xs, u) * size
         for i, bud in enumerate(self.costs.budgets):
-            hv = eval2(bud.h, xs, u)
-            if dxi is not None:
-                hv = hv * dxi
-            self.bud_acc[i][sub] += wc * hv
+            self.bud_acc[i][sub] += wc * (eval2(bud.h, xs, u) * size)
 
-    def jump(self, sub, xs, target):
-        """Take Bf = f(target) - f(xs) of a jump off the residuals of sub.
+    def jump(self, sub, xs, u, target):
+        """Charge the jumps of the paths sub from xs to target under u.
 
-        The points go in time order: the path leaves xs, then lands on target.
+        Takes Bf = f(target) - f(xs) off the residuals, the points in time
+        order: the path leaves xs, then lands on target.
         """
+        self._charge(sub, xs, u, 1.0)
         if self.mart is not None:
             self.mart.add(np.concatenate([xs, target]),
                           {0: np.repeat([1.0, -1.0], sub.size)}, np.tile(sub, 2))
 
-    def push(self, sub, xm, u, dxi):
-        """Take Bf = f'(xm) gamma(xm, u) dxi of a push off the residuals of sub."""
+    def push(self, sub, xs, edge, u, dxi):
+        """Charge the pushes of size dxi of the paths sub from xs back to edge.
+
+        Takes Bf = f'(xm) gamma(xm, u) dxi off the residuals, at the
+        midpoint xm of xs and edge.
+        """
+        self._charge(sub, xs, u, dxi)
         if self.mart is not None:
+            xm = 0.5 * (xs + edge)
             self.mart.add(xm, {1: -eval2(self.direction, xm, u) * dxi}, sub)
 
     def finish(self, x):
@@ -254,16 +301,39 @@ class _Accumulators:
         if self.mart is not None:
             self.mart.add(x, {0: 1.0})
 
+    def estimates(self, mu0: np.ndarray, covered: np.ndarray) -> dict:
+        """The report's estimates and diagnostics of the run.
 
-def _euler_step(problem: ProblemSpec, acc: _Accumulators, rng, x, u,
-                sqdt: float, w: float, counted: bool) -> np.ndarray:
-    """One Euler-Maruyama step under control u; charges the step's costs."""
-    acc.running(x, u, w, counted)
-    drift = eval2(problem.gen_a.drift, x, u)
-    sig = eval2(problem.gen_a.diffusion, x, u)
-    acc.generator(x, drift, sig)
-    z = rng.standard_normal(x.size)
-    return x + drift * acc.dt + sig * sqdt * z
+        Costs and budgets are discounted totals, or averages over the
+        window's whole steps.  budget_exhausted_paths counts the paths
+        whose own budget sample passed a cap; the caps bind only the
+        means, so this is a diagnostic.  The stationarity distance, for a
+        long-term average only, is the total variation between the
+        window's node visits and the mu0 marginal.  bridged_steps counts
+        the visits to nodes that are not covered.
+        """
+        n_paths = self.run_cost.size
+        budgets = self.costs.budgets
+        cost_paths = (self.run_cost + self.sing_cost) / self.denom
+        name = "lta_cost" if self.lta else "discounted_cost"
+        cost = Estimate(name, float(cost_paths.mean()),
+                        _half_width(cost_paths) + self.tail, n_paths)
+        samples = self.bud_acc / self.denom
+        budget_estimates = [
+            Estimate(f"budget_{b.name}", float(self.bud_acc[i].mean() / self.denom),
+                     _half_width(samples[i]), n_paths) for i, b in enumerate(budgets)]
+        caps = np.array([b.cap for b in budgets])[:, None]
+        stat_tv = None
+        if self.lta:
+            hist = self.visits[1]
+            stat_tv = 0.5 * float(np.abs(hist / hist.sum() - mu0 / mu0.sum()).sum())
+        residuals = [] if self.mart is None else [
+            Estimate(f"mart[{name}]", float(row.mean()), _half_width(row), n_paths)
+            for name, row in zip(self.basis.names, self.mart.rows())]
+        return dict(cost=cost, budgets=budget_estimates, martingale_residuals=residuals,
+                    stationarity_distance=stat_tv,
+                    bridged_steps=int(self.visits.sum(axis=0)[~covered].sum()),
+                    budget_exhausted_paths=int((samples > caps).any(axis=0).sum()))
 
 
 def _gradient_barriers(problem: ProblemSpec, policy: FeedbackPolicy, clusters, mode: float):
@@ -301,10 +371,10 @@ class _ClosedLoop:
     covered (has no eta0 row) reads the row of its nearest covered node,
     ties to the left, and a step from it is a bridged step.  eta1 samples
     the singular control; clusters are the runs of adjacent nodes with an
-    eta1 row.  act(acc, rng, x, x_new, wc) is the singular action, or None
-    when the policy has none: jump problems jump at the clusters' top nodes
-    (triggers), gradient problems reflect at the two barriers around the
-    mode.
+    eta1 row.  act(acc, rng, x, x_new) is the singular action, charged to
+    the ledger acc, or None when the policy has none: jump problems jump
+    at the clusters' top nodes (triggers), gradient problems reflect at
+    the two barriers around the mode.
     """
 
     def __init__(self, problem: ProblemSpec, policy: FeedbackPolicy):
@@ -343,7 +413,7 @@ class _ClosedLoop:
         pts, probs = (np.array(column) for column in zip(*criterion.nu0))
         return rng.choice(pts, size=n_paths, p=probs / probs.sum())
 
-    def _jump(self, acc, rng, x, x_new, wc):
+    def _jump(self, acc, rng, x, x_new):
         """Jump the paths that crossed down to a cluster's top node this step.
 
         A path crosses the trigger level when it steps from above it to at
@@ -358,11 +428,10 @@ class _ClosedLoop:
             xs = x_new[sub]
             u = self.eta1.sample(_cluster_node(self.cuts, xs, lo, hi), rng.random(sub.size))
             target = jump_targets(self.problem.gen_b, xs, u)
-            acc.singular(sub, xs, u, wc)
-            acc.jump(sub, xs, target)
+            acc.jump(sub, xs, u, target)
             x_new[sub] = target
 
-    def _reflect(self, acc, rng, x, x_new, wc):
+    def _reflect(self, acc, rng, x, x_new):
         """Reflect the paths that stepped past a barrier's edge, in one pass.
 
         barriers holds the arrays (edge, outer node, side) of at most two
@@ -384,8 +453,7 @@ class _ClosedLoop:
         edge = edges[which]
         gam = np.maximum(np.abs(eval2(self.problem.gen_b.direction, edge, u)), 1e-12)
         dxi = np.abs(xs - edge) / gam
-        acc.singular(sub, xs, u, wc, dxi)
-        acc.push(sub, 0.5 * (xs + edge), u, dxi)
+        acc.push(sub, xs, edge, u, dxi)
         x_new[sub] = edge
 
 
@@ -397,105 +465,41 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     are reported.  Deterministic for fixed (problem, policy, cfg).
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    nodes = policy.state_nodes
     x_lo, x_hi = policy.x_lo, policy.x_hi
-    disc = problem.criterion.kind == DISCOUNTED
-    if not disc and cfg.horizon is None:
-        raise ValueError("a long-term-average simulation needs a horizon")
-    alpha = problem.criterion.alpha if disc else 0.0
-    horizon = math.log(1.0 / DISCOUNT_CUTOFF) / alpha if disc else cfg.horizon
-    n_steps = int(round(horizon / cfg.dt))
-    if n_steps < 1:
-        raise ValueError(f"dt {cfg.dt!r} leaves no step in a horizon of {horizon!r}")
-    dt = cfg.dt
-    sqdt = math.sqrt(dt)
-    burn_steps = int(round(cfg.burn_in / dt)) if not disc else 0  # disc counts all
-
     law = _ClosedLoop(problem, policy)
     cuts, eta0, act = law.cuts, law.eta0, law.act
     relaxed = eta0.uval.shape[1] > 1
     x = law.start(rng, cfg.n_paths)
-    acc = _Accumulators(problem, basis, x, dt)
-    # Visits per node before burn-in (row 0) and in the window (row 1).
-    visits = np.zeros((2, nodes.size), dtype=np.int64)
+    acc = _Ledger(problem, cfg, basis, x, policy.state_nodes)
+    step = acc.step
+    drift_fn, diffusion_fn = problem.gen_a.drift, problem.gen_a.diffusion
+    dt = cfg.dt
+    sqdt = math.sqrt(dt)
     truncations = 0
 
-    for k in range(n_steps):
-        t = k * dt
-        counted = k >= burn_steps
-        w = math.exp(-alpha * t)
+    for k in range(acc.n_steps):
         node_idx = cuts.searchsorted(x)
-        visits[int(counted)] += np.bincount(node_idx, minlength=nodes.size)
         u = eta0.sample(node_idx, rng.random(x.size) if relaxed else None)
-        x_new = _euler_step(problem, acc, rng, x, u, sqdt, w, counted)
+        drift = eval2(drift_fn, x, u)
+        sig = eval2(diffusion_fn, x, u)
+        step(k, x, u, node_idx, drift, sig)
+        x_new = x + drift * dt + sig * sqdt * rng.standard_normal(x.size)
         if act is not None:
-            wc = math.exp(-alpha * (t + dt)) if counted else 0.0
-            act(acc, rng, x if k else math.inf, x_new, wc)
+            act(acc, rng, x if k else math.inf, x_new)
         if x_new.min() < x_lo or x_new.max() > x_hi:
             truncations += int((x_new < x_lo).sum()) + int((x_new > x_hi).sum())
             x_new = np.clip(x_new, x_lo, x_hi)
         x = x_new
 
-    total_steps = n_steps * cfg.n_paths
+    total_steps = acc.n_steps * cfg.n_paths
     if truncations > 0.01 * total_steps:
         raise SimulationError(
             f"{truncations} of {total_steps} steps left the state interval")
     acc.finish(x)
-
-    cost, budgets, exhausted = _cost_estimates(problem, cfg, acc, nodes, horizon)
-    stat_tv = None
-    hist = visits[1]
-    if not disc and hist.sum() > 0:
-        p_emp = hist / hist.sum()
-        p_ref = policy.mu0_marginal / policy.mu0_marginal.sum()
-        stat_tv = 0.5 * float(np.abs(p_emp - p_ref).sum())
-    residuals = [] if basis is None else [
-        Estimate(f"mart[{name}]", float(row.mean()), _half_width(row), cfg.n_paths)
-        for name, row in zip(basis.names, acc.mart.rows())]
-
     return VerificationReport(
-        cost=cost, budgets=budgets, martingale_residuals=residuals,
-        stationarity_distance=stat_tv,
+        **acc.estimates(policy.mu0_marginal, law.covered),
         truncation_events=truncations, total_steps=total_steps,
-        bridged_steps=int(visits.sum(axis=0)[~law.covered].sum()),
-        multi_cluster_support=len(law.clusters) > 1,
-        budget_exhausted_paths=exhausted,
-        n_paths=cfg.n_paths,
-    )
-
-
-def _cost_estimates(problem: ProblemSpec, cfg: SimConfig, acc: _Accumulators,
-                    nodes: np.ndarray, horizon: float):
-    """Cost and budget estimates: discounted totals or long-run averages.
-
-    Also counts the paths whose own budget sample passed a cap; the caps
-    bind only the means, so this is a diagnostic.
-    """
-    n_paths = cfg.n_paths
-    budgets = problem.costs.budgets
-    if problem.criterion.kind == DISCOUNTED:
-        alpha = problem.criterion.alpha
-        cost_paths = acc.run_cost + acc.sing_cost
-        # Discount-truncation tail bound, added to the half-width.
-        xx, uu = np.meshgrid(nodes, np.array([problem.control.u_lo,
-                                              problem.control.u_hi]), indexing="ij")
-        c0max = float(eval2(problem.costs.c0, xx, uu).max())
-        tail = c0max * DISCOUNT_CUTOFF / alpha
-        cost = Estimate("discounted_cost", float(cost_paths.mean()),
-                        _half_width(cost_paths) + tail, n_paths)
-        denom = 1.0
-    else:
-        denom = horizon - cfg.burn_in
-        cost_paths = (acc.run_cost + acc.sing_cost) / denom
-        cost = Estimate("lta_cost", float(cost_paths.mean()),
-                        _half_width(cost_paths), n_paths)
-    samples = acc.bud_acc / denom
-    estimates = [Estimate(f"budget_{b.name}", float(acc.bud_acc[i].mean() / denom),
-                          _half_width(samples[i]), n_paths)
-                 for i, b in enumerate(budgets)]
-    caps = np.array([b.cap for b in budgets])[:, None]
-    exhausted = int((samples > caps).any(axis=0).sum())
-    return cost, estimates, exhausted
+        multi_cluster_support=len(law.clusters) > 1, n_paths=cfg.n_paths)
 
 
 @dataclass

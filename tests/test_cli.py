@@ -305,6 +305,9 @@ BAD_INPUTS = {
     "nan_alpha": ("finite-fuel", "solve", ("--alpha", "nan")),
     "infinite_dt": ("finite-fuel", "verify", ("--dt", "inf")),
     "infinite_horizon": ("inventory", "verify", ("--horizon", "inf", "--burn-in", "0")),
+    # The burn-in rounds to the horizon's last step: no step is counted.
+    "no_step_after_burn_in": ("inventory", "verify", ("--paths", "8", "--dt", "0.01",
+                                                      "--horizon", "1", "--burn-in", "0.996")),
     "nu0_outside_state_interval": (FUEL_INI.replace("nu0 = 0:1.0", "nu0 = 9:1.0"),
                                    "solve", ()),
 }
@@ -462,7 +465,7 @@ FUEL = ("--n-state", "21", "--n-control", "2", "--basis", "8", "--paths", "8",
 READ_BY_ALL = {"alpha", "mode", "n_control", "n_state", "problem", "problem_sha256"}
 READ_BY_SOLVE = READ_BY_ALL | {"basis", "max_iter"}
 READ_BY_LTA_SIM = READ_BY_SOLVE | {"dt", "paths", "seed", "horizon", "burn_in"}
-READ_BY_FUEL_SIM = READ_BY_SOLVE | {"dt", "paths", "seed", "form"}
+READ_BY_FUEL_SIM = READ_BY_SOLVE | {"dt", "paths", "seed"}
 ARTIFACT = {"validate": "validate.txt", "solve": "solve.txt", "policy": "policy.txt",
             "verify": "verify_report.txt", "report": "report.txt",
             "band-oracle": "band_table.csv"}
@@ -473,7 +476,7 @@ HEADER_CASES = [
     ("inventory", "verify", SMALL + SHORT, READ_BY_LTA_SIM),
     ("inventory", "report", SMALL + SHORT, READ_BY_LTA_SIM),
     ("finite-fuel", "validate", (), READ_BY_ALL),
-    ("finite-fuel", "solve", FUEL, READ_BY_SOLVE | {"form"}),
+    ("finite-fuel", "solve", FUEL, READ_BY_SOLVE),
     ("finite-fuel", "verify", FUEL, READ_BY_FUEL_SIM),
     ("finite-fuel", "report", FUEL, READ_BY_FUEL_SIM),
     ("inventory", "band-oracle", ONE_BAND,
@@ -500,6 +503,13 @@ def test_every_option_is_read_by_some_mode():
 
 def test_tol_option_is_gone(tmp_path):
     code, _ = run(tmp_path, *SMALL, "--tol", "1e-9")
+    assert code == 4
+
+
+def test_form_option_is_gone(tmp_path):
+    # The library keeps both discounted forms; the CLI assembles the normalized one.
+    code, _ = run(tmp_path, *FUEL, "--form", "rescaled", problem="finite-fuel",
+                  mode="solve")
     assert code == 4
 
 

@@ -12,8 +12,8 @@ from sclp.model import (Criterion, CostSpec, ControlSpace, DISCOUNTED,
 from sclp.policy import FeedbackPolicy, Kernel, MeasurePair, marginals_and_kernels
 from sclp.problems import finite_fuel_problem, inventory_problem
 from sclp.simplex import solve
-from sclp.verify import (BandPolicy, SimConfig, SimulationError, _Accumulators,
-                         _ClosedLoop, _cluster_node, _KernelSampler, band_policy_oracle,
+from sclp.verify import (BandPolicy, SimConfig, SimulationError, _ClosedLoop,
+                         _cluster_node, _KernelSampler, _Ledger, band_policy_oracle,
                          band_search, simulate)
 
 
@@ -130,6 +130,54 @@ def test_simulation_without_a_step_raises():
                                                        nu0=((0.0, 1.0),)))
     with pytest.raises(ValueError, match="no step"):
         simulate(p, idle_policy(p), SimConfig(dt=50.0, horizon=None, n_paths=4, seed=0))
+
+
+@pytest.mark.parametrize("burn_in", [0.996, 0.994, 0.99, 0.9])
+def test_lta_window_counts_whole_steps(burn_in):
+    # Unit running cost: the long-run average is 1 over the window's whole
+    # steps, and a burn-in that rounds to the horizon leaves no step.
+    p = make_problem(drift=ZERO, diffusion=ZERO, c0=ONE, c1=ZERO)
+    cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=4, seed=0, burn_in=burn_in)
+    if burn_in == 0.996:
+        with pytest.raises(ValueError, match="leaves no step"):
+            simulate(p, idle_policy(p), cfg)
+    else:
+        assert simulate(p, idle_policy(p), cfg).cost.value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("discounted, burn_in", [(True, 0.0), (False, 0.0), (False, 0.05)])
+def test_ledger_weights_match_a_plain_loop(discounted, burn_in):
+    p = make_problem(drift=ZERO, diffusion=ZERO, c0=lambda x, u: 1.0 + x * x,
+                     c1=lambda x, u: 0.5 + x)
+    alpha = 0.7 if discounted else 0.0
+    if discounted:
+        p = ProblemSpec(state=p.state, control=p.control, gen_a=p.gen_a,
+                        gen_b=p.gen_b, costs=p.costs,
+                        criterion=Criterion(kind=DISCOUNTED, alpha=alpha,
+                                            nu0=((0.0, 1.0),)))
+    dt = 0.01
+    cfg = SimConfig(dt=dt, horizon=1.0, n_paths=3, seed=0, burn_in=burn_in)
+    nodes = np.linspace(-2.0, 2.0, 9)
+    acc = _Ledger(p, cfg, None, np.zeros(3), nodes)
+    burn = round(burn_in / dt)
+    x = np.array([-0.3, 0.1, 1.7])
+    sub = np.array([0, 2])
+    run, sing = [0.0] * 3, [0.0] * 3
+    for k in range(12):
+        xk = x + 0.01 * k
+        acc.step(k, xk, np.zeros(3), np.zeros(3, dtype=np.intp), np.zeros(3), np.zeros(3))
+        acc.jump(sub, xk[sub], np.ones(2), xk[sub] + 1.0)
+        t = k * dt
+        wc = math.exp(-alpha * (t + dt)) if k >= burn else 0.0
+        assert acc.action_weight == wc
+        for i in range(3):
+            if k >= burn:
+                run[i] += math.exp(-alpha * t) * (1.0 + xk[i] * xk[i]) * dt
+            if i in (0, 2):
+                sing[i] += wc * (0.5 + xk[i])
+    assert acc.run_cost.tolist() == run
+    assert acc.sing_cost.tolist() == sing
+    assert acc.visits.sum(axis=1).tolist() == [3 * min(burn, 12), 3 * (12 - min(burn, 12))]
 
 
 def test_band_policy_validation():
@@ -352,7 +400,7 @@ def test_gradient_barriers_enclose_the_mu0_mode(kwargs, n_control, n_basis, want
                                                         abs=1e-6)
 
 
-def _reflect_one_barrier_at_a_time(problem, barriers, sampler, acc, rng, x_new, wc):
+def _reflect_one_barrier_at_a_time(problem, barriers, sampler, acc, rng, x_new):
     """Reflection as it ran before both barriers were reflected in one pass."""
     for edge, outer, side in barriers:
         over = x_new > edge if side < 0 else x_new < edge
@@ -364,8 +412,7 @@ def _reflect_one_barrier_at_a_time(problem, barriers, sampler, acc, rng, x_new, 
         gam = eval2(problem.gen_b.direction, edge, u)
         gam = np.where(np.abs(gam) < 1e-12, np.copysign(1e-12, -side), gam)
         dxi = np.abs(xs - edge) / np.abs(gam)
-        acc.singular(sub, xs, u, wc, dxi)
-        acc.push(sub, 0.5 * (xs + edge), u, dxi)
+        acc.push(sub, xs, edge, u, dxi)
         x_new[sub] = edge
 
 
@@ -397,15 +444,17 @@ def test_gradient_action_matches_one_barrier_at_a_time():
     assert acting == {(), (1,), (-1,), (1, -1)}
     runs = []
     for one_pass in (True, False):
-        acc = _Accumulators(p, b, np.zeros(64), 0.01)
+        acc = _Ledger(p, SimConfig(dt=0.01, horizon=None, n_paths=64, seed=0), b,
+                      np.zeros(64), pol.state_nodes)
         rng = np.random.default_rng(9)
         ends = []
         for k, x in enumerate(states):
             x_new = x.copy()
+            acc.action_weight = 0.9 ** k
             if one_pass:
-                law.act(acc, rng, x, x_new, 0.9 ** k)
+                law.act(acc, rng, x, x_new)
             else:
-                _reflect_one_barrier_at_a_time(p, barriers, law.eta1, acc, rng, x_new, 0.9 ** k)
+                _reflect_one_barrier_at_a_time(p, barriers, law.eta1, acc, rng, x_new)
             ends.append(x_new)
         runs.append((np.array(ends), acc.sing_cost, acc.bud_acc, acc.mart.rows(),
                      rng.bit_generator.state))
