@@ -234,7 +234,12 @@ def _agreement(value: float, half_width: float, lp_value: float) -> str:
 
 
 def _pipeline(args, problem, digest) -> int:
-    """solve -> policy -> verify -> report; each mode stops after its stage."""
+    """solve -> policy -> verify -> report; each mode stops after its stage.
+
+    A simulating mode checks its simulation options before the LP is built.
+    """
+    if args.mode in ("verify", "report"):
+        cfg = _sim_config(args, lta=problem.criterion.kind != DISCOUNTED)
     grid, basis, lp = _assemble(problem, args)
     sol = _solve(lp, args)
     eq_res, ub_res = constraint_residual(lp, sol.weights)
@@ -259,7 +264,6 @@ def _pipeline(args, problem, digest) -> int:
         _write(args, "policy.txt", _config_header(args, digest) + text)
         return EXIT_OK
 
-    cfg = _sim_config(args, lta=problem.criterion.kind != DISCOUNTED)
     report = simulate(problem, policy, cfg, basis=basis)
     if args.mode == "verify":
         _write(args, "verify_report.txt", _config_header(args, digest) + report.to_text())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from array import array
 from dataclasses import dataclass
+from itertools import filterfalse
 
 import numpy as np
 
@@ -58,7 +59,6 @@ class _Core:
         self.m, self.n = a.shape
         self.in_basis = np.zeros(self.n, dtype=bool)
         self.in_basis[self.basis] = True
-        self.allowed = np.ones(self.n, dtype=bool)
         self.priced = self.n  # only columns below this index may enter
         self.iterations = 0
         self._refactor()
@@ -76,24 +76,27 @@ class _Core:
     def duals(self):
         return self.c[self.basis] @ self.binv
 
-    def reduced_costs(self):
-        k = self.priced
-        return self.c[:k] - self.duals() @ self.a[:, :k]
-
     def objective(self):
         return float(self.c[self.basis] @ self.xb)
 
     def run(self, max_iter):
-        """Iterate to optimality; returns OPTIMAL or UNBOUNDED or ITER_LIMIT."""
+        """Iterate to optimality; returns OPTIMAL or UNBOUNDED or ITER_LIMIT.
+
+        Pricing keeps the costs of the priced columns with +inf at basic
+        columns and at columns skipped for unsafe pivots, so the entering
+        column is a plain argmin of the reduced costs.  A NaN reduced cost
+        can end the run as OPTIMAL here; solve's certificate check then
+        reports NUMERICAL instead.
+        """
+        k = self.priced
+        priced_c = self.c[:k].copy()
+        priced_c[[j for j in self.basis if j < k]] = np.inf
         since_refactor = 0
         while self.iterations < max_iter:
-            red = self.reduced_costs()
-            k = self.priced
-            cand = (~self.in_basis[:k]) & self.allowed[:k] & (red < -TOL)
-            if not cand.any():
+            red = priced_c - self.duals() @ self.a[:, :k]
+            enter = int(np.argmin(red))  # Dantzig, lowest index on ties
+            if not red[enter] < -TOL:
                 return OPTIMAL
-            masked = np.where(cand, red, np.inf)
-            enter = int(np.argmin(masked))  # Dantzig, lowest index on ties
             d = self.binv @ self.a[:, enter]
             # Pivot eligibility is relative to the column magnitude; tiny
             # pivots produce numerically dependent bases after the update.
@@ -103,7 +106,7 @@ class _Core:
                 if (d > TOL).any():
                     # Only numerically unsafe pivots remain in this column;
                     # skip it rather than corrupt the basis.
-                    self.allowed[enter] = False
+                    priced_c[enter] = np.inf
                     continue
                 return UNBOUNDED
             ratios = np.where(pos, self.xb / np.where(pos, d, 1.0), np.inf)
@@ -118,6 +121,10 @@ class _Core:
                         or since_refactor >= REFACTOR_EVERY)
             if refactor:
                 since_refactor = 0
+            leave = self.basis[leave_row]
+            if leave < k:
+                priced_c[leave] = self.c[leave]
+            priced_c[enter] = np.inf
             self._pivot(leave_row, enter, d, refactor)
         return ITER_LIMIT
 
@@ -133,8 +140,9 @@ class _Core:
             self._refactor()
         else:
             self.binv[row] /= d[row]
-            others = np.arange(self.m) != row
-            self.binv[others] -= np.outer(d[others], self.binv[row])
+            pivot_row = self.binv[row].copy()
+            self.binv -= np.outer(d, pivot_row)
+            self.binv[row] = pivot_row
             self.xb = self.binv @ self.b
         self.xb = np.maximum(self.xb, 0.0)
 
@@ -218,8 +226,7 @@ def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
     # priced, so they never re-enter.
     core.drive_out_artificials(ncols)
     core.c = np.concatenate([c_s, np.zeros(m)])
-    core.allowed[:] = True  # columns skipped in phase 1 get a new chance
-    core.priced = ncols
+    core.priced = ncols  # run prices afresh: columns skipped in phase 1 may enter
     core._refactor()
     status = core.run(max_iter)
     iters = core.iterations
@@ -287,26 +294,28 @@ def _no_solution(lp, status, iterations, farkas=None):
 # digits) so a parse/export cycle reproduces every coefficient exactly.
 
 _MPS_BLOCK = 256  # columns written per block by export_mps
+_MPS_ENTRY = "    %-10s%-10s%.17g\n"  # name, row label and value of one entry
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
+def _mps_entries(names, labels, values) -> str:
+    """One MPS entry line per (name, label, value), formatted in one call."""
+    fields = [None] * (3 * len(values))
+    fields[0::3], fields[1::3], fields[2::3] = names, labels, values
+    return _MPS_ENTRY * len(values) % tuple(fields)
 
 
 def export_mps(lp: DiscreteLP) -> str:
     """Serialize the LP to MPS text with ROWS/COLUMNS/RHS/BOUNDS sections.
 
-    The NAME line carries lp.name.
+    The NAME line carries lp.name.  The entries of each block of
+    _MPS_BLOCK columns are formatted by one call, so memory beyond the
+    text grows with the block, not with the LP.
     """
     cols = lp.column_names()
-    lines = [f"NAME          {lp.name}"]
-    lines.append("ROWS")
-    lines.append(" N  COST")
-    for lab in lp.eq_labels:
-        lines.append(f" E  {lab}")
-    for lab in lp.ub_labels:
-        lines.append(f" L  {lab}")
-    lines.append("COLUMNS")
+    out = [f"NAME          {lp.name}\nROWS\n N  COST\n"]
+    out += [f" E  {lab}\n" for lab in lp.eq_labels]
+    out += [f" L  {lab}\n" for lab in lp.ub_labels]
+    out.append("COLUMNS\n")
     rows = ["COST", *lp.eq_labels, *lp.ub_labels]
     for lo in range(0, lp.n_cols, _MPS_BLOCK):
         # Transposed, so nonzero() lists a block's entries column by
@@ -315,47 +324,131 @@ def export_mps(lp: DiscreteLP) -> str:
                          lp.a_eq[:, lo:lo + _MPS_BLOCK],
                          lp.a_ub[:, lo:lo + _MPS_BLOCK]]).T
         j, i = np.nonzero(blk)
-        if j.size:
-            lines.append("\n".join(
-                f"    {cols[lo + jj]:<10}{rows[ii]:<10}{_fmt(v)}"
-                for jj, ii, v in zip(j.tolist(), i.tolist(), blk[j, i].tolist())))
-    lines.append("RHS")
-    for i, lab in enumerate(lp.eq_labels):
-        if lp.b_eq[i] != 0.0:
-            lines.append(f"    {'RHS':<10}{lab:<10}{_fmt(lp.b_eq[i])}")
-    for i, lab in enumerate(lp.ub_labels):
-        if lp.b_ub[i] != 0.0:
-            lines.append(f"    {'RHS':<10}{lab:<10}{_fmt(lp.b_ub[i])}")
-    lines.append("BOUNDS")
-    lines.append("ENDATA\n")
-    return "\n".join(lines)
+        out.append(_mps_entries(map(cols.__getitem__, (j + lo).tolist()),
+                                map(rows.__getitem__, i.tolist()),
+                                blk[j, i].tolist()))
+    out.append("RHS\n")
+    for labels, b in ((lp.eq_labels, lp.b_eq), (lp.ub_labels, lp.b_ub)):
+        nz = np.flatnonzero(b).tolist()
+        out.append(_mps_entries(["RHS"] * len(nz), map(labels.__getitem__, nz),
+                                b[nz].tolist()))
+    out.append("BOUNDS\nENDATA\n")
+    return "".join(out)
 
 
-def _lines(text: str):
-    """The lines of text one at a time, without a list of the whole text."""
-    start, end = 0, len(text)
-    while start < end:
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = end
-        yield text[start:stop]
-        start = stop + 1
+# Character classes of COLUMNS text, by UTF-8 byte: 0 whitespace, 1 part
+# of a token, 2 newline, 3 "*" (a token that starts a comment line).  Bytes
+# of non-ASCII characters are token bytes; _WIDE_SPACES maps the non-ASCII
+# characters that str.split() splits on to a space first.
+_CLASS = bytes(2 if b == ord("\n") else 3 if b == ord("*")
+               else 0 if b < 128 and chr(b).isspace() else 1 for b in range(256))
+_WIDE_SPACES = str.maketrans(dict.fromkeys(
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009"
+    "\u200a\u2028\u2029\u202f\u205f\u3000", " "))
+_MPS_CHUNK = 1 << 16  # characters of COLUMNS text parsed in one bulk step
+
+
+class _Columns:
+    """The COLUMNS section of MPS text, read a chunk of whole lines at a time.
+
+    Lines mean what they mean to a line-by-line reader: an indented line
+    holds a column name and (row label, value) pairs, an odd last token is
+    ignored, and blank lines and lines starting with "*" are skipped; the
+    first other line starts the next section.  Columns are numbered in
+    order of first appearance.  Each chunk is split once; its names, row
+    codes and values are looked up and converted in bulk, and the first
+    bad entry in text order raises.
+    """
+
+    def __init__(self, row_code: dict[str, int]):
+        self.row_code = row_code  # -1 cost, then equality rows, then inequality rows
+        self.index: dict[str, int] = {}
+        # Nonzeros as compact arrays: column, row code (C ints) and value.
+        self.col, self.row, self.val = array("i"), array("i"), array("d")
+
+    def add(self, chunk: str) -> int | None:
+        """Add the entries of chunk's lines before its first section header.
+
+        Returns that header's line number in chunk, or None.
+        """
+        spaced = chunk if chunk.isascii() else chunk.translate(_WIDE_SPACES)
+        # Newlines around the chunk: line i runs from newline[i] to newline[i + 1].
+        cls = np.frombuffer((b"\n" + spaced.encode() + b"\n").translate(_CLASS),
+                            dtype=np.uint8)
+        newline = np.flatnonzero(cls == 2)
+        head = cls[newline[:-1] + 1]  # the class of each line's first character
+        tok = cls & 1
+        starts = np.flatnonzero(tok[1:] > tok[:-1])  # the byte before each token
+        ntok = np.bincount(np.searchsorted(newline, starts, side="right") - 1,
+                           minlength=newline.size - 1)
+        header = np.flatnonzero(head == 1)
+        n_lines = int(header[0]) if header.size else newline.size - 1
+        tokens = chunk.split()
+        entry = np.flatnonzero((head[:n_lines] == 0) & (ntok[:n_lines] > 0))
+        pairs = (ntok[entry] - 1) // 2
+        if 3 * entry.size == len(tokens) and (pairs == 1).all():
+            # Every token is on an entry line of one pair.
+            names, labels, values = tokens[0::3], tokens[1::3], tokens[2::3]
+        else:
+            first = (np.cumsum(ntok) - ntok)[entry]  # each entry line's name token
+            pair_line = np.repeat(np.arange(entry.size), pairs)
+            label_at = (first[pair_line] + 1 + 2 * (
+                np.arange(pair_line.size) - (np.cumsum(pairs) - pairs)[pair_line]))
+            names = list(map(tokens.__getitem__, first.tolist()))
+            labels = list(map(tokens.__getitem__, label_at.tolist()))
+            values = list(map(tokens.__getitem__, (label_at + 1).tolist()))
+        codes = list(map(self.row_code.get, labels))
+        if None in codes:
+            # A line-by-line reader checks each pair's label, then its value.
+            bad = codes.index(None)
+            list(map(float, values[:bad]))
+            raise ValueError(f"unknown row label {labels[bad]!r}")
+        vals = array("d", map(float, values))
+        index = self.index
+        fresh = list(filterfalse(index.__contains__, dict.fromkeys(names)))
+        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+        cols = np.repeat(np.fromiter(map(index.__getitem__, names), np.intc, len(names)),
+                         pairs)
+        self.col.frombytes(cols.tobytes())
+        self.row.extend(codes)
+        self.val.extend(vals)
+        return None if n_lines == newline.size - 1 else n_lines
 
 
 def parse_mps(text: str) -> DiscreteLP:
-    """Parse MPS text produced by export_mps back into a DiscreteLP."""
+    """Parse MPS text produced by export_mps back into a DiscreteLP.
+
+    Lines are read one at a time, except that the COLUMNS section goes to
+    _Columns in chunks of about _MPS_CHUNK characters of whole lines, so
+    memory beyond the result grows with the chunk, not with the text.  Raises ValueError for
+    an unsupported row type, an unknown row label or a value that is not
+    a number.
+    """
     section = None
     name = "SCLP"
     eq_labels: list[str] = []
     ub_labels: list[str] = []
-    col_order: list[str] = []
-    col_index: dict[str, int] = {}
-    # Nonzeros as compact arrays: column, row code (-1 cost, then the
-    # equality rows, then the inequality rows) and value.
     row_code: dict[str, int] = {}
-    ent_col, ent_row, ent_val = array("q"), array("q"), array("d")
+    columns = _Columns(row_code)
     rhs: dict[str, float] = {}
-    for raw in _lines(text):
+    pos, end = 0, len(text)
+    while pos < end:
+        if section == "COLUMNS":
+            stop = text.find("\n", pos + _MPS_CHUNK - 1)
+            if stop < 0:
+                stop = end
+            chunk = text[pos:stop]
+            header = columns.add(chunk)
+            if header is None:
+                pos = stop + 1
+                continue
+            # The section ends at a header line inside the chunk: read it next.
+            pos += len(chunk) - len(chunk.split("\n", header)[-1])
+        stop = text.find("\n", pos)
+        if stop < 0:
+            stop = end
+        raw = text[pos:stop]
+        pos = stop + 1
         if not raw.strip() or raw.startswith("*"):
             continue
         if not raw[0].isspace():
@@ -365,7 +458,7 @@ def parse_mps(text: str) -> DiscreteLP:
                 name = raw[4:].strip()  # the whole field: names may hold spaces
             elif section in ("COLUMNS", "RHS") and not row_code:
                 # ROWS precedes COLUMNS and RHS; equality wins a label in both.
-                row_code = {lab: len(eq_labels) + i for i, lab in enumerate(ub_labels)}
+                row_code.update((lab, len(eq_labels) + i) for i, lab in enumerate(ub_labels))
                 row_code.update((lab, i) for i, lab in enumerate(eq_labels))
                 row_code["COST"] = -1
             continue
@@ -378,30 +471,17 @@ def parse_mps(text: str) -> DiscreteLP:
                 ub_labels.append(lab)
             elif kind != "N":
                 raise ValueError(f"unsupported row type {kind!r}")
-        elif section == "COLUMNS":
-            cname = parts[0]
-            j = col_index.get(cname)
-            if j is None:
-                j = col_index[cname] = len(col_order)
-                col_order.append(cname)
-            for k in range(1, len(parts) - 1, 2):
-                code = row_code.get(parts[k])
-                if code is None:
-                    raise ValueError(f"unknown row label {parts[k]!r}")
-                ent_col.append(j)
-                ent_row.append(code)
-                ent_val.append(float(parts[k + 1]))
         elif section == "RHS":
             for k in range(1, len(parts) - 1, 2):
                 if parts[k] not in row_code:
                     raise ValueError(f"unknown row label {parts[k]!r}")
                 rhs[parts[k]] = float(parts[k + 1])
-    n = len(col_order)
-    n0 = sum(1 for cn in col_order if cn.startswith("W0_"))
+    n = len(columns.index)
+    n0 = sum(1 for cn in columns.index if cn.startswith("W0_"))
     me = len(eq_labels)
-    cols = np.frombuffer(ent_col, dtype=np.int64)
-    rows = np.frombuffer(ent_row, dtype=np.int64)
-    vals = np.frombuffer(ent_val, dtype=float)
+    cols = np.frombuffer(columns.col, dtype=np.intc)
+    rows = np.frombuffer(columns.row, dtype=np.intc)
+    vals = np.frombuffer(columns.val, dtype=float)
     c = np.zeros(n)
     a_eq = np.zeros((me, n))
     a_ub = np.zeros((len(ub_labels), n))

@@ -72,6 +72,8 @@ class SimConfig:
     horizon and burn_in apply to long-term-average simulate runs only, and
     are checked only when a horizon is given: a discounted run stops at
     DISCOUNT_CUTOFF, and the band oracle runs n_paths regenerative cycles.
+    The burn-in must leave a whole step of dt before the horizon, by the
+    rounding simulate counts steps with (_window_steps).
     """
     dt: float
     horizon: float | None
@@ -86,8 +88,25 @@ class SimConfig:
             raise ValueError("horizon must be finite, and dt at most horizon/100")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.horizon is not None and not 0.0 <= self.burn_in < self.horizon:
-            raise ValueError("burn_in must lie in [0, horizon)")
+        if self.horizon is not None:
+            if not 0.0 <= self.burn_in < self.horizon:
+                raise ValueError("burn_in must lie in [0, horizon)")
+            _window_steps(self.horizon, self.burn_in, self.dt)
+
+
+def _window_steps(horizon: float, burn_in: float, dt: float) -> tuple[int, int]:
+    """The steps of dt in horizon and in burn_in, each rounded to the nearest.
+
+    Raises ValueError unless at least one step is left after the burn-in.
+    """
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1:
+        raise ValueError(f"dt {dt!r} leaves no step in a horizon of {horizon!r}")
+    burn_steps = int(round(burn_in / dt))
+    if burn_steps >= n_steps:
+        raise ValueError(f"burn_in {burn_in!r} leaves no step of dt {dt!r} "
+                         f"before the horizon {horizon!r}")
+    return n_steps, burn_steps
 
 
 @dataclass(frozen=True)
@@ -217,13 +236,7 @@ class _Ledger:
         else:
             self.alpha = problem.criterion.alpha
             horizon, burn_in = math.log(1.0 / DISCOUNT_CUTOFF) / self.alpha, 0.0
-        self.n_steps = int(round(horizon / dt))
-        if self.n_steps < 1:
-            raise ValueError(f"dt {dt!r} leaves no step in a horizon of {horizon!r}")
-        self.burn_steps = int(round(burn_in / dt))
-        if self.burn_steps >= self.n_steps:
-            raise ValueError(f"burn_in {burn_in!r} leaves no step of dt {dt!r} "
-                             f"before the horizon {horizon!r}")
+        self.n_steps, self.burn_steps = _window_steps(horizon, burn_in, dt)
         # Long-run averages divide by the window's length.  Discounted totals
         # add the discount truncation's tail bound to their half-width.
         self.denom, self.tail = (self.n_steps - self.burn_steps) * dt, 0.0

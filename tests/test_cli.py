@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import sclp.cli
 from sclp.cli import main
 from test_problems import FUEL_INI
 
@@ -292,7 +293,7 @@ def test_missing_problem_file(tmp_path, capsys):
 
 SMALL = ("--n-state", "21", "--n-control", "5", "--basis", "8")
 # Inputs that once crashed with a traceback or ran to a silently wrong
-# result; each must exit 4 with one error line.
+# result; each must exit 4 with one error line, before the LP is solved.
 BAD_INPUTS = {
     "no_section_header": ("x_lo = -6\n" + INVENTORY_INI, "solve", ()),
     "duplicate_option": (INVENTORY_INI.replace("x_hi = 4", "x_hi = 4\nx_hi = 5"),
@@ -313,9 +314,14 @@ BAD_INPUTS = {
 }
 
 
+def refuse_to_solve(lp, **kwargs):
+    raise AssertionError(f"LP {lp.name} solved for an input that is rejected")
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_4_with_one_error_line(tmp_path, capsys, case):
+def test_bad_input_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch, case):
     problem, mode, extra = BAD_INPUTS[case]
+    monkeypatch.setattr(sclp.cli, "solve", refuse_to_solve)
     if "\n" in problem:
         (tmp_path / "bad.ini").write_text(problem)
         problem = str(tmp_path / "bad.ini")

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from sclp.basis import BasisFamily
 from sclp.discretize import (DiscreteLP, assemble_discounted_lp, assemble_lta_lp,
                              build_grid)
 from sclp.problems import finite_fuel_problem, inventory_problem
+from sclp import simplex
 from sclp.simplex import export_mps, parse_mps, solve
 
 
@@ -121,3 +123,247 @@ def test_columns_section_order_across_blocks():
     lines = export_mps(lp).split("\n")
     body = lines[lines.index("COLUMNS") + 1:lines.index("RHS")]
     assert body == reference_mps_columns(lp)
+
+
+def cli_lp(which):
+    """The LP the CLI assembles at its default grid for a built-in problem."""
+    if which == "inventory":
+        p, n_state, n_control, n_basis, assemble = (inventory_problem(), 41, 11, 12,
+                                                    assemble_lta_lp)
+    else:
+        p, n_state, n_control, n_basis, assemble = (finite_fuel_problem(), 41, 2, 16,
+                                                    assemble_discounted_lp)
+    b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, n_basis)
+    return assemble(p, build_grid(p, n_state, n_control), b)
+
+
+# sha256 of export_mps for the inventory 41x11/12 and finite-fuel 41x2/16 LPs.
+EXPORT_SHA256 = {
+    "inventory": "c916976fe821a66b66ad3c87c2d81edde1372dd0503afc30eac86b0a56822e9a",
+    "finite-fuel": "c7e29e375c9d4ebfc4eceb4391884d9dd297e2bac3abb74b6a62086df11cb54b",
+}
+
+
+@pytest.mark.parametrize("which", sorted(EXPORT_SHA256))
+def test_export_bytes_pinned(which):
+    text = export_mps(cli_lp(which))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[which]
+
+
+def assert_same_lp(a, b):
+    for f in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
+        assert np.array_equal(getattr(a, f), getattr(b, f)), f
+    assert (a.n0, a.n1, a.eq_labels, a.ub_labels, a.name) == (
+        b.n0, b.n1, b.eq_labels, b.ub_labels, b.name)
+
+
+@pytest.fixture(scope="module")
+def inventory_101x51():
+    p = inventory_problem()
+    b = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 50)
+    return assemble_lta_lp(p, build_grid(p, 101, 51), b)
+
+
+def test_roundtrip_101x51_inventory(inventory_101x51):
+    lp = inventory_101x51
+    assert_same_lp(parse_mps(export_mps(lp)), lp)
+
+
+HEAD = "NAME          hand\nROWS\n N  COST\n E  R1\n E  R2\n L  B1\nCOLUMNS\n"
+TAIL = "RHS\n    RHS       R1        1.0\nBOUNDS\nENDATA\n"
+
+
+def parse_columns(body):
+    """parse_mps of a COLUMNS section between fixed ROWS and RHS sections."""
+    return parse_mps(HEAD + body + TAIL)
+
+
+def test_two_pairs_on_one_columns_line():
+    lp = parse_columns("    W0_000000  COST  1.5   R1  2.0\n"
+                       "    W1_000000  R2  3.0  B1  -0.25  R1\n")  # odd token ignored
+    assert lp.c.tolist() == [1.5, 0.0]
+    assert lp.a_eq.tolist() == [[2.0, 0.0], [0.0, 3.0]]
+    assert lp.a_ub.tolist() == [[0.0, -0.25]]
+    assert (lp.n0, lp.n1, lp.b_eq.tolist(), lp.name) == (1, 1, [1.0, 0.0], "hand")
+
+
+def test_comment_and_blank_lines_inside_columns():
+    plain = parse_columns("    W0_000000  R1  2.0\n    W0_000001  R2  3.0\n")
+    noisy = parse_columns("* first comment\n    W0_000000  R1  2.0\n\n   \n"
+                          "*    W0_000009  R1  9.0\n    W0_000001  R2  3.0\n* last\n")
+    assert_same_lp(noisy, plain)
+
+
+def test_tab_indented_entry_lines():
+    spaces = parse_columns("    W0_000000  R1  2.0\n    W0_000001  B1  -1e-300\n")
+    tabs = parse_columns("\tW0_000000\tR1\t2.0\n \t W0_000001 \tB1\t-1e-300\t\n")
+    assert_same_lp(tabs, spaces)
+
+
+def test_column_name_reappears_after_another_column():
+    lp = parse_columns("    W0_000001  R1  2.0\n    W0_000000  R1  5.0\n"
+                       "    W0_000001  R2  3.0\n    W1_000000  COST  7.0\n"
+                       "    W0_000000  B1  4.0\n")
+    # Columns are numbered in order of first appearance.
+    assert lp.a_eq.tolist() == [[2.0, 5.0, 0.0], [3.0, 0.0, 0.0]]
+    assert lp.a_ub.tolist() == [[0.0, 4.0, 0.0]]
+    assert lp.c.tolist() == [0.0, 0.0, 7.0]
+    assert (lp.n0, lp.n1) == (2, 1)
+
+
+def spoil_columns_line(text, back, field, new):
+    """text with one field of the COLUMNS line `back` lines before RHS set to new."""
+    lines = text.split("\n")
+    k = lines.index("RHS") - back
+    tokens = lines[k].split()
+    tokens[field] = new
+    lines[k] = "    " + "  ".join(tokens)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("back", [1, 5_000, 20_000])
+def test_unknown_label_deep_in_a_large_columns_section(inventory_101x51, back):
+    bad = spoil_columns_line(export_mps(inventory_101x51), back, 1, "NOPE")
+    with pytest.raises(ValueError, match=r"^unknown row label 'NOPE'$"):
+        parse_mps(bad)
+
+
+@pytest.mark.parametrize("back", [1, 7_000])
+def test_bad_value_deep_in_a_large_columns_section(inventory_101x51, back):
+    bad = spoil_columns_line(export_mps(inventory_101x51), back, 2, "1.0x")
+    with pytest.raises(ValueError, match=r"^could not convert string to float: '1.0x'$"):
+        parse_mps(bad)
+
+
+@pytest.mark.parametrize("first", ["label", "value"])
+def test_first_bad_entry_in_text_order_names_the_error(first):
+    bad_label, bad_value = "    W0_000000  R9  1.0\n", "    W0_000001  R1  x1\n"
+    body = bad_label + bad_value if first == "label" else bad_value + bad_label
+    message = "unknown row label 'R9'" if first == "label" else "'x1'"
+    with pytest.raises(ValueError, match=message):
+        parse_columns(body)
+    # On one line, each pair's label is checked before its value.
+    with pytest.raises(ValueError, match="unknown row label 'R9'"):
+        parse_columns("    W0_000000  R9  x1\n")
+    with pytest.raises(ValueError, match="'x1'"):
+        parse_columns("    W0_000000  R1  x1  R9  1.0\n")
+
+
+def reference_parse_mps(text):
+    """A line-by-line MPS reader: the semantics parse_mps keeps, one line at a time."""
+    section, name = None, "SCLP"
+    eq_labels, ub_labels, row_code, rhs = [], [], {}, {}
+    col_index, entries = {}, []
+    for raw in text.split("\n"):
+        if not raw.strip() or raw.startswith("*"):
+            continue
+        if not raw[0].isspace():
+            parts = raw.split()
+            section = parts[0]
+            if section == "NAME" and len(parts) > 1:
+                name = raw[4:].strip()
+            elif section in ("COLUMNS", "RHS") and not row_code:
+                row_code = {lab: len(eq_labels) + i for i, lab in enumerate(ub_labels)}
+                row_code.update((lab, i) for i, lab in enumerate(eq_labels))
+                row_code["COST"] = -1
+            continue
+        parts = raw.split()
+        if section == "ROWS":
+            {"E": eq_labels, "L": ub_labels, "N": []}[parts[0]].append(parts[1])
+        elif section == "COLUMNS":
+            j = col_index.setdefault(parts[0], len(col_index))
+            for k in range(1, len(parts) - 1, 2):
+                if parts[k] not in row_code:
+                    raise ValueError(f"unknown row label {parts[k]!r}")
+                entries.append((j, row_code[parts[k]], float(parts[k + 1])))
+        elif section == "RHS":
+            for k in range(1, len(parts) - 1, 2):
+                if parts[k] not in row_code:
+                    raise ValueError(f"unknown row label {parts[k]!r}")
+                rhs[parts[k]] = float(parts[k + 1])
+    n, me = len(col_index), len(eq_labels)
+    dense = np.zeros((1 + me + len(ub_labels), n))
+    for j, code, v in entries:
+        dense[code + 1, j] = v
+    n0 = sum(1 for cn in col_index if cn.startswith("W0_"))
+    return DiscreteLP(c=dense[0], a_eq=dense[1:1 + me], a_ub=dense[1 + me:],
+                      b_eq=np.array([rhs.get(lab, 0.0) for lab in eq_labels]),
+                      b_ub=np.array([rhs.get(lab, 0.0) for lab in ub_labels]),
+                      n0=n0, n1=n - n0, eq_labels=tuple(eq_labels),
+                      ub_labels=tuple(ub_labels), name=name)
+
+
+SPACES = [" ", "  ", "\t", " \t ", "\x0b", "\x1c", "\xa0", "\u3000", "\u2028"]
+
+
+def random_columns_text(rng, n_lines, bad):
+    """MPS text whose COLUMNS lines mix entries of 0-3 pairs, odd last tokens,
+    comment and blank lines, assorted whitespace, non-ASCII names and stray
+    section headers; with bad, some labels are unknown or values not numbers."""
+    pick = lambda seq: seq[rng.integers(len(seq))]
+    names = ["W0_000000", "W0_000001", "W1_000000", "W1_000001", "W0_\xe9", "X"]
+    labels = ["COST", "R1", "R2", "B1", "B2"]
+    lines = []
+    for _ in range(n_lines):
+        kind = rng.random()
+        if kind < 0.06:
+            lines.append(pick(["", " ", "\t\xa0", "\u3000"]))
+        elif kind < 0.12:
+            lines.append("*" + pick(SPACES) + pick(names) + " R1 1.0")
+        elif kind < 0.14:
+            lines.append(pick(["COLUMNS", "FOO bar", "COLUMNS x y"]))
+        else:
+            fields = [pick(names)]
+            for _ in range(rng.integers(4)):
+                label = pick(labels) if rng.random() > 0.01 * bad else "R9"
+                value = repr(float(rng.normal())) if rng.random() > 0.01 * bad else "x1"
+                fields += [label, value]
+            if rng.random() < 0.1:
+                fields.append(pick(labels))
+            line = pick(SPACES)
+            for f in fields:
+                line += f + pick(SPACES)
+            lines.append(line if rng.random() < 0.7 else line.rstrip())
+    text = ("NAME          rand\nROWS\n N  COST\n E  R1\n E  R2\n L  B1\n L  B2\n"
+            "COLUMNS\n" + "\n".join(lines) + "\nRHS\n    RHS  R1  2.5\nENDATA")
+    return text + "\n" if rng.random() < 0.5 else text
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("size", [1, 2, 37, 4096])
+@pytest.mark.parametrize("bad", [False, True])
+def test_parse_matches_the_line_by_line_reference(monkeypatch, size, bad):
+    monkeypatch.setattr(simplex, "_MPS_CHUNK", size)
+    rng = np.random.default_rng(11 + bad)
+    for _ in range(60):
+        text = random_columns_text(rng, int(rng.integers(1, 80)), bad)
+        got, want = parse_outcome(parse_mps, text), parse_outcome(reference_parse_mps, text)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_lp(got, want)
+
+
+@pytest.mark.parametrize("size", [1, 37])
+@pytest.mark.parametrize("which", sorted(EXPORT_SHA256))
+def test_roundtrip_with_tiny_chunks(monkeypatch, which, size):
+    lp = cli_lp(which)
+    text = export_mps(lp)
+    monkeypatch.setattr(simplex, "_MPS_CHUNK", size)
+    assert_same_lp(parse_mps(text), lp)
+    bad = spoil_columns_line(text, 200, 1, "NOPE")
+    with pytest.raises(ValueError, match=r"^unknown row label 'NOPE'$"):
+        parse_mps(bad)
+
+
+def test_every_non_ascii_space_is_a_separator():
+    wide = [chr(c) for c in range(128, 0x110000) if chr(c).isspace()]
+    assert sorted(simplex._WIDE_SPACES) == [ord(c) for c in wide]
+    lp = parse_columns("".join(f"{s}W0_000000{s}R1{s}2.0{s}\n" for s in wide))
+    assert lp.a_eq.tolist() == [[2.0], [0.0]]

@@ -137,11 +137,11 @@ def test_lta_window_counts_whole_steps(burn_in):
     # Unit running cost: the long-run average is 1 over the window's whole
     # steps, and a burn-in that rounds to the horizon leaves no step.
     p = make_problem(drift=ZERO, diffusion=ZERO, c0=ONE, c1=ZERO)
-    cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=4, seed=0, burn_in=burn_in)
     if burn_in == 0.996:
         with pytest.raises(ValueError, match="leaves no step"):
-            simulate(p, idle_policy(p), cfg)
+            SimConfig(dt=0.01, horizon=1.0, n_paths=4, seed=0, burn_in=burn_in)
     else:
+        cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=4, seed=0, burn_in=burn_in)
         assert simulate(p, idle_policy(p), cfg).cost.value == pytest.approx(1.0, abs=1e-12)
 
 
