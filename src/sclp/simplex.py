@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from array import array
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import compress, filterfalse
 
 import numpy as np
 
@@ -57,8 +57,6 @@ class _Core:
         self.c = c
         self.basis = list(basis)
         self.m, self.n = a.shape
-        self.in_basis = np.zeros(self.n, dtype=bool)
-        self.in_basis[self.basis] = True
         self.priced = self.n  # only columns below this index may enter
         self.iterations = 0
         self._refactor()
@@ -133,9 +131,7 @@ class _Core:
 
         The inverse is refactorized or given a product-form update.
         """
-        self.in_basis[self.basis[row]] = False
         self.basis[row] = enter
-        self.in_basis[enter] = True
         if refactor:
             self._refactor()
         else:
@@ -156,8 +152,8 @@ class _Core:
             if self.basis[row] < n_structural:
                 continue
             tab_row = self.binv[row] @ self.a[:, :n_structural]
-            cand = np.flatnonzero((np.abs(tab_row) > 1e-9)
-                                  & ~self.in_basis[:n_structural])
+            # Non-basic structural columns with a nonzero tableau entry, in order.
+            cand = np.setdiff1d(np.flatnonzero(np.abs(tab_row) > 1e-9), self.basis)
             if cand.size:
                 enter = int(cand[0])
                 self._pivot(row, enter, self.binv @ self.a[:, enter])
@@ -336,61 +332,103 @@ def export_mps(lp: DiscreteLP) -> str:
     return "".join(out)
 
 
-# Character classes of COLUMNS text, by UTF-8 byte: 0 whitespace, 1 part
-# of a token, 2 newline, 3 "*" (a token that starts a comment line).  Bytes
-# of non-ASCII characters are token bytes; _WIDE_SPACES maps the non-ASCII
-# characters that str.split() splits on to a space first.
+# Character classes of MPS text, by byte of its Latin-1 encoding with "?"
+# for every character beyond Latin-1: 0 whitespace, 1 part of a token, 2
+# newline, 3 "*" (a token that starts a comment line).  _WIDE_SPACES maps
+# the non-ASCII characters that str.split() splits on to a space first, so
+# bytes above 127 are token bytes, and each character is one byte: byte
+# offsets are character offsets.
 _CLASS = bytes(2 if b == ord("\n") else 3 if b == ord("*")
                else 0 if b < 128 and chr(b).isspace() else 1 for b in range(256))
 _WIDE_SPACES = str.maketrans(dict.fromkeys(
     "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009"
     "\u200a\u2028\u2029\u202f\u205f\u3000", " "))
-_MPS_CHUNK = 1 << 16  # characters of COLUMNS text parsed in one bulk step
+_MPS_CHUNK = 1 << 16  # characters of MPS text read in one bulk step
 
 
-class _Columns:
-    """The COLUMNS section of MPS text, read a chunk of whole lines at a time.
+class _MpsReader:
+    """MPS text read a chunk of whole lines at a time, in text order.
 
-    Lines mean what they mean to a line-by-line reader: an indented line
-    holds a column name and (row label, value) pairs, an odd last token is
-    ignored, and blank lines and lines starting with "*" are skipped; the
-    first other line starts the next section.  Columns are numbered in
-    order of first appearance.  Each chunk is split once; its names, row
-    codes and values are looked up and converted in bulk, and the first
-    bad entry in text order raises.
+    Lines mean what they mean to a line-by-line reader.  Blank lines and
+    lines starting with "*" are skipped.  A line starting with any other
+    non-space character is a section header: its first token names the
+    section, and a NAME header's whole field names the LP.  An indented line
+    belongs to the open section: in ROWS it holds a row type (E, L or N) and
+    a label; in COLUMNS a column name, and in RHS a set name, then (row
+    label, value) pairs, an odd last token ignored.  Columns are numbered in
+    order of first appearance, and RHS values are kept by label.
+
+    Each chunk is split once, and a table of its lines (class of the first
+    character, token count, first token) is built in bulk.  Headers and
+    ROWS lines are then read from their tokens one at a time, and all the
+    chunk's COLUMNS and RHS pairs are looked up and converted together.
+    The first bad line or entry in text order raises ValueError.
     """
 
-    def __init__(self, row_code: dict[str, int]):
-        self.row_code = row_code  # -1 cost, then equality rows, then inequality rows
-        self.index: dict[str, int] = {}
+    def __init__(self):
+        self.section, self.name = None, "SCLP"
+        self.eq_labels: list[str] = []
+        self.ub_labels: list[str] = []
+        self.row_code: dict[str, int] = {}  # -1 cost, then equality rows, then inequality rows
+        self.index: dict[str, int] = {}  # column numbers
         # Nonzeros as compact arrays: column, row code (C ints) and value.
         self.col, self.row, self.val = array("i"), array("i"), array("d")
+        self.rhs: dict[str, float] = {}
 
-    def add(self, chunk: str) -> int | None:
-        """Add the entries of chunk's lines before its first section header.
-
-        Returns that header's line number in chunk, or None.
-        """
+    def add(self, chunk: str) -> None:
+        """Read chunk, the next run of whole lines of the text."""
         spaced = chunk if chunk.isascii() else chunk.translate(_WIDE_SPACES)
-        # Newlines around the chunk: line i runs from newline[i] to newline[i + 1].
-        cls = np.frombuffer((b"\n" + spaced.encode() + b"\n").translate(_CLASS),
-                            dtype=np.uint8)
+        # Newlines around the chunk: line i is chunk[newline[i]:newline[i + 1] - 1].
+        cls = np.frombuffer((b"\n" + spaced.encode("latin-1", "replace") + b"\n")
+                            .translate(_CLASS), dtype=np.uint8)
         newline = np.flatnonzero(cls == 2)
         head = cls[newline[:-1] + 1]  # the class of each line's first character
         tok = cls & 1
         starts = np.flatnonzero(tok[1:] > tok[:-1])  # the byte before each token
-        ntok = np.bincount(np.searchsorted(newline, starts, side="right") - 1,
-                           minlength=newline.size - 1)
-        header = np.flatnonzero(head == 1)
-        n_lines = int(header[0]) if header.size else newline.size - 1
+        before = np.searchsorted(starts, newline)  # the tokens before each newline
+        first, ntok = before[:-1], np.diff(before)  # each line's first token and token count
         tokens = chunk.split()
-        entry = np.flatnonzero((head[:n_lines] == 0) & (ntok[:n_lines] > 0))
+        header = head == 1
+        # The section of each line: the one open at the chunk's start, then each header's.
+        sections = [self.section, *map(tokens.__getitem__, first[header].tolist())]
+        self.section = sections[-1]
+        # 1 a ROWS line, 2 a COLUMNS line, 3 an RHS line, 0 a line without entries.
+        kinds = np.array([{"ROWS": 1, "COLUMNS": 2, "RHS": 3}.get(s, 0) for s in sections])
+        kind = kinds[np.cumsum(header)] * ((head == 0) & (ntok > 0))
+        error = None
+        for i in np.flatnonzero(header | (kind == 1)).tolist():
+            parts = tokens[first[i]:first[i] + ntok[i]]
+            line = chunk[newline[i]:newline[i + 1] - 1]
+            if header[i]:
+                if parts[0] == "NAME" and len(parts) > 1:
+                    self.name = line[4:].strip()  # the whole field: names may hold spaces
+                elif parts[0] in ("COLUMNS", "RHS") and not self.row_code:
+                    # ROWS precedes COLUMNS and RHS; equality wins a label in both.
+                    me = len(self.eq_labels)
+                    self.row_code.update((lab, me + k) for k, lab in enumerate(self.ub_labels))
+                    self.row_code.update((lab, k) for k, lab in enumerate(self.eq_labels))
+                    self.row_code["COST"] = -1
+                continue
+            rows = {"E": self.eq_labels, "L": self.ub_labels, "N": []}.get(parts[0])
+            if len(parts) < 2 or rows is None:
+                error = ValueError(f"ROWS line {line!r} has no row label" if len(parts) < 2
+                                   else f"unsupported row type {parts[0]!r}")
+                kind[i:] = 0  # a bad entry above this line raises first
+                break
+            rows.append(parts[1])
+        self._entries(tokens, first, ntok, kind)
+        if error:
+            raise error
+
+    def _entries(self, tokens, first, ntok, kind):
+        """Add the pairs of the lines of kind 2 (COLUMNS) and 3 (RHS)."""
+        entry = np.flatnonzero(kind >= 2)
         pairs = (ntok[entry] - 1) // 2
         if 3 * entry.size == len(tokens) and (pairs == 1).all():
             # Every token is on an entry line of one pair.
             names, labels, values = tokens[0::3], tokens[1::3], tokens[2::3]
         else:
-            first = (np.cumsum(ntok) - ntok)[entry]  # each entry line's name token
+            first = first[entry]  # each entry line's name token
             pair_line = np.repeat(np.arange(entry.size), pairs)
             label_at = (first[pair_line] + 1 + 2 * (
                 np.arange(pair_line.size) - (np.cumsum(pairs) - pairs)[pair_line]))
@@ -404,6 +442,12 @@ class _Columns:
             list(map(float, values[:bad]))
             raise ValueError(f"unknown row label {labels[bad]!r}")
         vals = array("d", map(float, values))
+        column = kind[entry] == 2
+        if not column.all():  # RHS pairs set values by label, the last one winning
+            on_column = np.repeat(column, pairs).tolist()
+            self.rhs.update((lab, v) for lab, v, c in zip(labels, vals, on_column) if not c)
+            names, pairs = list(compress(names, column.tolist())), pairs[column]
+            codes, vals = list(compress(codes, on_column)), array("d", compress(vals, on_column))
         index = self.index
         fresh = list(filterfalse(index.__contains__, dict.fromkeys(names)))
         index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
@@ -412,88 +456,37 @@ class _Columns:
         self.col.frombytes(cols.tobytes())
         self.row.extend(codes)
         self.val.extend(vals)
-        return None if n_lines == newline.size - 1 else n_lines
+
+    def lp(self) -> DiscreteLP:
+        """The LP of the text read so far."""
+        n, me = len(self.index), len(self.eq_labels)
+        n0 = sum(1 for cn in self.index if cn.startswith("W0_"))
+        # Row code + 1 numbers the cost row, the equality rows, then the inequality rows.
+        dense = np.zeros((1 + me + len(self.ub_labels), n))
+        dense[np.frombuffer(self.row, dtype=np.intc) + 1,
+              np.frombuffer(self.col, dtype=np.intc)] = np.frombuffer(self.val)
+        return DiscreteLP(c=dense[0], a_eq=dense[1:1 + me], a_ub=dense[1 + me:],
+                          b_eq=np.array([self.rhs.get(lab, 0.0) for lab in self.eq_labels]),
+                          b_ub=np.array([self.rhs.get(lab, 0.0) for lab in self.ub_labels]),
+                          n0=n0, n1=n - n0, eq_labels=tuple(self.eq_labels),
+                          ub_labels=tuple(self.ub_labels), name=self.name)
 
 
 def parse_mps(text: str) -> DiscreteLP:
     """Parse MPS text produced by export_mps back into a DiscreteLP.
 
-    Lines are read one at a time, except that the COLUMNS section goes to
-    _Columns in chunks of about _MPS_CHUNK characters of whole lines, so
-    memory beyond the result grows with the chunk, not with the text.  Raises ValueError for
-    an unsupported row type, an unknown row label or a value that is not
-    a number.
+    The text goes to _MpsReader in chunks of about _MPS_CHUNK characters of
+    whole lines, so memory beyond the result grows with the chunk, not with
+    the text, and time is linear in the text whatever its section headers.
+    Raises ValueError for a ROWS line without a label, an unsupported row
+    type, an unknown row label or a value that is not a number.
     """
-    section = None
-    name = "SCLP"
-    eq_labels: list[str] = []
-    ub_labels: list[str] = []
-    row_code: dict[str, int] = {}
-    columns = _Columns(row_code)
-    rhs: dict[str, float] = {}
-    pos, end = 0, len(text)
-    while pos < end:
-        if section == "COLUMNS":
-            stop = text.find("\n", pos + _MPS_CHUNK - 1)
-            if stop < 0:
-                stop = end
-            chunk = text[pos:stop]
-            header = columns.add(chunk)
-            if header is None:
-                pos = stop + 1
-                continue
-            # The section ends at a header line inside the chunk: read it next.
-            pos += len(chunk) - len(chunk.split("\n", header)[-1])
-        stop = text.find("\n", pos)
+    reader = _MpsReader()
+    pos = 0
+    while pos < len(text):
+        stop = text.find("\n", pos + _MPS_CHUNK - 1)
         if stop < 0:
-            stop = end
-        raw = text[pos:stop]
+            stop = len(text)
+        reader.add(text[pos:stop])
         pos = stop + 1
-        if not raw.strip() or raw.startswith("*"):
-            continue
-        if not raw[0].isspace():
-            parts = raw.split()
-            section = parts[0]
-            if section == "NAME" and len(parts) > 1:
-                name = raw[4:].strip()  # the whole field: names may hold spaces
-            elif section in ("COLUMNS", "RHS") and not row_code:
-                # ROWS precedes COLUMNS and RHS; equality wins a label in both.
-                row_code.update((lab, len(eq_labels) + i) for i, lab in enumerate(ub_labels))
-                row_code.update((lab, i) for i, lab in enumerate(eq_labels))
-                row_code["COST"] = -1
-            continue
-        parts = raw.split()
-        if section == "ROWS":
-            kind, lab = parts[0], parts[1]
-            if kind == "E":
-                eq_labels.append(lab)
-            elif kind == "L":
-                ub_labels.append(lab)
-            elif kind != "N":
-                raise ValueError(f"unsupported row type {kind!r}")
-        elif section == "RHS":
-            for k in range(1, len(parts) - 1, 2):
-                if parts[k] not in row_code:
-                    raise ValueError(f"unknown row label {parts[k]!r}")
-                rhs[parts[k]] = float(parts[k + 1])
-    n = len(columns.index)
-    n0 = sum(1 for cn in columns.index if cn.startswith("W0_"))
-    me = len(eq_labels)
-    cols = np.frombuffer(columns.col, dtype=np.intc)
-    rows = np.frombuffer(columns.row, dtype=np.intc)
-    vals = np.frombuffer(columns.val, dtype=float)
-    c = np.zeros(n)
-    a_eq = np.zeros((me, n))
-    a_ub = np.zeros((len(ub_labels), n))
-    sel = rows < 0
-    c[cols[sel]] = vals[sel]
-    sel = (rows >= 0) & (rows < me)
-    a_eq[rows[sel], cols[sel]] = vals[sel]
-    sel = rows >= me
-    a_ub[rows[sel] - me, cols[sel]] = vals[sel]
-    b_eq = np.array([rhs.get(lab, 0.0) for lab in eq_labels])
-    b_ub = np.array([rhs.get(lab, 0.0) for lab in ub_labels])
-    return DiscreteLP(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                      n0=n0, n1=n - n0,
-                      eq_labels=tuple(eq_labels), ub_labels=tuple(ub_labels),
-                      name=name)
+    return reader.lp()

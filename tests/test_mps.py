@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,15 @@ def test_parse_rejects_unknown_row_type():
     bad = "NAME x\nROWS\n G  R1\nENDATA\n"
     with pytest.raises(ValueError, match="row type"):
         parse_mps(bad)
+
+
+@pytest.mark.parametrize("line", [" E", " N", "\tL\xa0 "])
+def test_parse_rejects_a_rows_line_without_a_label(line):
+    message = f"ROWS line {line!r} has no row label"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_mps(f"NAME x\nROWS\n N  COST\n{line}\nENDATA\n")
+    with pytest.raises(ValueError, match="no row label"):
+        parse_mps(f"NAME x\nROWS\n{line}")
 
 
 def test_parse_rejects_unknown_label():
@@ -269,6 +279,10 @@ def reference_parse_mps(text):
             continue
         parts = raw.split()
         if section == "ROWS":
+            if len(parts) < 2:
+                raise ValueError(f"ROWS line {raw!r} has no row label")
+            if parts[0] not in ("E", "L", "N"):
+                raise ValueError(f"unsupported row type {parts[0]!r}")
             {"E": eq_labels, "L": ub_labels, "N": []}[parts[0]].append(parts[1])
         elif section == "COLUMNS":
             j = col_index.setdefault(parts[0], len(col_index))
@@ -294,38 +308,65 @@ def reference_parse_mps(text):
 
 
 SPACES = [" ", "  ", "\t", " \t ", "\x0b", "\x1c", "\xa0", "\u3000", "\u2028"]
+# R2 is declared both E and L: its COLUMNS entries go to the equality row,
+# its RHS to both rows.
+ROWS_DECLARED = [("N", "COST"), ("E", "R1"), ("E", "R2"), ("L", "B1"), ("L", "B2"),
+                 ("L", "R2")]
 
 
-def random_columns_text(rng, n_lines, bad):
-    """MPS text whose COLUMNS lines mix entries of 0-3 pairs, odd last tokens,
-    comment and blank lines, assorted whitespace, non-ASCII names and stray
-    section headers; with bad, some labels are unknown or values not numbers."""
+def random_mps_text(rng, n_lines, bad):
+    """MPS text whose ROWS, COLUMNS and RHS lines mix entries of 0-3 pairs, odd
+    last tokens, comment and blank lines, assorted whitespace, non-ASCII names
+    and stray section headers; with bad, some labels are unknown or missing,
+    some row types unknown and some values not numbers."""
     pick = lambda seq: seq[rng.integers(len(seq))]
-    names = ["W0_000000", "W0_000001", "W1_000000", "W1_000001", "W0_\xe9", "X"]
+    names = ["W0_000000", "W0_000001", "W1_000000", "W1_000001", "W0_\xe9", "\u4e01", "X"]
     labels = ["COST", "R1", "R2", "B1", "B2"]
-    lines = []
-    for _ in range(n_lines):
+
+    def spaced(fields):
+        line = pick(SPACES)
+        for f in fields:
+            line += f + pick(SPACES)
+        return line if rng.random() < 0.7 else line.rstrip()
+
+    def noise(headers):
+        """A blank, comment or stray header line, or None for an entry line."""
         kind = rng.random()
         if kind < 0.06:
-            lines.append(pick(["", " ", "\t\xa0", "\u3000"]))
-        elif kind < 0.12:
-            lines.append("*" + pick(SPACES) + pick(names) + " R1 1.0")
-        elif kind < 0.14:
-            lines.append(pick(["COLUMNS", "FOO bar", "COLUMNS x y"]))
-        else:
-            fields = [pick(names)]
-            for _ in range(rng.integers(4)):
-                label = pick(labels) if rng.random() > 0.01 * bad else "R9"
-                value = repr(float(rng.normal())) if rng.random() > 0.01 * bad else "x1"
-                fields += [label, value]
-            if rng.random() < 0.1:
-                fields.append(pick(labels))
-            line = pick(SPACES)
-            for f in fields:
-                line += f + pick(SPACES)
-            lines.append(line if rng.random() < 0.7 else line.rstrip())
-    text = ("NAME          rand\nROWS\n N  COST\n E  R1\n E  R2\n L  B1\n L  B2\n"
-            "COLUMNS\n" + "\n".join(lines) + "\nRHS\n    RHS  R1  2.5\nENDATA")
+            return pick(["", " ", "\t\xa0", "\u3000"])
+        if kind < 0.12:
+            return "*" + pick(SPACES) + pick(names) + " R1 1.0"
+        if kind < 0.14:
+            return pick(headers)
+        return None
+
+    def line(headers, firsts):
+        """A noise line, else an entry line that starts with one of firsts."""
+        other = noise(headers)
+        if other is not None:
+            return other
+        fields = [pick(firsts)]
+        for _ in range(rng.integers(4)):
+            label = pick(labels) if rng.random() > 0.01 * bad else "R9"
+            value = repr(float(rng.normal())) if rng.random() > 0.01 * bad else "x1"
+            fields += [label, value]
+        if rng.random() < 0.1:
+            fields.append(pick(labels))
+        return spaced(fields)
+
+    rows = []
+    for kind, label in ROWS_DECLARED:
+        while (other := noise(["ROWS", "ROWS x", "NAME two\u3000 w\xf6rds\nROWS"])) is not None:
+            rows.append(other)
+        r = rng.random() if bad else 1.0
+        rows.append(spaced([kind] if r < 0.02 else ["G", label] if r < 0.04
+                           else [kind, label]))
+    stray = ["COLUMNS", "FOO bar", "COLUMNS x y", "ROWS\n E  R3\nCOLUMNS"]
+    lines = [line(stray + ["ROWS"] * bad, names) for _ in range(n_lines)]
+    rhs = [line(["RHS", "RHS x", "FOO bar", "COLUMNS"], ["RHS", "RHS1"])
+           for _ in range(rng.integers(1, 8))]
+    text = ("NAME          rand\nROWS\n" + "\n".join(rows) + "\nCOLUMNS\n"
+            + "\n".join(lines) + "\nRHS\n" + "\n".join(rhs) + "\nENDATA")
     return text + "\n" if rng.random() < 0.5 else text
 
 
@@ -342,7 +383,7 @@ def test_parse_matches_the_line_by_line_reference(monkeypatch, size, bad):
     monkeypatch.setattr(simplex, "_MPS_CHUNK", size)
     rng = np.random.default_rng(11 + bad)
     for _ in range(60):
-        text = random_columns_text(rng, int(rng.integers(1, 80)), bad)
+        text = random_mps_text(rng, int(rng.integers(1, 80)), bad)
         got, want = parse_outcome(parse_mps, text), parse_outcome(reference_parse_mps, text)
         if isinstance(want, str):
             assert got == want
@@ -360,6 +401,21 @@ def test_roundtrip_with_tiny_chunks(monkeypatch, which, size):
     bad = spoil_columns_line(text, 200, 1, "NOPE")
     with pytest.raises(ValueError, match=r"^unknown row label 'NOPE'$"):
         parse_mps(bad)
+
+
+def test_text_is_read_in_one_pass(monkeypatch):
+    # Thousands of section headers inside COLUMNS: each is read where it
+    # stands, with no part of the text handed to the reader twice.
+    n = 5000
+    text = HEAD + "".join(f"COLUMNS\n    W0_{j:06d}  R1  {j}\n* note\n"
+                          for j in range(n)) + TAIL
+    seen = []
+    add = simplex._MpsReader.add
+    monkeypatch.setattr(simplex._MpsReader, "add",
+                        lambda self, chunk: seen.append(len(chunk)) or add(self, chunk))
+    lp = parse_mps(text)
+    assert sum(seen) <= len(text)
+    assert lp.a_eq[0].tolist() == list(range(n)) and lp.b_eq.tolist() == [1.0, 0.0]
 
 
 def test_every_non_ascii_space_is_a_separator():
