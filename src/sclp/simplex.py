@@ -3,14 +3,20 @@
 Designed for the assembled measure LPs: few rows (one per test function
 plus mass/budget rows), many columns (one per atom).  One core runs both
 phases: Dantzig pricing with lowest-index ties, largest pivot among
-ratio-test ties.  Row/column equilibration is applied before solving and
-undone on output.  Optima are checked on the original LP before return.
+ratio-test ties, over a working set W of the columns (sifting).  W holds
+the basic columns and the most negative columns of the last full pass,
+about sqrt(k m) + m more per round for k priced columns and m rows; a full
+pass over every column runs only when no column of W enters, and only a
+full pass ends a phase as optimal.  Row/column equilibration is applied
+before solving and undone on output.  Optima are checked on the original
+LP before return.
 """
 from __future__ import annotations
 
 import logging
+import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, filterfalse
 
 import numpy as np
@@ -42,6 +48,11 @@ class LPSolution:
     dual_ub: np.ndarray
     iterations: int
     farkas: np.ndarray | None = None  # infeasibility certificate over all rows
+    # Counts of the solve: phase1_iterations and phase2_iterations (pivots
+    # per phase), degenerate_pivots (step at most TOL), full_passes (pricing
+    # passes over every priced column) and refactorizations (of the basis
+    # inverse, the first included).
+    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def dual(self) -> np.ndarray:
@@ -59,9 +70,13 @@ class _Core:
         self.m, self.n = a.shape
         self.priced = self.n  # only columns below this index may enter
         self.iterations = 0
+        self.degenerate = 0  # pivots whose step is at most TOL
+        self.full_passes = 0  # pricing passes over every priced column
+        self.refactorizations = 0
         self._refactor()
 
     def _refactor(self):
+        self.refactorizations += 1
         bmat = self.a[:, self.basis]
         try:
             self.binv = np.linalg.inv(bmat)
@@ -80,6 +95,14 @@ class _Core:
     def run(self, max_iter):
         """Iterate to optimality; returns OPTIMAL or UNBOUNDED or ITER_LIMIT.
 
+        Sifting: pivots price only a working set W of the priced columns,
+        kept sorted and copied compactly.  When no column of W enters, a
+        full pass prices every column; only a full pass returns OPTIMAL.
+        Otherwise its most negative column enters, and W gains the basic
+        columns and the (about sqrt(k m) + m, for k priced columns) most
+        negative columns outside it.  W only grows; once it holds every
+        priced column each pivot prices them all.
+
         Pricing keeps the costs of the priced columns with +inf at basic
         columns and at columns skipped for unsafe pivots, so the entering
         column is a plain argmin of the reduced costs.  A NaN reduced cost
@@ -89,12 +112,28 @@ class _Core:
         k = self.priced
         priced_c = self.c[:k].copy()
         priced_c[[j for j in self.basis if j < k]] = np.inf
+        batch = math.ceil(math.sqrt(k * self.m)) + self.m
+        in_w = np.zeros(k, dtype=bool)  # W as a mask of the priced columns
+        work, a_work = np.empty(0, dtype=np.intp), None  # W's columns and their copy
         since_refactor = 0
         while self.iterations < max_iter:
-            red = priced_c - self.duals() @ self.a[:, :k]
-            enter = int(np.argmin(red))  # Dantzig, lowest index on ties
-            if not red[enter] < -TOL:
-                return OPTIMAL
+            y = self.duals()
+            enter = -1
+            if 0 < work.size < k:
+                red = priced_c[work] - y @ a_work
+                at = int(np.argmin(red))  # Dantzig, lowest index on ties
+                if red[at] < -TOL:
+                    enter = int(work[at])
+            if enter < 0:
+                self.full_passes += 1
+                red = priced_c - y @ self.a[:, :k]
+                enter = int(np.argmin(red))
+                if not red[enter] < -TOL:
+                    return OPTIMAL
+                if work.size < k:
+                    work = self._grow(in_w, red, batch)
+                    a_work = None  # freed before the larger copy is made
+                    a_work = self.a[:, work] if work.size < k else None
             d = self.binv @ self.a[:, enter]
             # Pivot eligibility is relative to the column magnitude; tiny
             # pivots produce numerically dependent bases after the update.
@@ -114,6 +153,7 @@ class _Core:
             leave_row = int(ties[np.argmax(d[ties])])
 
             self.iterations += 1
+            self.degenerate += bool(rmin <= TOL)
             since_refactor += 1
             refactor = (abs(d[leave_row]) < 1e-11
                         or since_refactor >= REFACTOR_EVERY)
@@ -125,6 +165,21 @@ class _Core:
             priced_c[enter] = np.inf
             self._pivot(leave_row, enter, d, refactor)
         return ITER_LIMIT
+
+    def _grow(self, in_w, red, batch):
+        """Add to the mask in_w of W, after a full pass with reduced costs
+        red, the basic columns and the batch most negative others (lowest
+        index on ties), or every column once at most batch would stay out.
+        Returns W's columns in order."""
+        k = red.size
+        in_w[[j for j in self.basis if j < k]] = True
+        if k - np.count_nonzero(in_w) <= batch:
+            in_w[:] = True
+        else:
+            red = np.where(in_w, np.inf, red)
+            new = np.flatnonzero(red < -TOL)
+            in_w[new[np.argsort(red[new], kind="stable")[:batch]]] = True
+        return np.flatnonzero(in_w)
 
     def _pivot(self, row, enter, d, refactor=False):
         """Replace basis[row] by column enter, where d = B^-1 a[:, enter].
@@ -208,15 +263,16 @@ def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
     core = _Core(a, b, np.concatenate([np.zeros(ncols), np.ones(m)]),
                  basis=range(ncols, ncols + m))
     status = core.run(max_iter)
+    phase1 = core.iterations
     if status == ITER_LIMIT:
-        return _no_solution(lp, ITER_LIMIT, core.iterations)
+        return _no_solution(lp, ITER_LIMIT, _stats(core, phase1))
     feas_tol = max(1e-8, TOL * 10) * (1.0 + float(np.abs(b).sum()))
     if core.objective() > feas_tol:
         # Farkas certificate from the phase-1 duals, mapped to original rows.
         y = core.duals()
         r = y * rscale * flip
         log.info("infeasible: phase-1 objective %.3e", core.objective())
-        return _no_solution(lp, INFEASIBLE, core.iterations, farkas=r)
+        return _no_solution(lp, INFEASIBLE, _stats(core, phase1), farkas=r)
 
     # Phase 2 on the same core: true costs, and artificials are no longer
     # priced, so they never re-enter.
@@ -225,9 +281,9 @@ def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
     core.priced = ncols  # run prices afresh: columns skipped in phase 1 may enter
     core._refactor()
     status = core.run(max_iter)
-    iters = core.iterations
+    iters, stats = core.iterations, _stats(core, phase1)
     if status != OPTIMAL:
-        return _no_solution(lp, status, iters)
+        return _no_solution(lp, status, stats)
 
     x_s = np.zeros(core.n)
     x_s[core.basis] = core.xb
@@ -236,10 +292,17 @@ def solve(lp: DiscreteLP, max_iter: int = 50000) -> LPSolution:
     failure = _certificate_failure(lp, x, y[:me], y[me:])
     if failure:
         log.info("numerical: %s after %d iterations", failure, iters)
-        return _no_solution(lp, NUMERICAL, iters)
+        return _no_solution(lp, NUMERICAL, stats)
     objective = float(lp.c @ x)
     log.info("optimal: objective %.12g after %d iterations", objective, iters)
-    return LPSolution(OPTIMAL, x, objective, y[:me], y[me:], iters)
+    return LPSolution(OPTIMAL, x, objective, y[:me], y[me:], iters, stats=stats)
+
+
+def _stats(core, phase1):
+    """LPSolution.stats of core, phase1 of whose pivots were phase 1's."""
+    return {"phase1_iterations": phase1, "phase2_iterations": core.iterations - phase1,
+            "degenerate_pivots": core.degenerate, "full_passes": core.full_passes,
+            "refactorizations": core.refactorizations}
 
 
 def _certificate_failure(lp, x, y_eq, y_ub) -> str | None:
@@ -277,10 +340,12 @@ def _certificate_failure(lp, x, y_eq, y_ub) -> str | None:
     return None
 
 
-def _no_solution(lp, status, iterations, farkas=None):
+def _no_solution(lp, status, stats, farkas=None):
     """A result without an optimum: zero weights and duals, objective nan."""
     return LPSolution(status, np.zeros(lp.n_cols), np.nan, np.zeros(lp.b_eq.size),
-                      np.zeros(lp.b_ub.size), iterations, farkas)
+                      np.zeros(lp.b_ub.size),
+                      stats["phase1_iterations"] + stats["phase2_iterations"], farkas,
+                      stats)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +421,9 @@ class _MpsReader:
     belongs to the open section: in ROWS it holds a row type (E, L or N) and
     a label; in COLUMNS a column name, and in RHS a set name, then (row
     label, value) pairs, an odd last token ignored.  Columns are numbered in
-    order of first appearance, and RHS values are kept by label.
+    order of first appearance, and RHS values are kept by label.  Rows are
+    fixed at the first COLUMNS or RHS header: a ROWS line after it, or a
+    label declared twice, is a bad line.
 
     Each chunk is split once, and a table of its lines (class of the first
     character, token count, first token) is built in bulk.  Headers and
@@ -369,6 +436,7 @@ class _MpsReader:
         self.section, self.name = None, "SCLP"
         self.eq_labels: list[str] = []
         self.ub_labels: list[str] = []
+        self.labels: set[str] = set()  # every label declared in ROWS
         self.row_code: dict[str, int] = {}  # -1 cost, then equality rows, then inequality rows
         self.index: dict[str, int] = {}  # column numbers
         # Nonzeros as compact arrays: column, row code (C ints) and value.
@@ -403,22 +471,26 @@ class _MpsReader:
                 if parts[0] == "NAME" and len(parts) > 1:
                     self.name = line[4:].strip()  # the whole field: names may hold spaces
                 elif parts[0] in ("COLUMNS", "RHS") and not self.row_code:
-                    # ROWS precedes COLUMNS and RHS; equality wins a label in both.
-                    me = len(self.eq_labels)
-                    self.row_code.update((lab, me + k) for k, lab in enumerate(self.ub_labels))
-                    self.row_code.update((lab, k) for k, lab in enumerate(self.eq_labels))
-                    self.row_code["COST"] = -1
+                    labels = self.eq_labels + self.ub_labels
+                    self.row_code = {lab: k for k, lab in enumerate(labels)} | {"COST": -1}
                 continue
             rows = {"E": self.eq_labels, "L": self.ub_labels, "N": []}.get(parts[0])
-            if len(parts) < 2 or rows is None:
-                error = ValueError(f"ROWS line {line!r} has no row label" if len(parts) < 2
-                                   else f"unsupported row type {parts[0]!r}")
+            if len(parts) < 2:
+                error = f"ROWS line {line!r} has no row label"
+            elif rows is None:
+                error = f"unsupported row type {parts[0]!r}"
+            elif self.row_code:
+                error = f"ROWS line {line!r} follows a COLUMNS or RHS header"
+            elif parts[1] in self.labels:
+                error = f"ROWS line {line!r} declares row {parts[1]!r} twice"
+            if error:
                 kind[i:] = 0  # a bad entry above this line raises first
                 break
             rows.append(parts[1])
+            self.labels.add(parts[1])
         self._entries(tokens, first, ntok, kind)
         if error:
-            raise error
+            raise ValueError(error)
 
     def _entries(self, tokens, first, ntok, kind):
         """Add the pairs of the lines of kind 2 (COLUMNS) and 3 (RHS)."""
@@ -478,8 +550,9 @@ def parse_mps(text: str) -> DiscreteLP:
     The text goes to _MpsReader in chunks of about _MPS_CHUNK characters of
     whole lines, so memory beyond the result grows with the chunk, not with
     the text, and time is linear in the text whatever its section headers.
-    Raises ValueError for a ROWS line without a label, an unsupported row
-    type, an unknown row label or a value that is not a number.
+    Raises ValueError for a ROWS line without a label, after a COLUMNS or
+    RHS header or declaring a label twice, an unsupported row type, an
+    unknown row label or a value that is not a number.
     """
     reader = _MpsReader()
     pos = 0

@@ -77,6 +77,29 @@ def test_parse_rejects_a_rows_line_without_a_label(line):
         parse_mps(f"NAME x\nROWS\n{line}")
 
 
+ROWS_AFTER_COLUMNS = ("NAME x\nROWS\n N  COST\n E  R1\n L  B1\nCOLUMNS\n"
+                      "    W0_000000  B1  1.0\nROWS\n E  R3\nCOLUMNS\n"
+                      "    W0_000000  R1  2.0\nENDATA\n")
+ROWS_TWICE = ("NAME x\nROWS\n N  COST\n E  R1\n E  R1\nCOLUMNS\n"
+              "    W0_000000  R1  1.0\nRHS\n    RHS  R1  5.0\nENDATA\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # Rows are numbered at the first COLUMNS header: R3 used to take B1's
+    # number, and B1's entry went to an equality row.
+    (ROWS_AFTER_COLUMNS, "ROWS line ' E  R3' follows a COLUMNS or RHS header"),
+    (ROWS_AFTER_COLUMNS.replace("COLUMNS\n    W0_000000  B1", "RHS\n    RHS  B1"),
+     "ROWS line ' E  R3' follows a COLUMNS or RHS header"),
+    # R1 used to give two equality rows, the first with the RHS but no entries.
+    (ROWS_TWICE, "ROWS line ' E  R1' declares row 'R1' twice"),
+    (ROWS_TWICE.replace(" E  R1\nCOLUMNS", " L  R1\nCOLUMNS"),
+     "ROWS line ' L  R1' declares row 'R1' twice"),
+])
+def test_parse_rejects_rows_that_the_columns_cannot_mean(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_mps(text)
+
+
 def test_parse_rejects_unknown_label():
     bad = ("NAME x\nROWS\n N  COST\n E  R1\nCOLUMNS\n"
            "    W0_000000  R2        1.0\nENDATA\n")
@@ -262,7 +285,7 @@ def test_first_bad_entry_in_text_order_names_the_error(first):
 def reference_parse_mps(text):
     """A line-by-line MPS reader: the semantics parse_mps keeps, one line at a time."""
     section, name = None, "SCLP"
-    eq_labels, ub_labels, row_code, rhs = [], [], {}, {}
+    eq_labels, ub_labels, row_code, rhs, declared = [], [], {}, {}, set()
     col_index, entries = {}, []
     for raw in text.split("\n"):
         if not raw.strip() or raw.startswith("*"):
@@ -283,6 +306,11 @@ def reference_parse_mps(text):
                 raise ValueError(f"ROWS line {raw!r} has no row label")
             if parts[0] not in ("E", "L", "N"):
                 raise ValueError(f"unsupported row type {parts[0]!r}")
+            if row_code:
+                raise ValueError(f"ROWS line {raw!r} follows a COLUMNS or RHS header")
+            if parts[1] in declared:
+                raise ValueError(f"ROWS line {raw!r} declares row {parts[1]!r} twice")
+            declared.add(parts[1])
             {"E": eq_labels, "L": ub_labels, "N": []}[parts[0]].append(parts[1])
         elif section == "COLUMNS":
             j = col_index.setdefault(parts[0], len(col_index))
@@ -308,17 +336,15 @@ def reference_parse_mps(text):
 
 
 SPACES = [" ", "  ", "\t", " \t ", "\x0b", "\x1c", "\xa0", "\u3000", "\u2028"]
-# R2 is declared both E and L: its COLUMNS entries go to the equality row,
-# its RHS to both rows.
-ROWS_DECLARED = [("N", "COST"), ("E", "R1"), ("E", "R2"), ("L", "B1"), ("L", "B2"),
-                 ("L", "R2")]
+ROWS_DECLARED = [("N", "COST"), ("E", "R1"), ("E", "R2"), ("L", "B1"), ("L", "B2")]
 
 
 def random_mps_text(rng, n_lines, bad):
     """MPS text whose ROWS, COLUMNS and RHS lines mix entries of 0-3 pairs, odd
     last tokens, comment and blank lines, assorted whitespace, non-ASCII names
-    and stray section headers; with bad, some labels are unknown or missing,
-    some row types unknown and some values not numbers."""
+    and stray section headers; with bad, some labels are unknown, missing or
+    declared twice, some row types unknown, some values not numbers and some
+    ROWS lines inside COLUMNS."""
     pick = lambda seq: seq[rng.integers(len(seq))]
     names = ["W0_000000", "W0_000001", "W1_000000", "W1_000001", "W0_\xe9", "\u4e01", "X"]
     labels = ["COST", "R1", "R2", "B1", "B2"]
@@ -360,9 +386,10 @@ def random_mps_text(rng, n_lines, bad):
             rows.append(other)
         r = rng.random() if bad else 1.0
         rows.append(spaced([kind] if r < 0.02 else ["G", label] if r < 0.04
-                           else [kind, label]))
-    stray = ["COLUMNS", "FOO bar", "COLUMNS x y", "ROWS\n E  R3\nCOLUMNS"]
-    lines = [line(stray + ["ROWS"] * bad, names) for _ in range(n_lines)]
+                           else [kind, "R1"] if r < 0.06 else [kind, label]))
+    stray = ["COLUMNS", "FOO bar", "COLUMNS x y"]
+    lines = [line(stray + ["ROWS", "ROWS\n E  R3\nCOLUMNS"] * bad, names)
+             for _ in range(n_lines)]
     rhs = [line(["RHS", "RHS x", "FOO bar", "COLUMNS"], ["RHS", "RHS1"])
            for _ in range(rng.integers(1, 8))]
     text = ("NAME          rand\nROWS\n" + "\n".join(rows) + "\nCOLUMNS\n"

@@ -10,7 +10,12 @@ any grid that builds the same distinguishable atoms.  Each row is
 with item one of status, iterations, objective (x and u empty), mu0 or
 mu1 (one row per nonzero weight, sorted by x then u).  Floats are exact
 reprs.  Re-record with `PYTHONPATH=src python tests/test_reference_lps.py`.
+`PYTHONPATH=src python tests/test_reference_lps.py --diff` writes nothing:
+it prints, per case, the pinned and the current iterations, the objective's
+relative change and its relative distance to HiGHS (scipy), and the atoms
+that gained or lost a weight, with the largest such weight.
 """
+import argparse
 import csv
 import functools
 import pathlib
@@ -46,15 +51,18 @@ def _cases():
 CASES = _cases()
 
 
-def _solve(case):
+def _lp(case):
     make, n_state, n_control, n_basis, form = CASES[case]
     p = make()
     grid = build_grid(p, n_state, n_control)
     basis = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, n_basis)
     if form is None:
-        lp = assemble_lta_lp(p, grid, basis)
-    else:
-        lp = assemble_discounted_lp(p, grid, basis, form=form)
+        return grid, assemble_lta_lp(p, grid, basis)
+    return grid, assemble_discounted_lp(p, grid, basis, form=form)
+
+
+def _solve(case):
+    grid, lp = _lp(case)
     return grid, solve(lp)
 
 
@@ -115,5 +123,35 @@ def test_reference_lp(case):
         assert [a[2] for a in got] == pytest.approx([a[2] for a in want], rel=1e-12)
 
 
+def diff():
+    """Print how the current solves differ from the pins; write nothing."""
+    from scipy.optimize import linprog
+    for case in CASES:
+        pin = _pins()[case]
+        grid, lp = _lp(case)
+        sol = solve(lp)
+        old = float(pin["objective"])
+        ref = linprog(lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, A_ub=lp.a_ub, b_ub=lp.b_ub,
+                      method="highs", options={"presolve": False}).fun
+        now = {m: {a[:2]: a[2] for a in got} for m, got in _measures(grid, sol).items()}
+        was = {m: {a[:2]: a[2] for a in pin[m]} for m in now}
+        moved, largest = [], 0.0
+        for m in now:
+            added, removed = now[m].keys() - was[m], was[m].keys() - now[m]
+            moved.append(f"{m} +{len(added)} -{len(removed)}")
+            largest = max([largest, *map(now[m].get, added), *map(was[m].get, removed)])
+        print(f"{case}: {pin['status']} -> {sol.status}, iterations {pin['iterations']} -> "
+              f"{sol.iterations}, objective change {(sol.objective - old) / abs(old):+.1e}, "
+              f"to HiGHS {abs(old - ref) / abs(ref):.1e} -> "
+              f"{abs(sol.objective - ref) / abs(ref):.1e}, atoms {' '.join(moved)} "
+              f"(largest weight {largest:.1e})")
+
+
 if __name__ == "__main__":
-    record()
+    parser = argparse.ArgumentParser(description="Re-record the reference LP pins.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print how the current solves differ from the pins instead")
+    if parser.parse_args().diff:
+        diff()
+    else:
+        record()

@@ -309,3 +309,74 @@ def test_solution_independent_of_blas_threads():
         out.append(proc.stdout)
     assert out[0].startswith("optimal ")
     assert out[0] == out[1]
+
+
+def dantzig_on_every_column(core, max_iter):
+    """_Core.run before the working set: every pivot prices every column."""
+    k = core.priced
+    priced_c = core.c[:k].copy()
+    priced_c[[j for j in core.basis if j < k]] = np.inf
+    since_refactor = 0
+    while core.iterations < max_iter:
+        red = priced_c - core.duals() @ core.a[:, :k]
+        enter = int(np.argmin(red))
+        if not red[enter] < -simplex.TOL:
+            return OPTIMAL
+        d = core.binv @ core.a[:, enter]
+        piv_tol = max(simplex.TOL, 1e-7 * float(np.abs(d).max(initial=0.0)))
+        pos = d > piv_tol
+        if not pos.any():
+            if (d > simplex.TOL).any():
+                priced_c[enter] = np.inf
+                continue
+            return UNBOUNDED
+        ratios = np.where(pos, core.xb / np.where(pos, d, 1.0), np.inf)
+        rmin = ratios.min()
+        ties = np.flatnonzero(ratios <= rmin + simplex.TOL * (1.0 + abs(rmin)))
+        leave_row = int(ties[np.argmax(d[ties])])
+        core.iterations += 1
+        since_refactor += 1
+        refactor = (abs(d[leave_row]) < 1e-11
+                    or since_refactor >= simplex.REFACTOR_EVERY)
+        if refactor:
+            since_refactor = 0
+        leave = core.basis[leave_row]
+        if leave < k:
+            priced_c[leave] = core.c[leave]
+        priced_c[enter] = np.inf
+        core._pivot(leave_row, enter, d, refactor)
+    return simplex.ITER_LIMIT
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_pool_that_fits_the_working_set_pivots_as_before(monkeypatch, seed):
+    # 12 columns on 6 rows: both phases take every column into the working
+    # set at once, so each pricing is a full pass, as before sifting.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(5, 12))
+    x0 = np.where(rng.random(12) < 0.5, rng.random(12), 0.0)
+    lp = make_lp(rng.normal(size=12), a_eq=a, b_eq=a @ x0,
+                 a_ub=np.abs(rng.normal(size=(1, 12))), b_ub=[5.0])
+    got = solve(lp)
+    assert got.stats["full_passes"] == got.iterations + 2
+    monkeypatch.setattr(simplex._Core, "run", dantzig_on_every_column)
+    want = solve(lp)
+    assert got.status == want.status == OPTIMAL
+    assert got.iterations == want.iterations
+    assert got.objective == want.objective
+    for f in ("weights", "dual_eq", "dual_ub"):
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+
+
+def test_stats_count_the_solve():
+    p = inventory_problem()
+    basis = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 50)
+    lp = assemble_lta_lp(p, build_grid(p, 201, 101), basis)
+    first, again = solve(lp), solve(lp)
+    assert first.stats == again.stats
+    stats = first.stats
+    assert stats["phase1_iterations"] + stats["phase2_iterations"] == first.iterations
+    assert 0 < stats["degenerate_pivots"] <= first.iterations
+    assert stats["refactorizations"] >= 2  # once per phase at least
+    # Sifting: 12,181 columns, and a full pass only between rounds.
+    assert 0 < 10 * stats["full_passes"] < first.iterations

@@ -57,8 +57,67 @@ def test_inventory_201x101_100_splines():
     assert_matches_highs(assemble_lta_lp(p, build_grid(p, 201, 101), basis))
 
 
+def test_inventory_401x201_50_splines():
+    # 48,361 columns on 51 rows: the working set is a small part of the pool.
+    p = inventory_problem()
+    basis = BasisFamily.cubic_on_interval(p.state.x_lo, p.state.x_hi, 50)
+    assert_matches_highs(assemble_lta_lp(p, build_grid(p, 401, 201), basis))
+
+
+def sparse_wide_lp(kind, seed, m, n):
+    """An LP of m equality rows and one budget row over n >= 20 m columns
+    with about 8 nonzeros each, like the assembled LPs, that is optimal,
+    infeasible or unbounded by construction."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((m, n))
+    for j in range(n):
+        rows = rng.choice(m, size=min(8, m), replace=False)
+        a[rows, j] = rng.normal(size=rows.size)
+    a[0] = 1.0  # a mass row
+    x0 = np.where(rng.random(n) < 0.05, rng.random(n), 0.0)
+    c = rng.normal(size=n)
+    budget = np.abs(rng.normal(size=(1, n)))
+    if kind == INFEASIBLE:
+        # Columns turned so that y.a_j >= 0 for a random y, and y.b < 0: y
+        # is a Farkas certificate.
+        y = rng.normal(size=m)
+        a[:, y @ a < 0] *= -1.0
+        b = a @ x0
+        b -= (y @ b + 1.0) / (y @ y) * y
+    else:
+        if kind == UNBOUNDED:
+            # A ray d >= 0 with a d = 0, budget.d = 0 and c.d < 0.
+            a[0] = 0.0
+            d = np.zeros(n)
+            d[rng.choice(n - 1, size=2 * m, replace=False)] = rng.random(2 * m) + 0.5
+            a[:, -1] = -(a @ d)
+            d[-1] = 1.0
+            budget[0, d > 0] = 0.0
+            c[-1] = -(c[:-1] @ d[:-1]) - 1.0
+        b = a @ x0
+    return make_lp(c, a_eq=a, b_eq=b, a_ub=budget, b_ub=budget @ x0 + 0.5)
+
+
+@pytest.mark.parametrize("m, n", [(12, 300), (30, 900)])
+@pytest.mark.parametrize("kind", [OPTIMAL, INFEASIBLE, UNBOUNDED])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_wide_lps_match_highs(kind, seed, m, n):
+    lp = sparse_wide_lp(kind, seed, m, n)
+    assert highs(lp)[0] == kind
+    assert_matches_highs(lp)
+    if kind == INFEASIBLE:
+        # The Farkas ray over all rows: r.a_j <= 0 for every column and
+        # slack, and r.b > 0.
+        r = solve(lp).farkas
+        rows, b = np.vstack([lp.a_eq, lp.a_ub]), np.concatenate([lp.b_eq, lp.b_ub])
+        assert r @ b > 1e-6 * np.abs(r).max()
+        assert (r @ rows).max() <= 1e-9 * np.abs(r).max()
+        assert r[m:].max() <= 1e-9 * np.abs(r).max()
+
+
 def test_cycling_finite_fuel_never_returns_a_wrong_optimum():
-    # 321x2/96 still cycles; whatever stops it must not claim an optimum.
+    # 321x2/96 cycled when every pivot priced every column.  Nothing rules
+    # cycling out yet: whatever stops the solve must not claim a wrong optimum.
     lp = fuel_lp(321, 96)
     sol = solve(lp, max_iter=5000)
     if sol.status == OPTIMAL:
