@@ -351,11 +351,12 @@ def _no_solution(lp, status, stats, farkas=None):
 # ---------------------------------------------------------------------------
 # MPS fixed-format export / import.
 # Field layout follows the classic fixed columns for the indicator and name
-# fields; numeric fields are written with full precision (17 significant
+# fields, with a space after each name so a name of any length stays one
+# token; numeric fields are written with full precision (17 significant
 # digits) so a parse/export cycle reproduces every coefficient exactly.
 
 _MPS_BLOCK = 256  # columns written per block by export_mps
-_MPS_ENTRY = "    %-10s%-10s%.17g\n"  # name, row label and value of one entry
+_MPS_ENTRY = "    %-9s %-9s %.17g\n"  # name, row label and value of one entry
 
 
 def _mps_entries(names, labels, values) -> str:

@@ -123,6 +123,17 @@ RHS_TEXT = ("NAME x\nROWS\n N  COST\n E  R1\nCOLUMNS\n"
             "    W0_000000  R1        1.0\nRHS\n    RHS       {label}        2.0\nENDATA\n")
 
 
+@pytest.mark.parametrize("labels", [("ROWLABEL10", "BUDGET"),
+                                    ("LABEL_OF_LEN_15", "BOUND_OF_LEN_15")])
+def test_roundtrip_with_long_row_labels(labels):
+    # A label of 10 or more characters must not run into the value field.
+    eq, ub = labels
+    lp = DiscreteLP(c=np.array([1.0, 2.0]), a_eq=np.array([[3.0, 4.0]]), b_eq=np.array([5.0]),
+                    a_ub=np.array([[0.0, 6.0]]), b_ub=np.array([7.0]), n0=1, n1=1,
+                    eq_labels=(eq,), ub_labels=(ub,))
+    assert_same_lp(parse_mps(export_mps(lp)), lp)
+
+
 def test_parse_rejects_unknown_rhs_label():
     with pytest.raises(ValueError, match="unknown row label 'R9'"):
         parse_mps(RHS_TEXT.format(label="R9"))
@@ -136,7 +147,7 @@ def test_parse_ignores_rhs_on_cost():
 def reference_mps_columns(lp):
     """COLUMNS lines written column by column, then row by row."""
     rows = [("COST", lp.c), *zip(lp.eq_labels, lp.a_eq), *zip(lp.ub_labels, lp.a_ub)]
-    return [f"    {cname:<10}{lab:<10}{row[j]:.17g}"
+    return [f"    {cname:<9} {lab:<9} {row[j]:.17g}"
             for j, cname in enumerate(lp.column_names())
             for lab, row in rows if row[j] != 0.0]
 
