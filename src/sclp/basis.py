@@ -12,17 +12,17 @@ that knows the lattice (_SplineRun.locate).  A family's splines fall into
 ranges, consecutive members that are consecutive splines of one run, and
 each range is evaluated at once: each point's knot cell is found once, and
 only the at most four splines nonzero there (de Boor, A Practical Guide to
-Splines) are computed, each on the piece that cell selects.  A spline on
-its own is a range of one, with the same arithmetic per point, so
-BasisFamily.evaluate, which computes all members at many points at once,
-matches each member's value, d1 and d2 bit for bit.
+Splines) are computed, each on the piece that cell selects.  The pieces are
+defined once, in _TAU, as cubics in the point's offset inside its knot
+cell.  A spline on its own is a range of one, with the same arithmetic per
+point, so BasisFamily.evaluate, which computes all members at many points
+at once, matches each member's value, d1 and d2 bit for bit.
 
 PathSums accumulates weighted values and derivatives of every member along
 simulated paths (the martingale residuals), range by range.  It also
-touches only each point's four splines, found by locate, but reads their
-pieces from _TAU, the same cubics written in the point's offset inside its
-knot cell, so its sums agree with evaluation to round-off rather than bit
-for bit.
+touches only each point's four splines, found by locate, and reads the
+same table, but sums a block's weighted pieces in one matrix product, so
+its sums agree with evaluation to round-off rather than bit for bit.
 """
 from __future__ import annotations
 
@@ -69,28 +69,11 @@ def constant_one() -> C2Function:
     )
 
 
-# Cardinal cubic B-spline N(s) supported on [0, 4], unit knot spacing.
-# Piecewise cubic polynomials; C^2 at the interior knots.  _PIECES[order][p]
-# is the order-th derivative of N on [p, p + 1].
-_PIECES = (
-    (lambda s: s ** 3 / 6.0,
-     lambda s: (-3.0 * s ** 3 + 12.0 * s ** 2 - 12.0 * s + 4.0) / 6.0,
-     lambda s: (3.0 * s ** 3 - 24.0 * s ** 2 + 60.0 * s - 44.0) / 6.0,
-     lambda s: (4.0 - s) ** 3 / 6.0),
-    (lambda s: s ** 2 / 2.0,
-     lambda s: (-9.0 * s ** 2 + 24.0 * s - 12.0) / 6.0,
-     lambda s: (9.0 * s ** 2 - 48.0 * s + 60.0) / 6.0,
-     lambda s: -((4.0 - s) ** 2) / 2.0),
-    (lambda s: s,
-     lambda s: -3.0 * s + 4.0,
-     lambda s: 3.0 * s - 8.0,
-     lambda s: 4.0 - s),
-)
-
-# The same pieces as cubics in tau = s - p, the offset of a point inside its
-# knot cell: _PIECES[order][p](p + tau) is the sum over q of
-# _TAU[order, q, p] * tau ** q.  Simulation accumulates with this table;
-# evaluation keeps _PIECES, whose last digits the LPs are pinned to.
+# Cardinal cubic B-spline N(s), supported on [0, 4] with unit knot spacing:
+# four cubic pieces, C^2 at the interior knots, each written in tau = s - p,
+# the offset of a point inside its knot cell [p, p + 1].  The order-th
+# derivative of N on [p, p + 1] is the sum over q of _TAU[order, q, p] * tau ** q;
+# this table is the one definition of the pieces.
 _TAU = np.array([
     [[0, 1, 4, 1], [0, 3, 0, -3], [0, 3, -6, 3], [1, -3, 3, -1]],
     [[0, 3, 0, -3], [0, 6, -12, 6], [3, -9, 9, -3], [0, 0, 0, 0]],
@@ -136,22 +119,25 @@ class _SplineRun:
         return at, cell[at].astype(np.intp), tau[at]
 
     def evaluate(self, x: np.ndarray, orders, out, lo: int, hi: int, row: int) -> None:
-        """Write splines lo..hi at x into zeroed out arrays, one per order.
+        """Write splines lo..hi at x into zeroed, C-contiguous out arrays, one per order.
 
         Spline j goes to row row + j - lo, and only the points that locate
-        finds are computed.
+        finds are computed.  Each point takes all four pieces by Horner's
+        rule in its offset tau, elementwise, and each piece whose spline is
+        written is kept, so a value does not depend on the other points or
+        splines.  Values (order 0) are clamped at 0, which round-off near
+        the ends of a support can cross.
         """
-        cols, first, _ = self.locate(x, lo, hi)
-        for p in range(4):
-            j = first - p
-            on = (j >= lo) & (j <= hi)  # the points whose spline is written
-            j, c = j[on], cols[on]
-            s = (x[c] - (self.t0 + j * self.h)) / self.h
-            for order, arr in zip(orders, out):
-                v = _PIECES[order][p](s)
-                if order:
-                    v = v / self.h ** order
-                arr[row - lo + j, c] = v
+        cols, cell, tau = self.locate(x, lo, hi)
+        j = cell - np.arange(4)[:, None]  # spline cell - p takes piece p there
+        keep = (j >= lo) & (j <= hi)
+        at = ((j + (row - lo)) * x.size + cols)[keep]  # flat index into out
+        for order, arr in zip(orders, out):
+            a = self.tau_table[order::3, :, None]  # a[q, p] weighs tau**q in piece p
+            v = (((a[3] * tau + a[2]) * tau + a[1]) * tau + a[0])[keep]
+            if not order:
+                np.maximum(v, 0.0, out=v)
+            arr.reshape(-1)[at] = v
 
 
 class CubicBSpline(C2Function):

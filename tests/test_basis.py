@@ -2,8 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sclp.basis import (_PIECES, BasisFamily, C2Function, CubicBSpline, _SplineRun,
+from sclp.basis import (_TAU, BasisFamily, C2Function, CubicBSpline, _SplineRun,
                         constant_one)
+
+# An independent reference for _TAU: the cardinal cubic B-spline N(s) on
+# [0, 4] as polynomials in s.  _PIECES[order][p] is the order-th derivative
+# of N on [p, p + 1].
+_PIECES = (
+    (lambda s: s ** 3 / 6.0,
+     lambda s: (-3.0 * s ** 3 + 12.0 * s ** 2 - 12.0 * s + 4.0) / 6.0,
+     lambda s: (3.0 * s ** 3 - 24.0 * s ** 2 + 60.0 * s - 44.0) / 6.0,
+     lambda s: (4.0 - s) ** 3 / 6.0),
+    (lambda s: s ** 2 / 2.0,
+     lambda s: (-9.0 * s ** 2 + 24.0 * s - 12.0) / 6.0,
+     lambda s: (9.0 * s ** 2 - 48.0 * s + 60.0) / 6.0,
+     lambda s: -((4.0 - s) ** 2) / 2.0),
+    (lambda s: s,
+     lambda s: -3.0 * s + 4.0,
+     lambda s: 3.0 * s - 8.0,
+     lambda s: 4.0 - s),
+)
 
 
 def test_constant_one():
@@ -38,20 +56,44 @@ def test_spline_nonnegative_and_smooth_at_knots():
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_cardinal_takes_each_piece_on_its_own_interval(order):
-    # Reference: every piece at every point, then one chosen per point, on
-    # the half-open intervals [p, p + 1) of the knot cells.
+    # Reference: every piece at every point, by Horner's rule in tau = s - p,
+    # then one chosen per point, on the half-open intervals [p, p + 1) of the
+    # knot cells; values are clamped at 0.
     f = CubicBSpline(0.0, 1.0)
     knots = np.arange(-1.0, 6.0)
     s = np.concatenate([np.random.default_rng(order).uniform(-1.0, 5.0, 5000), knots,
                         np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
                         [-0.0]])
-    want = np.select([(0.0 <= s) & (s < 1.0), (1.0 <= s) & (s < 2.0),
-                      (2.0 <= s) & (s < 3.0), (3.0 <= s) & (s < 4.0)],
-                     [piece(s) for piece in _PIECES[order]], default=0.0)
+    cells = [(p <= s) & (s < p + 1.0) for p in range(4)]
+    a = _TAU[order]
+    want = np.select(cells, [((a[3, p] * (s - p) + a[2, p]) * (s - p) + a[1, p]) * (s - p)
+                             + a[0, p] for p in range(4)], default=0.0)
+    if order == 0:
+        want = np.maximum(want, 0.0)
     got = (f.value, f.d1, f.d2)[order](s)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert (f.value, f.d1, f.d2)[order](np.asarray(4.0)).shape == ()
+    # The pieces in s, an independent reference, agree to a few ulps of
+    # their largest term (24 s**2 / 6 = 64 at s = 4), where they round.
+    in_s = np.select(cells, [piece(s) for piece in _PIECES[order]], default=0.0)
+    assert np.max(np.abs(got - in_s)) <= 2 * np.spacing(64.0)
+
+
+def test_no_spline_value_is_negative():
+    # Next to a knot cell's end a piece that vanishes there cancels to
+    # round-off, which can fall below 0 (by up to 3e-17); values are
+    # clamped.  Points within 1e-16 to 1e-5 knot spacings of every knot,
+    # on both sides, reach that round-off.
+    fam = BasisFamily.cubic_on_interval(-6.0, 4.0, 50)
+    run = fam.functions[0].run
+    knots = run.t0 + run.h * np.arange(54)
+    near = run.h * np.logspace(-16, -5, 200)
+    x = np.concatenate([np.random.default_rng(0).uniform(-6.0, 4.0, 200_000), knots,
+                        np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+                        (knots[:, None] - near).ravel(), (knots[:, None] + near).ravel()])
+    assert fam.evaluate(x, (0,))[0].min() >= 0.0
+    assert min(f.value(x).min() for f in fam.functions) >= 0.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -401,10 +401,10 @@ SMALL_FUEL_REPORT_SHA256 = [
     "81a0964d6f0c07eff602c8e78624c72d5c0bfee9d9e4069537bab79a55fbe180",
     "43f987d4bbe20c6d902d50f2d3edd56fc857abe632ca154be8c7461a41abc4ef",
     "2927eddd2449292fb333d4e98b88e4750c76a8c7359169c09c92eb07a1e4b003",
-    "f91891d651600bf9d02d31bf499f3f28c8ae6eb15d92e2ec684fb9dabd9cc76b",
+    "02b9236c2e65c5dbaa845c6c1407cd3e1416a1201c1aaa4714891e1e27d55ffe",
     "f51dac3739b83d7eb4be38b84ed1157d10146f0a9a8a5bbe9e138ed41c30034d",
-    "a9cd01e714d50c531b846ed4c6d42b80887ebd8dbc21b6bbcd44bcb0ab82d8fe",
-    "3a2036bb65e04159437feaea00249abf7023ab48ce66f75c56bc9d678f17637f",
+    "648d8e3c0e9b96c5f0efbe9c53979a8f3df6c9159ac44b935e6a72df46df5c99",
+    "fc39bf2f054edb36bbe61d443d4eb28c5a4cd969755429e28628d724aa5c17e2",
     "886e6426cdfa05f4766531c991470562098a8a0fa2f8526fe7cec5c05d4fadd7",
     "ae49ab081d05246ba4555fb5fde79b849c6bce6d4bf01ff16f3171b6fd2778e5",
     "a89fa48ae3fb48092f4d4b87379e368b9d220ad0a13888e1b60a78e4aed676ac",
@@ -436,7 +436,7 @@ SMALL_INVENTORY_REPORT_SHA256 = [
     "81a0964d6f0c07eff602c8e78624c72d5c0bfee9d9e4069537bab79a55fbe180",
     "43f987d4bbe20c6d902d50f2d3edd56fc857abe632ca154be8c7461a41abc4ef",
     "2927eddd2449292fb333d4e98b88e4750c76a8c7359169c09c92eb07a1e4b003",
-    "b516339f916aaa057006c6539375dc0db74c82d2cd17285fe3e35668b34b8206",
+    "4ebae0f2f51aab70b87364dbd4b2b4771328abc1914798687acac38be0c29146",
     "f51dac3739b83d7eb4be38b84ed1157d10146f0a9a8a5bbe9e138ed41c30034d",
     "445ed6633d5cddda4e60a3c161e19f7c318fd39ca87d408c35bab7c47032b724",
     "446c1049cf2d12f3daf96387acf3893cdcf2b62dde977a189f5ffb4e5aa493f4",
@@ -448,7 +448,7 @@ SMALL_INVENTORY_REPORT_SHA256 = [
     "29d0e609610113f57a0dbe9ad86c32a6cc8b9cb9bc864c8296dd1182b3b82440",
     "50da94d0a900278256158efe9f3a9171a3af627a32afdfb8b728e4baa2dab430",
     "a4d5bb7254f4fef6cf453eb49b33491ea97e6056dbb903db5f59a7f588a8ca7d",
-    "441bdadcbbfb72f7194954fe7d075a0362b833609a938447624944865e312f07",
+    "b92fd60b621eaa61d34e1e825f4eefca1f7b8acbbf79bd8103cf20a9bc3ac856",
     "e89b2b114f4425b97a602c17fba245697ce003577d7f44bf2b282ccc638fc485",
     "a4eb276dd1c3ad84619c25126e400b551d3030a8b37a82050b6bcb36a46cae16",
     "81370934e1432f46777b1f8805c075fd4f284da25dfe24f367ff6fc2eb8f4ec4",

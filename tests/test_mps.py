@@ -183,8 +183,8 @@ def cli_lp(which):
 
 # sha256 of export_mps for the inventory 41x11/12 and finite-fuel 41x2/16 LPs.
 EXPORT_SHA256 = {
-    "inventory": "c916976fe821a66b66ad3c87c2d81edde1372dd0503afc30eac86b0a56822e9a",
-    "finite-fuel": "c7e29e375c9d4ebfc4eceb4391884d9dd297e2bac3abb74b6a62086df11cb54b",
+    "inventory": "4b4fe59a69c43af42ea78ff6f7ddf122437b6e5918cfff476b62e3628291a68f",
+    "finite-fuel": "2023200ce1ee362d08c42d986158583e9c2d897562f792394485df298a3cbaca",
 }
 
 

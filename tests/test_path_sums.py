@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 
 from sclp import basis
-from sclp.basis import _PIECES, _TAU, BasisFamily, C2Function, PathSums, constant_one
+from sclp.basis import _TAU, BasisFamily, C2Function, PathSums, constant_one
 from sclp.discretize import assemble_discounted_lp, assemble_lta_lp
 from sclp.problems import finite_fuel_problem, inventory_problem
 from sclp.verify import SimConfig, simulate
 
+from test_basis import _PIECES
 from test_verify import _lp_policy, _wrapped
 
 

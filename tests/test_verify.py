@@ -659,7 +659,7 @@ PINNED = {
             "mart[bspl005],0.02702735759831256,0.3290049107154351,16\n"
             "mart[1],0.0,0.0,16\n"
         ),
-        (0.38820085196738685, 0, 6400, 1601, False, 0),
+        (0.3882008519673862, 0, 6400, 1601, False, 0),
     ),
     "jump_cluster": (
         (
@@ -673,21 +673,21 @@ PINNED = {
             "mart[bspl005],0.21096249274688408,0.3748347160544216,16\n"
             "mart[1],0.0,0.0,16\n"
         ),
-        (0.3895401376816725, 0, 3200, 751, False, 0),
+        (0.38954013768167195, 0, 3200, 751, False, 0),
     ),
     "jump_strict": (
         (
             "name,estimate,half_width,n\n"
             "lta_cost,1.8945059847310728,0.34799360178439026,16\n"
         ),
-        (0.4257008519673869, 0, 6400, 1856, False, 0),
+        (0.4257008519673863, 0, 6400, 1856, False, 0),
     ),
     "truncated": (
         (
             "name,estimate,half_width,n\n"
             "lta_cost,1.8216697991050652,0.03202887073813382,256\n"
         ),
-        (0.04714655311875552, 7, 512000, 483, False, 0),
+        (0.047146553118749164, 7, 512000, 483, False, 0),
     ),
 }
 
