@@ -381,8 +381,8 @@ class _ClosedLoop:
 
     cuts = node_cuts(state nodes); mode is the node of largest mu0 mass.
     eta0 samples the absolutely continuous control: a node that is not
-    covered (has no eta0 row) reads the row of its nearest covered node,
-    ties to the left, and a step from it is a bridged step.  eta1 samples
+    covered (has no eta0 row) reads the row of the covered node nearest in
+    state, ties to the left, and a step from it is a bridged step.  eta1 samples
     the singular control; clusters are the runs of adjacent nodes with an
     eta1 row.  act(acc, rng, x, x_new) is the singular action, charged to
     the ledger acc, or None when the policy has none: jump problems jump
@@ -400,7 +400,7 @@ class _ClosedLoop:
         owners = np.flatnonzero(self.covered)
         if not owners.size:
             raise ValueError("kernel covers no state node")
-        bridge = owners[nearest_node(owners, np.arange(nodes.size))].tolist()
+        bridge = owners[nearest_node(nodes[owners], nodes)].tolist()
         bridged = Kernel({i: policy.eta0.rows[j] for i, j in enumerate(bridge)})
         self.eta0 = _KernelSampler(bridged, nodes.size)
         self.eta1 = _KernelSampler(policy.eta1, nodes.size)

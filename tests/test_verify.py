@@ -737,6 +737,15 @@ def test_bridge_map_ties_borrow_the_left_row():
     assert law.eta0.uval[:, 0].tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]
 
 
+def test_bridge_map_borrows_the_row_nearest_in_state():
+    # Node 9 is next to node 0 by index but next to node 10 in state.
+    rows = {0: (np.array([1.0]), np.array([1.0])), 2: (np.array([2.0]), np.array([1.0]))}
+    p = make_problem(drift=ZERO, diffusion=ZERO, c0=ZERO, c1=ZERO)
+    pol = FeedbackPolicy(np.array([0.0, 9.0, 10.0]), np.full(3, 1 / 3), np.zeros(3),
+                         eta0=Kernel(rows), eta1=Kernel())
+    assert _ClosedLoop(p, pol).eta0.uval[:, 0].tolist() == [1.0, 2.0, 2.0]
+
+
 def test_cluster_node_equals_nearest_node_on_the_slice():
     nodes = np.linspace(-2.0, 2.0, 9)
     cuts = node_cuts(nodes)
