@@ -422,7 +422,8 @@ class _MpsReader:
     belongs to the open section: in ROWS it holds a row type (E, L or N) and
     a label; in COLUMNS a column name, and in RHS a set name, then (row
     label, value) pairs, an odd last token ignored.  Columns are numbered in
-    order of first appearance, and RHS values are kept by label.  Rows are
+    order of first appearance, the mu0 columns (names starting "W0_") before
+    the others, and RHS values are kept by label.  Rows are
     fixed at the first COLUMNS or RHS header: a ROWS line after it, or a
     label declared twice, is a bad line.
 
@@ -533,11 +534,16 @@ class _MpsReader:
     def lp(self) -> DiscreteLP:
         """The LP of the text read so far."""
         n, me = len(self.index), len(self.eq_labels)
-        n0 = sum(1 for cn in self.index if cn.startswith("W0_"))
+        mu0 = np.fromiter((cn.startswith("W0_") for cn in self.index), bool, n)
+        n0 = int(mu0.sum())
+        col = np.frombuffer(self.col, dtype=np.intc)
+        if not mu0[:n0].all():  # number the mu0 columns first, each kind in order
+            rank = np.empty(n, dtype=np.intc)
+            rank[np.argsort(~mu0, kind="stable")] = np.arange(n, dtype=np.intc)
+            col = rank[col]
         # Row code + 1 numbers the cost row, the equality rows, then the inequality rows.
         dense = np.zeros((1 + me + len(self.ub_labels), n))
-        dense[np.frombuffer(self.row, dtype=np.intc) + 1,
-              np.frombuffer(self.col, dtype=np.intc)] = np.frombuffer(self.val)
+        dense[np.frombuffer(self.row, dtype=np.intc) + 1, col] = np.frombuffer(self.val)
         return DiscreteLP(c=dense[0], a_eq=dense[1:1 + me], a_ub=dense[1 + me:],
                           b_eq=np.array([self.rhs.get(lab, 0.0) for lab in self.eq_labels]),
                           b_ub=np.array([self.rhs.get(lab, 0.0) for lab in self.ub_labels]),

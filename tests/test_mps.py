@@ -255,6 +255,15 @@ def test_column_name_reappears_after_another_column():
     assert (lp.n0, lp.n1) == (2, 1)
 
 
+def test_mu0_columns_come_first():
+    lp = parse_columns("    W1_000000  COST  2.0  R1  3.0\n    X  R2  4.0\n"
+                       "    W0_000000  COST  1.0\n")
+    assert lp.c.tolist() == [1.0, 2.0, 0.0]
+    assert lp.a_eq.tolist() == [[0.0, 3.0, 0.0], [0.0, 0.0, 4.0]]
+    assert (lp.n0, lp.n1) == (1, 2)
+    assert lp.column_names()[0] == "W0_000000"
+
+
 def spoil_columns_line(text, back, field, new):
     """text with one field of the COLUMNS line `back` lines before RHS set to new."""
     lines = text.split("\n")
@@ -297,7 +306,7 @@ def reference_parse_mps(text):
     """A line-by-line MPS reader: the semantics parse_mps keeps, one line at a time."""
     section, name = None, "SCLP"
     eq_labels, ub_labels, row_code, rhs, declared = [], [], {}, {}, set()
-    col_index, entries = {}, []
+    columns, entries = {}, []  # column names in order of first appearance
     for raw in text.split("\n"):
         if not raw.strip() or raw.startswith("*"):
             continue
@@ -324,20 +333,23 @@ def reference_parse_mps(text):
             declared.add(parts[1])
             {"E": eq_labels, "L": ub_labels, "N": []}[parts[0]].append(parts[1])
         elif section == "COLUMNS":
-            j = col_index.setdefault(parts[0], len(col_index))
+            columns.setdefault(parts[0])
             for k in range(1, len(parts) - 1, 2):
                 if parts[k] not in row_code:
                     raise ValueError(f"unknown row label {parts[k]!r}")
-                entries.append((j, row_code[parts[k]], float(parts[k + 1])))
+                entries.append((parts[0], row_code[parts[k]], float(parts[k + 1])))
         elif section == "RHS":
             for k in range(1, len(parts) - 1, 2):
                 if parts[k] not in row_code:
                     raise ValueError(f"unknown row label {parts[k]!r}")
                 rhs[parts[k]] = float(parts[k + 1])
+    # The mu0 columns come first, each kind in order of first appearance.
+    order = sorted(columns, key=lambda cn: not cn.startswith("W0_"))
+    col_index = {cn: j for j, cn in enumerate(order)}
     n, me = len(col_index), len(eq_labels)
     dense = np.zeros((1 + me + len(ub_labels), n))
-    for j, code, v in entries:
-        dense[code + 1, j] = v
+    for cn, code, v in entries:
+        dense[code + 1, col_index[cn]] = v
     n0 = sum(1 for cn in col_index if cn.startswith("W0_"))
     return DiscreteLP(c=dense[0], a_eq=dense[1:1 + me], a_ub=dense[1 + me:],
                       b_eq=np.array([rhs.get(lab, 0.0) for lab in eq_labels]),
