@@ -536,11 +536,10 @@ class _MpsReader:
         n, me = len(self.index), len(self.eq_labels)
         mu0 = np.fromiter((cn.startswith("W0_") for cn in self.index), bool, n)
         n0 = int(mu0.sum())
-        col = np.frombuffer(self.col, dtype=np.intc)
-        if not mu0[:n0].all():  # number the mu0 columns first, each kind in order
-            rank = np.empty(n, dtype=np.intc)
-            rank[np.argsort(~mu0, kind="stable")] = np.arange(n, dtype=np.intc)
-            col = rank[col]
+        # Number the mu0 columns first, each kind in order of first appearance.
+        rank = np.empty(n, dtype=np.intc)
+        rank[np.argsort(~mu0, kind="stable")] = np.arange(n, dtype=np.intc)
+        col = rank[np.frombuffer(self.col, dtype=np.intc)]
         # Row code + 1 numbers the cost row, the equality rows, then the inequality rows.
         dense = np.zeros((1 + me + len(self.ub_labels), n))
         dense[np.frombuffer(self.row, dtype=np.intc) + 1, col] = np.frombuffer(self.val)
