@@ -366,20 +366,34 @@ def _mps_entries(names, labels, values) -> str:
     return _MPS_ENTRY * len(values) % tuple(fields)
 
 
+def _require_tokens(names) -> None:
+    """Raise ValueError naming the first of names that is not one token."""
+    joined = "".join(names)
+    if not (all(names) and joined.split() == [joined]):  # one scan of every name
+        bad = next(s for s in names if s.split() != [s])
+        raise ValueError(f"MPS row label or column name {bad!r} is empty or "
+                         "holds whitespace")
+
+
 def export_mps(lp: DiscreteLP) -> str:
     """Serialize the LP to MPS text with ROWS/COLUMNS/RHS/BOUNDS sections.
 
     The NAME line carries lp.name.  The entries of each block of
     _MPS_BLOCK columns are formatted by one call, so memory beyond the
-    text grows with the block, not with the LP.
+    text grows with the block, not with the LP.  A row label or column
+    name must be one token, or the text would read back as another LP:
+    ValueError names the first that is empty or holds whitespace (the
+    column names are checked a block at a time too).
     """
     cols = lp.column_names()
+    rows = ["COST", *lp.eq_labels, *lp.ub_labels]
+    _require_tokens(rows)
     out = [f"NAME          {lp.name}\nROWS\n N  COST\n"]
     out += [f" E  {lab}\n" for lab in lp.eq_labels]
     out += [f" L  {lab}\n" for lab in lp.ub_labels]
     out.append("COLUMNS\n")
-    rows = ["COST", *lp.eq_labels, *lp.ub_labels]
     for lo in range(0, lp.n_cols, _MPS_BLOCK):
+        _require_tokens(cols[lo:lo + _MPS_BLOCK])
         # Transposed, so nonzero() lists a block's entries column by
         # column: cost first, then the equality and inequality rows.
         blk = np.vstack([lp.c[None, lo:lo + _MPS_BLOCK],

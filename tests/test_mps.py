@@ -134,6 +134,27 @@ def test_roundtrip_with_long_row_labels(labels):
     assert_same_lp(parse_mps(export_mps(lp)), lp)
 
 
+class _NamedColumns(DiscreteLP):
+    def column_names(self):
+        return ["W0_a", "W1 b"]
+
+
+@pytest.mark.parametrize("eq, ub, cls, bad", [
+    ("R 1", "B", DiscreteLP, "R 1"),  # read back as label R, a_eq [[1, 1]], b_eq [1]
+    ("R 1", "B 2", DiscreteLP, "R 1"),  # the first bad one is named
+    ("R1", "", DiscreteLP, ""),
+    ("R1", "B\t2", DiscreteLP, "B\t2"),
+    ("R\u20031", "B", DiscreteLP, "R\u20031"),  # an em space: str.split() splits on it
+    ("R1", "B", _NamedColumns, "W1 b"),
+])
+def test_export_refuses_names_that_do_not_roundtrip(eq, ub, cls, bad):
+    lp = cls(c=np.array([1.0, 2.0]), a_eq=np.array([[3.0, 4.0]]), b_eq=np.array([5.0]),
+             a_ub=np.array([[0.0, 6.0]]), b_ub=np.array([7.0]), n0=1, n1=1,
+             eq_labels=(eq,), ub_labels=(ub,))
+    with pytest.raises(ValueError, match=re.escape(repr(bad)) + " is empty or holds whitespace"):
+        export_mps(lp)
+
+
 def test_parse_rejects_unknown_rhs_label():
     with pytest.raises(ValueError, match="unknown row label 'R9'"):
         parse_mps(RHS_TEXT.format(label="R9"))
