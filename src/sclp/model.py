@@ -32,7 +32,23 @@ def eval2(fn, x, u):
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
+    return _full(fn(x, u), x, u)
+
+
+def eval_real(fn, x, u):
+    """eval2(fn, x, u), except that a Python float result comes back as it is.
+
+    For the hot loops: a constant function then costs no array, and
+    arithmetic with the float gives the same values as with eval2's array.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
     out = fn(x, u)
+    return out if type(out) is float else _full(out, x, u)
+
+
+def _full(out, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """fn's result out as a float64 array of the shape of (x, u) (see eval2)."""
     shape = x.shape
     if u.shape != shape:
         shape = np.broadcast_shapes(shape, u.shape)

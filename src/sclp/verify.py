@@ -2,13 +2,19 @@
 
 simulate() runs the controlled diffusion in closed loop under an extracted
 policy.  _ClosedLoop(problem, policy) decides once what the policy does: the
-node cuts and the mu0 mode; the eta0 table, in which a node without an eta0
-row reads the row of its nearest covered node (a bridged step); the eta1
-table and the mu1 support clusters; the start states (nu0 draws when
-discounted, else the mode); and one singular action, or none.  Jump problems
-jump when a path crosses down to a cluster's top node (band behaviour);
-gradient problems reflect at the two barriers around the mode.  Each step is
-one Euler step under a control drawn from eta0, then that action.  The
+node cuts, the same cuts with a sentinel at each end (bins), and the mu0
+mode; the eta0 table by bin, in which a node without an eta0 row reads the
+row of its nearest covered node (a bridged step); the eta1 table and the
+mu1 support clusters; the start states (nu0 draws when discounted, else the
+mode); and one singular action, or none.  Jump problems jump when a path
+crosses down to a cluster's top node (band behaviour); gradient problems
+reflect at the two barriers around the mode.  Each step is one Euler step
+under a control drawn from eta0, then that action, then one search of the
+new states on the bins and one count per bin: the next step's eta0 rows
+and node visits.  Only when a sentinel bin (a path below x_lo, or above
+x_hi) is not empty are the states clipped to the interval and searched
+again; a NaN state raises SimulationError.  Problem functions in the step
+loops go through eval_real, so a constant one stays a float.  The
 run's ledger, _Ledger(problem, cfg, basis, start states, nodes), decides
 the criterion's time weights once: its step count, its burn-in step, and
 the discount weights of each step's running charges and singular action.
@@ -51,7 +57,7 @@ import numpy as np
 
 from .basis import PathSums
 from .discretize import nearest_node, node_cuts
-from .model import DISCOUNTED, JUMP, ProblemSpec, eval2, jump_targets
+from .model import DISCOUNTED, JUMP, ProblemSpec, eval2, eval_real, jump_targets
 from .policy import FeedbackPolicy, Kernel
 
 DISCOUNT_CUTOFF = 1e-8
@@ -172,28 +178,33 @@ def _half_width(samples: np.ndarray) -> float:
 
 
 class _KernelSampler:
-    """Dense cdf tables for vectorized per-node categorical sampling."""
+    """Dense cdf tables for vectorized per-row categorical sampling.
 
-    def __init__(self, kernel, n_nodes):
+    Row i of the tables is kernel row i.  When every row holds one control,
+    sampling is one take on the one-dimensional table of those controls.
+    """
+
+    def __init__(self, kernel, n_rows):
         kmax = max((u.size for u, _ in kernel.rows.values()), default=1)
-        self.uval = np.zeros((n_nodes, kmax))
-        self.cdf = np.ones((n_nodes, kmax))
+        self.uval = np.zeros((n_rows, kmax))
+        self.cdf = np.ones((n_rows, kmax))
         for i, (u, p) in kernel.rows.items():
             self.uval[i, :u.size] = u
             self.uval[i, u.size:] = u[-1]
             self.cdf[i, :p.size] = np.cumsum(p)
             self.cdf[i, p.size:] = 1.0
+        self.strict = self.uval[:, 0].copy() if kmax == 1 else None
 
-    def sample(self, node_idx: np.ndarray, r: np.ndarray | None) -> np.ndarray:
-        """Controls at node_idx for the uniforms r (None when no row has two)."""
-        if self.uval.shape[1] == 1:
-            return self.uval[node_idx, 0]
-        return self._sample_cdf(node_idx, r)
+    def sample(self, rows: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+        """Controls at the table rows for the uniforms r (None when no row has two)."""
+        if self.strict is not None:
+            return self.strict.take(rows)
+        return self._sample_cdf(rows, r)
 
-    def _sample_cdf(self, node_idx: np.ndarray, r: np.ndarray) -> np.ndarray:
-        choice = (r[:, None] > self.cdf[node_idx]).sum(axis=1)
+    def _sample_cdf(self, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+        choice = (r[:, None] > self.cdf[rows]).sum(axis=1)
         choice = np.minimum(choice, self.uval.shape[1] - 1)
-        return self.uval[node_idx, choice]
+        return self.uval[rows, choice]
 
 
 def _cluster_node(cuts: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -202,6 +213,11 @@ def _cluster_node(cuts: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarr
     The slice's cuts are cuts[lo:hi]; a one-node slice has none.
     """
     return cuts[lo:hi].searchsorted(x) + lo
+
+
+def _times(w: float, v):
+    """w * v, or v itself when w == 1.0: exact, as 1.0 * v == v for every float."""
+    return v if w == 1.0 else w * v
 
 
 class _Ledger:
@@ -214,10 +230,15 @@ class _Ledger:
     take the weight exp(-alpha k dt) and count only from the burn-in step
     on; its singular action takes exp(-alpha (k dt + dt)) from then on,
     and 0.0 before (alpha = 0 for a long-term average).  Each event is one
-    call: step charges c0 dt, g dt and (Af) dt and counts the node visits;
-    jump and push charge c1, h and Bf at the action weight that step set;
-    finish adds f(X_T).  Budgets are held to their caps only in mean, never
-    per path.  With a basis, the martingale residuals
+    call: step charges c0 dt, g dt and (Af) dt and adds the step's visit
+    counts, one per bin of _ClosedLoop.bins (node i is bin i + 1; the two
+    sentinel bins stay empty); jump and push charge c1, h and Bf at the
+    action weight that step set; finish adds f(X_T).  A weight of exactly
+    1.0 (a long-term average after burn-in) and a jump's size 1 are never
+    multiplied in: 1.0 v == v for every float.  Problem functions are
+    evaluated by eval_real, so a constant one stays a float.  Budgets are
+    held to their caps only in mean, never per path.  With a basis, the
+    martingale residuals
     f(X_T) - f(X_0) - sum of (Af) dt - sum of Bf are summed per test
     function (PathSums: each term goes to the 4 splines nonzero at its
     point).
@@ -249,9 +270,8 @@ class _Ledger:
         self.run_cost = np.zeros(n_paths)
         self.sing_cost = np.zeros(n_paths)
         self.bud_acc = np.zeros((len(self.costs.budgets), n_paths))
-        # Visits per node before burn-in (row 0) and in the window (row 1).
-        self.n_nodes = nodes.size
-        self.visits = np.zeros((2, self.n_nodes), dtype=np.int64)
+        # Visits per bin before burn-in (row 0) and in the window (row 1).
+        self.visits = np.zeros((2, nodes.size + 2), dtype=np.int64)
         self.action_weight = 0.0
         self.basis = basis
         self.mart = None
@@ -259,33 +279,35 @@ class _Ledger:
             self.mart = PathSums(basis, n_paths)
             self.mart.add(x0, {0: -1.0})
 
-    def step(self, k, x, u, node_idx, drift, sig):
+    def step(self, k, x, u, counts, drift, sig):
         """Charge step k from x under control u, and set its action weight.
 
-        Counts the node visits, charges c0 dt and g dt (from the burn-in
-        step on) and takes (Af) dt = (f' drift + f'' sig^2 / 2) dt off
-        every residual.
+        Adds counts, the paths per bin, to the visits, charges c0 dt and
+        g dt (from the burn-in step on) and takes
+        (Af) dt = (f' drift + f'' sig^2 / 2) dt off every residual.
         """
         counted = k >= self.burn_steps
-        self.visits[int(counted)] += np.bincount(node_idx, minlength=self.n_nodes)
+        self.visits[int(counted)] += counts
         dt, t = self.dt, k * self.dt
         if counted:
             w = math.exp(-self.alpha * t)
-            self.run_cost += w * eval2(self.costs.c0, x, u) * dt
+            self.run_cost += _times(w, eval_real(self.costs.c0, x, u)) * dt
             for i, bud in enumerate(self.costs.budgets):
-                self.bud_acc[i] += w * eval2(bud.g, x, u) * dt
+                self.bud_acc[i] += _times(w, eval_real(bud.g, x, u)) * dt
             self.action_weight = math.exp(-self.alpha * (t + dt))
         else:
             self.action_weight = 0.0
         if self.mart is not None:
             self.mart.add(x, {1: drift * -dt, 2: sig * sig * (-0.5 * dt)})
 
-    def _charge(self, sub, xs, u, size):
-        """c1 size and h size of singular actions on the paths sub."""
+    def _charge(self, sub, xs, u, size=None):
+        """c1 size and h size of singular actions on the paths sub (size 1 if None)."""
         wc = self.action_weight
-        self.sing_cost[sub] += wc * eval2(self.costs.c1, xs, u) * size
+        c1 = _times(wc, eval_real(self.costs.c1, xs, u))
+        self.sing_cost[sub] += c1 if size is None else c1 * size
         for i, bud in enumerate(self.costs.budgets):
-            self.bud_acc[i][sub] += wc * (eval2(bud.h, xs, u) * size)
+            h = eval_real(bud.h, xs, u)
+            self.bud_acc[i][sub] += _times(wc, h if size is None else h * size)
 
     def jump(self, sub, xs, u, target):
         """Charge the jumps of the paths sub from xs to target under u.
@@ -293,7 +315,7 @@ class _Ledger:
         Takes Bf = f(target) - f(xs) off the residuals, the points in time
         order: the path leaves xs, then lands on target.
         """
-        self._charge(sub, xs, u, 1.0)
+        self._charge(sub, xs, u)
         if self.mart is not None:
             self.mart.add(np.concatenate([xs, target]),
                           {0: np.repeat([1.0, -1.0], sub.size)}, np.tile(sub, 2))
@@ -325,6 +347,7 @@ class _Ledger:
         window's node visits and the mu0 marginal.  bridged_steps counts
         the visits to nodes that are not covered.
         """
+        visits = self.visits[:, 1:-1]
         n_paths = self.run_cost.size
         budgets = self.costs.budgets
         cost_paths = (self.run_cost + self.sing_cost) / self.denom
@@ -338,14 +361,14 @@ class _Ledger:
         caps = np.array([b.cap for b in budgets])[:, None]
         stat_tv = None
         if self.lta:
-            hist = self.visits[1]
+            hist = visits[1]
             stat_tv = 0.5 * float(np.abs(hist / hist.sum() - mu0 / mu0.sum()).sum())
         residuals = [] if self.mart is None else [
             Estimate(f"mart[{name}]", float(row.mean()), _half_width(row), n_paths)
             for name, row in zip(self.basis.names, self.mart.rows())]
         return dict(cost=cost, budgets=budget_estimates, martingale_residuals=residuals,
                     stationarity_distance=stat_tv,
-                    bridged_steps=int(self.visits.sum(axis=0)[~covered].sum()),
+                    bridged_steps=int(visits.sum(axis=0)[~covered].sum()),
                     budget_exhausted_paths=int((samples > caps).any(axis=0).sum()))
 
 
@@ -380,20 +403,26 @@ class _ClosedLoop:
     """The extracted policy as simulate runs it, decided once.
 
     cuts = node_cuts(state nodes); mode is the node of largest mu0 mass.
-    eta0 samples the absolutely continuous control: a node that is not
-    covered (has no eta0 row) reads the row of the covered node nearest in
-    state, ties to the left, and a step from it is a bridged step.  eta1 samples
-    the singular control; clusters are the runs of adjacent nodes with an
-    eta1 row.  act(acc, rng, x, x_new) is the singular action, charged to
-    the ledger acc, or None when the policy has none: jump problems jump
-    at the clusters' top nodes (triggers), gradient problems reflect at
-    the two barriers around the mode.
+    bins holds the cuts with a sentinel at each end,
+    [nextafter(x_lo, -inf), *cuts, x_hi]: bins.searchsorted(x) is x's
+    nearest node + 1 on [x_lo, x_hi], 0 below x_lo and n + 1 above x_hi or
+    for NaN (n nodes).  eta0 samples the absolutely continuous control by
+    bin, the sentinel bins padded with the end nodes' rows: a node that is
+    not covered (has no eta0 row) reads the row of the covered node nearest
+    in state, ties to the left, and a step from it is a bridged step.  eta1
+    samples the singular control by node; clusters are the runs of
+    adjacent nodes with an eta1 row.  act(acc, rng, x, x_new) is the
+    singular action, charged to the ledger acc, or None when the policy
+    has none: jump problems jump at the clusters' top nodes (triggers),
+    gradient problems reflect at the two barriers around the mode.
     """
 
     def __init__(self, problem: ProblemSpec, policy: FeedbackPolicy):
         nodes = policy.state_nodes
         self.problem = problem
         self.cuts = node_cuts(nodes)
+        self.bins = np.concatenate([[np.nextafter(nodes[0], -np.inf)], self.cuts,
+                                    nodes[-1:]])
         self.mode = float(nodes[int(np.argmax(policy.mu0_marginal))])
         self.covered = np.zeros(nodes.size, dtype=bool)
         self.covered[list(policy.eta0.rows)] = True
@@ -401,8 +430,9 @@ class _ClosedLoop:
         if not owners.size:
             raise ValueError("kernel covers no state node")
         bridge = owners[nearest_node(nodes[owners], nodes)].tolist()
-        bridged = Kernel({i: policy.eta0.rows[j] for i, j in enumerate(bridge)})
-        self.eta0 = _KernelSampler(bridged, nodes.size)
+        bridged = Kernel({b: policy.eta0.rows[j]
+                          for b, j in enumerate([bridge[0], *bridge, bridge[-1]])})
+        self.eta0 = _KernelSampler(bridged, nodes.size + 2)
         self.eta1 = _KernelSampler(policy.eta1, nodes.size)
         self.clusters: list[tuple[int, int]] = []
         for i in sorted(policy.eta1.rows):
@@ -475,13 +505,22 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     """Simulate the controlled process and estimate costs, budgets and residuals.
 
     basis, when given, is a BasisFamily whose elements' martingale residuals
-    are reported.  Deterministic for fixed (problem, policy, cfg).
+    are reported.  Deterministic for fixed (problem, policy, cfg).  Each
+    step ends with one search of the new states on the law's sentinel bins
+    and one count per bin: the bins sample the next step's controls, the
+    counts are its visits, and the two sentinel bins count the paths that
+    left [x_lo, x_hi].  Only then are the states clipped to the interval
+    (each such path is one truncation event) and searched again.  A NaN
+    state lands in the top sentinel bin and raises SimulationError naming
+    its step.  Start states are never clipped: one outside the interval
+    visits its end node.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     x_lo, x_hi = policy.x_lo, policy.x_hi
     law = _ClosedLoop(problem, policy)
-    cuts, eta0, act = law.cuts, law.eta0, law.act
-    relaxed = eta0.uval.shape[1] > 1
+    bins, eta0, act = law.bins, law.eta0, law.act
+    n_bins = bins.size + 1
+    relaxed = eta0.strict is None
     x = law.start(rng, cfg.n_paths)
     acc = _Ledger(problem, cfg, basis, x, policy.state_nodes)
     step = acc.step
@@ -489,19 +528,26 @@ def simulate(problem: ProblemSpec, policy: FeedbackPolicy, cfg: SimConfig,
     dt = cfg.dt
     sqdt = math.sqrt(dt)
     truncations = 0
+    at = bins.searchsorted(x).clip(1, n_bins - 2)
+    counts = np.bincount(at, minlength=n_bins)
 
     for k in range(acc.n_steps):
-        node_idx = cuts.searchsorted(x)
-        u = eta0.sample(node_idx, rng.random(x.size) if relaxed else None)
-        drift = eval2(drift_fn, x, u)
-        sig = eval2(diffusion_fn, x, u)
-        step(k, x, u, node_idx, drift, sig)
+        u = eta0.sample(at, rng.random(x.size) if relaxed else None)
+        drift = eval_real(drift_fn, x, u)
+        sig = eval_real(diffusion_fn, x, u)
+        step(k, x, u, counts, drift, sig)
         x_new = x + drift * dt + sig * sqdt * rng.standard_normal(x.size)
         if act is not None:
             act(acc, rng, x if k else math.inf, x_new)
-        if x_new.min() < x_lo or x_new.max() > x_hi:
-            truncations += int((x_new < x_lo).sum()) + int((x_new > x_hi).sum())
+        at = bins.searchsorted(x_new)
+        counts = np.bincount(at, minlength=n_bins)
+        if counts[0] or counts[-1]:
+            if np.isnan(x_new).any():
+                raise SimulationError(f"step {k} left a path's state NaN")
+            truncations += int(counts[0]) + int(counts[-1])
             x_new = np.clip(x_new, x_lo, x_hi)
+            at = bins.searchsorted(x_new)
+            counts = np.bincount(at, minlength=n_bins)
         x = x_new
 
     total_steps = acc.n_steps * cfg.n_paths
@@ -586,10 +632,13 @@ def _crossed(x, x1, s, sig, r, dt) -> np.ndarray:
     """Whether each Euler step from x > s to x1 crosses s.
 
     It does if x1 <= s, or else if the uniform r falls under the crossing
-    probability exp(log_p) of the Brownian bridge from x to x1.
+    probability exp(log_p) of the Brownian bridge from x to x1.  sig may be
+    a float.  The sign of fl(x1 - s) is exact, so x1 - s <= 0 exactly when
+    x1 <= s.
     """
-    crossed = x1 <= s
-    log_p = (-2.0 * (x - s) * (x1 - s)) / (sig ** 2 * dt)
+    d1 = x1 - s
+    crossed = d1 <= 0.0
+    log_p = (-2.0 * (x - s) * d1) / (sig * sig * dt)
     # exp(log_p) decides only above s, and where it can exceed the uniform.
     near = (~crossed & ((log_p > _LOG_P_FLOOR) | (r == 0.0))).nonzero()[0]
     crossed[near] = r.take(near) < np.exp(log_p.take(near))
@@ -664,7 +713,7 @@ def _band_cycles(problem: ProblemSpec, groups, cfg: SimConfig) -> list[list[Orac
         if not live:
             return results
         m = x.size
-        sig = eval2(diffusion, x, u0[:m])
+        sig = eval_real(diffusion, x, u0[:m])
         for g, lo, hi in zip(live, [0] + ends, ends):
             g.rng.standard_normal(out=draws[lo:hi])
         # The Euler step (sig sqrt(dt)) z + (x - mu_d dt), rounded in this order.
@@ -696,8 +745,9 @@ def _band_cycles(problem: ProblemSpec, groups, cfg: SimConfig) -> list[list[Orac
             gone, nxt = gone.take(more), nxt.take(more)
             dest[gone] = nxt * n + d.take(more) % n
             s[gone] = level = slot_s.take(nxt)
+            sig_gone = sig if type(sig) is float else sig.take(gone)
             down[gone] = again = _crossed(x.take(gone), x1.take(gone), level,
-                                          sig.take(gone), r.take(gone), dt)
+                                          sig_gone, r.take(gone), dt)
             gone = gone[again]
         kept = (~down).nonzero()[0]
         if kept.size < m:

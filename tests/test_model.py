@@ -1,13 +1,17 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sclp.basis import BasisFamily, C2Function, constant_one
 from sclp.discretize import build_grid
 from sclp.model import (DISCOUNTED, GRADIENT, JUMP, LONG_TERM_AVERAGE, Budget,
                         ControlSpace, CostSpec, Criterion, DomainError,
                         GeneratorA, GeneratorB, ProblemSpec, StateSpace,
-                        eval2, validate_conditions)
-from sclp.problems import finite_fuel_problem, inventory_problem
+                        eval2, eval_real, validate_conditions)
+from sclp.problems import finite_fuel_problem, inventory_problem, parse_function
 from generator_reference import eval_Af, eval_Bf
 
 QUAD = C2Function(lambda x: x ** 2, lambda x: 2.0 * x,
@@ -197,6 +201,56 @@ def test_eval2_same_value_shape_dtype_and_aliasing(case):
 def test_eval2_rejects_complex_and_none_results(fn):
     with pytest.raises(TypeError):
         eval2(fn, np.zeros(3), np.zeros(3))
+
+
+def _problem_functions():
+    """Every catalog entry, and every function of the built-in problems."""
+    fns = [parse_function(spec) for spec in (
+        "constant 2.5", "constant -0", "linear 1 0.5 -2", "quadratic 1 0.5 -2 0.25 3",
+        "piecewise_linear 0.5 2 1", "abs_control 1 -0.5", "control",
+        "tabulated -1:0 0.5:2 3:-1")]
+    for p in (inventory_problem(), finite_fuel_problem()):
+        fns += [p.gen_a.drift, p.gen_a.diffusion, p.gen_b.displacement or p.gen_b.direction,
+                p.costs.c0, p.costs.c1]
+        fns += [fn for bud in p.costs.budgets for fn in (bud.g, bud.h)]
+    return fns
+
+
+PROBLEM_FUNCTIONS = _problem_functions()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PROBLEM_FUNCTIONS), st.sampled_from([(), (1,), (7,), (3, 4)]),
+       st.data())
+def test_eval_real_broadcasts_to_eval2_bit_for_bit(fn, shape, data):
+    values = st.floats(-1e3, 1e3, width=64)
+    x = data.draw(arrays(float, shape, elements=values))
+    u = data.draw(arrays(float, shape, elements=values))
+    got = eval_real(fn, x, u)
+    want = eval2(fn, x, u)
+    assert type(got) is float or got.dtype == float
+    assert np.broadcast_to(got, shape).tobytes() == want.tobytes()
+
+
+def test_eval_real_keeps_a_float_and_a_full_float_array_as_they_are():
+    x, u = np.linspace(-1.0, 1.0, 5), np.zeros(5)
+    full = np.ones(5)
+    assert eval_real(lambda x, u: full, x, u) is full
+    assert eval_real(lambda x, u: x, x, u) is x
+    got = eval_real(lambda x, u: 2.5, x, u)
+    assert type(got) is float and got == 2.5
+    # Only a Python float stays a scalar: anything else is expanded as eval2 does.
+    for fn in (lambda x, u: np.float64(2.5), lambda x, u: 2, lambda x, u: x[:1]):
+        assert eval_real(fn, x, u).tobytes() == eval2(fn, x, u).tobytes()
+
+
+@pytest.mark.parametrize("fn", [lambda x, u: 1j, lambda x, u: x * 1j,
+                                lambda x, u: None])
+def test_eval_real_rejects_complex_and_none_as_eval2_does(fn):
+    with pytest.raises(TypeError) as want:
+        eval2(fn, np.zeros(3), np.zeros(3))
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        eval_real(fn, np.zeros(3), np.zeros(3))
 
 
 @pytest.mark.parametrize("admissible, want", [

@@ -163,9 +163,11 @@ def test_ledger_weights_match_a_plain_loop(discounted, burn_in):
     x = np.array([-0.3, 0.1, 1.7])
     sub = np.array([0, 2])
     run, sing = [0.0] * 3, [0.0] * 3
+    # Visit counts per bin: the 3 paths at node 0, which is bin 1.
+    counts = np.bincount(np.ones(3, dtype=np.intp), minlength=nodes.size + 2)
     for k in range(12):
         xk = x + 0.01 * k
-        acc.step(k, xk, np.zeros(3), np.zeros(3, dtype=np.intp), np.zeros(3), np.zeros(3))
+        acc.step(k, xk, np.zeros(3), counts, np.zeros(3), np.zeros(3))
         acc.jump(sub, xk[sub], np.ones(2), xk[sub] + 1.0)
         t = k * dt
         wc = math.exp(-alpha * (t + dt)) if k >= burn else 0.0
@@ -178,6 +180,123 @@ def test_ledger_weights_match_a_plain_loop(discounted, burn_in):
     assert acc.run_cost.tolist() == run
     assert acc.sing_cost.tolist() == sing
     assert acc.visits.sum(axis=1).tolist() == [3 * min(burn, 12), 3 * (12 - min(burn, 12))]
+
+
+def _reference_run(problem, policy, cfg):
+    """simulate's long-term-average steps as a plain loop, without singular action.
+
+    Each step finds every path's nearest node, samples its control from the
+    row of the covered node nearest in state (ties to the left), charges
+    c0 dt and takes the Euler step; then it clips, after the (absent)
+    action, counting the paths below and above the interval.  Returns the
+    per-path running costs, the visits per node before the burn-in and in
+    the window, and the two truncation counts.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    nodes = policy.state_nodes
+    lo, hi = nodes[0], nodes[-1]
+    owners = sorted(policy.eta0.rows)
+    rows = [policy.eta0.rows[min(owners, key=lambda j: (abs(nodes[j] - x), j))]
+            for x in nodes]
+    cdfs = [np.cumsum(p) for _, p in rows]
+    relaxed = any(u.size > 1 for u, _ in rows)
+    dt = cfg.dt
+    n_steps, burn = round(cfg.horizon / dt), round(cfg.burn_in / dt)
+    x = np.full(cfg.n_paths, nodes[np.argmax(policy.mu0_marginal)])
+    run = np.zeros(cfg.n_paths)
+    visits = np.zeros((2, nodes.size), dtype=np.int64)
+    below = above = 0
+    for k in range(n_steps):
+        node = nearest_node(nodes, x)
+        r = rng.random(x.size) if relaxed else np.zeros(x.size)
+        u = np.array([rows[j][0][min(int((ri > cdfs[j]).sum()), rows[j][0].size - 1)]
+                      for j, ri in zip(node, r)])
+        np.add.at(visits[int(k >= burn)], node, 1)
+        drift = eval2(problem.gen_a.drift, x, u)
+        sig = eval2(problem.gen_a.diffusion, x, u)
+        if k >= burn:
+            run += math.exp(-0.0 * k * dt) * eval2(problem.costs.c0, x, u) * dt
+        x_new = x + drift * dt + sig * math.sqrt(dt) * rng.standard_normal(x.size)
+        below += int((x_new < lo).sum())
+        above += int((x_new > hi).sum())
+        x = np.clip(x_new, lo, hi)
+    return run, visits, below, above
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("diffusion", ["constant", "state"])
+def test_step_bookkeeping_matches_a_plain_loop(monkeypatch, relaxed, diffusion):
+    # Mean reversion to about 0 on [-1.5, 1.5] (nodes 0.25 apart, exact in
+    # binary): paths are clipped at both ends.  Nodes 3 and 9 have no eta0
+    # row, so their steps are bridged.
+    sig = (lambda x, u: 0.7) if diffusion == "constant" else (lambda x, u: 0.7 + 0.2 * u)
+    p = make_problem(drift=lambda x, u: u - x, diffusion=sig,
+                     c0=lambda x, u: x * x + u, c1=ZERO, x_lo=-1.5, x_hi=1.5)
+    nodes = np.linspace(-1.5, 1.5, 13)
+    covered = [i for i in range(13) if i not in (3, 9)]
+    if relaxed:
+        row = lambda i: (np.array([-0.25, 0.125 + 0.01 * i]), np.array([0.375, 0.625]))
+    else:
+        row = lambda i: (np.array([0.02 * i - 0.12]), np.array([1.0]))
+    mu0 = np.where(nodes == 0.0, 0.5, 0.5 / 12)
+    pol = FeedbackPolicy(nodes, mu0, np.zeros(13), eta0=Kernel({i: row(i) for i in covered}),
+                         eta1=Kernel())
+    cfg = SimConfig(dt=0.01, horizon=6.0, n_paths=48, seed=5, burn_in=1.0)
+    seen = {}
+    estimates = _Ledger.estimates
+
+    def spy(acc, mu0, covered):
+        seen.update(visits=acc.visits.copy(), run=acc.run_cost.copy(), sing=acc.sing_cost.copy())
+        return estimates(acc, mu0, covered)
+
+    monkeypatch.setattr(_Ledger, "estimates", spy)
+    rep = simulate(p, pol, cfg)
+    run, visits, below, above = _reference_run(p, pol, cfg)
+    assert below > 0 and above > 0
+    assert rep.truncation_events == below + above
+    assert seen["visits"][:, 1:-1].tolist() == visits.tolist()
+    assert seen["visits"][:, [0, -1]].tolist() == [[0, 0], [0, 0]]
+    assert rep.bridged_steps == int(visits[:, [3, 9]].sum()) > 0
+    assert seen["run"].tobytes() == run.tobytes()
+    assert not seen["sing"].any()
+
+
+def test_a_start_outside_the_interval_visits_its_end_node(monkeypatch):
+    # Frozen dynamics from a nu0 point below x_lo = -2: step 0 charges c0 at
+    # the start as it is (6.25), at node 0, and its end state is clipped to
+    # -2 (one truncation per path), where every later step charges 4.
+    alpha, dt = 2.0, 0.01
+    p = make_problem(drift=ZERO, diffusion=ZERO, c0=lambda x, u: x * x, c1=ZERO)
+    p = ProblemSpec(state=p.state, control=p.control, gen_a=p.gen_a, gen_b=p.gen_b,
+                    costs=p.costs, criterion=Criterion(kind=DISCOUNTED, alpha=alpha,
+                                                       nu0=((-2.5, 1.0),)))
+    point = (np.array([0.0]), np.array([1.0]))
+    pol = FeedbackPolicy(np.linspace(-2.0, 2.0, 9), np.full(9, 1.0 / 9), np.zeros(9),
+                         eta0=Kernel({i: point for i in range(9)}), eta1=Kernel())
+    seen = {}
+    estimates = _Ledger.estimates
+
+    def spy(acc, mu0, covered):
+        seen["visits"] = acc.visits.copy()
+        return estimates(acc, mu0, covered)
+
+    monkeypatch.setattr(_Ledger, "estimates", spy)
+    rep = simulate(p, pol, SimConfig(dt=dt, horizon=None, n_paths=4, seed=0))
+    n_steps = rep.total_steps // 4
+    assert rep.truncation_events == 4
+    assert seen["visits"][1].tolist() == [0, 4 * n_steps] + [0] * 9
+    later = sum(math.exp(-alpha * k * dt) for k in range(1, n_steps))
+    assert rep.cost.value == pytest.approx((6.25 + 4.0 * later) * dt, rel=1e-12)
+
+
+def test_nan_state_raises_naming_its_step():
+    # From x = 0 in steps of 1/8, the drift turns NaN above 0.5: step 4 takes
+    # the paths from 0.5 to 0.625, and step 5 leaves them NaN.  Unchecked,
+    # the run printed lta_cost nan with no truncation.
+    p = make_problem(drift=lambda x, u: np.where(x > 0.5, np.nan, 1.0), diffusion=ZERO,
+                     c0=ONE, c1=ZERO)
+    with pytest.raises(SimulationError, match=r"^step 5 left a path's state NaN$"):
+        simulate(p, idle_policy(p), SimConfig(dt=0.125, horizon=12.5, n_paths=4, seed=0))
 
 
 def test_band_policy_validation():
@@ -734,7 +853,9 @@ def test_bridge_map_ties_borrow_the_left_row():
                          eta0=Kernel(rows), eta1=Kernel())
     law = _ClosedLoop(p, pol)
     assert np.flatnonzero(law.covered).tolist() == [0, 4, 7]
-    assert law.eta0.uval[:, 0].tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]
+    # eta0's row b is bin b: node b - 1, the end nodes' rows padding the sentinels.
+    assert law.eta0.uval[1:-1, 0].tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]
+    assert law.eta0.uval[[0, -1], 0].tolist() == [1.0, 3.0]
 
 
 def test_bridge_map_borrows_the_row_nearest_in_state():
@@ -743,7 +864,7 @@ def test_bridge_map_borrows_the_row_nearest_in_state():
     p = make_problem(drift=ZERO, diffusion=ZERO, c0=ZERO, c1=ZERO)
     pol = FeedbackPolicy(np.array([0.0, 9.0, 10.0]), np.full(3, 1 / 3), np.zeros(3),
                          eta0=Kernel(rows), eta1=Kernel())
-    assert _ClosedLoop(p, pol).eta0.uval[:, 0].tolist() == [1.0, 2.0, 2.0]
+    assert _ClosedLoop(p, pol).eta0.uval[1:-1, 0].tolist() == [1.0, 2.0, 2.0]
 
 
 def test_cluster_node_equals_nearest_node_on_the_slice():
